@@ -211,19 +211,27 @@ def load_config(path, schema) -> dict:
     return cfg
 
 
+def _checked(build, *args, **kwargs):
+    """Build a config object; a value its constructor rejects is a config error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _state_from_config(doc: dict) -> states.StateSpec:
     kw = dict(doc)
     if "alpha" in kw and isinstance(kw["alpha"], list):
         kw["alpha"] = complex(kw["alpha"][0], kw["alpha"][1])
-    return states.StateSpec(**kw)
+    return _checked(states.StateSpec, **kw)
 
 
 def _detector_from_config(doc: dict | None) -> detection.DetectorModel:
-    return detection.DetectorModel(**(doc or {}))
+    return _checked(detection.DetectorModel, **(doc or {}))
 
 
 def _schedule_from_config(doc: dict) -> detection.PhaseSchedule:
-    return detection.PhaseSchedule.from_dict(doc)
+    return _checked(detection.PhaseSchedule.from_dict, doc)
 
 
 def _outdir(cfg: dict, args) -> Path:
@@ -240,7 +248,7 @@ def cmd_simulate(args) -> int:
     spec = _state_from_config(cfg["state"])
     det = _detector_from_config(cfg.get("detector"))
     sched = _schedule_from_config(cfg["schedule"])
-    rho = states.make_state(spec)
+    rho = _checked(states.make_state, spec)
     ds = detection.sample_quadratures(rho, sched, det, cfg["n_samples"], seed)
     ds_path = out / "dataset.jsonl"
     formats.write_quadrature_dataset(ds_path, ds)
@@ -257,10 +265,8 @@ def cmd_reconstruct(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report = {"input": str(args.input), "n_samples": len(ds),
               "eta_eff": ds.meta.detector.eta_eff}
-    fmt = args.format or "csv"
     if args.method in ("radon", "both"):
-        folded = np.unique(np.round(
-            np.where(ds.thetas >= np.pi, ds.thetas - np.pi, ds.thetas), 9))
+        folded = np.unique(np.round(radon.fold_phases(ds.thetas, ds.qs)[0], 9))
         n_bins = min(args.phase_bins, folded.size)
         cfg = radon.RadonConfig(k_c=args.k_c, n_phase_bins=n_bins)
         w = radon.filtered_backprojection(ds, cfg)
@@ -289,10 +295,9 @@ def cmd_reconstruct(args) -> int:
         formats.write_density_matrix(out / "rho.json", rho, errors=err)
         pops = rho.populations()
         formats.write_pn_csv(out / "pn.csv", pops, np.diag(err))
-        folded, _ = patterns.fold_to_half_circle(ds.thetas, ds.qs)
         report["pattern"] = {
             "dim": args.dim,
-            "d_phases": int(np.unique(np.round(folded, 10)).size),
+            "d_phases": rho.meta["d_phases"],
             "populations": [float(x) for x in pops],
             "population_stderr": [float(x) for x in np.diag(err)],
             "gram_condition_numbers": pf.condition_numbers,
@@ -322,23 +327,27 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
+def _twomode_state_from_config(src: dict) -> twomode.TwoModeState:
+    kind = src["kind"]
+    if kind == "correlated_thermal":
+        return twomode.TwoModeState("correlated_thermal", nbar=src["nbar"],
+                                    corr=src.get("corr", 0.0))
+    if kind == "hbt_split":
+        law = twomode.hbt_split_law(src["nbar"])
+    elif kind == "anticorrelated_thermal":
+        law = twomode.anticorrelated_thermal_law(src["nbar"])
+    else:
+        law = twomode.independent_poisson_law(src["nbar"], src.get("nbar2", src["nbar"]))
+    return twomode.TwoModeState("planted", law=law)
+
+
 def cmd_twomode(args) -> int:
     cfg = load_config(args.config, TWOMODE_SCHEMA)
     seed = args.seed if args.seed is not None else cfg["seed"]
     out = _outdir(cfg, args)
     det = _detector_from_config(cfg.get("detector"))
     src = cfg["source"]
-    kind = src["kind"]
-    if kind == "correlated_thermal":
-        st = twomode.TwoModeState("correlated_thermal", nbar=src["nbar"],
-                                  corr=src.get("corr", 0.0))
-    elif kind == "hbt_split":
-        st = twomode.TwoModeState("planted", law=twomode.hbt_split_law(src["nbar"]))
-    elif kind == "anticorrelated_thermal":
-        st = twomode.TwoModeState("planted", law=twomode.anticorrelated_thermal_law(src["nbar"]))
-    else:
-        st = twomode.TwoModeState("planted", law=twomode.independent_poisson_law(
-            src["nbar"], src.get("nbar2", src["nbar"])))
+    st = _checked(_twomode_state_from_config, src)
     rand = detection.PhaseSchedule("uniform_random")
     runs = []
     for i, alpha in enumerate((0.0, np.pi / 4, np.pi / 2)):

@@ -10,6 +10,11 @@ solved here by a Gram-matrix inversion over the damped Hermite basis
 φ_ν(q) = (2ν+1)^L ψ_{m(ν)}(q) e^{−q²/2} with the parity of m(ν) matched to
 the band.  The per-band Gram residual is driven to ~1e-10 with extended
 precision iterative refinement, so band overlaps are self-certifying.
+
+The estimator reads each sample once: it deposits the sample's linear
+interpolation weights on the pattern grid of its phase bin (cloud in cell),
+and every ⟨M_mn⟩ and ⟨M_mn²⟩ per bin follows from matrix products of those
+per-bin deposits with the tabulated bands.
 """
 
 from __future__ import annotations
@@ -139,6 +144,34 @@ def _grid_phase_bins(thetas: np.ndarray, d_expected: int | None):
     return distinct, inverse
 
 
+def _cloud_in_cell(q: np.ndarray, bins: np.ndarray, n_bins: int, q_axis: np.ndarray):
+    """Per-bin linear-interpolation deposits of samples on the pattern grid.
+
+    A sample at q = (1 − f) q_j + f q_{j+1} deposits (1 − f) at j and f at
+    j + 1 in w1, (1 − f)² and f² in w2, and (1 − f) f at j in w11, each in
+    the row of its bin.  For a table row M sampled on q_axis, the bin sums
+    of the interpolant M(q) (0 outside the axis, as np.interp) are
+
+        Σ M(q) = w1 @ M,   Σ M(q)² = w2 @ M² + 2 w11[:, :-1] @ (M[:-1] M[1:]).
+    """
+    g = q_axis.size
+    inside = (q >= q_axis[0]) & (q <= q_axis[-1])
+    q, bins = q[inside], bins[inside]
+    j = np.clip(np.searchsorted(q_axis, q, side="right") - 1, 0, g - 2)
+    f = (q - q_axis[j]) / (q_axis[j + 1] - q_axis[j])
+    lo = 1.0 - f
+    cell = bins * g + j
+    size = n_bins * g
+
+    def deposit(at_j, at_next=None):
+        acc = np.bincount(cell, weights=at_j, minlength=size)
+        if at_next is not None:
+            acc += np.bincount(cell + 1, weights=at_next, minlength=size)
+        return acc.reshape(n_bins, g)
+
+    return deposit(lo, f), deposit(lo * lo, f * f), deposit(lo * f)
+
+
 def rho_from_quadratures(ds: QuadratureDataset, pf: PatternFunctionTable,
                          d_phases: int | None = None):
     """Density matrix and per-element standard errors from a phase-grid record.
@@ -162,24 +195,23 @@ def rho_from_quadratures(ds: QuadratureDataset, pf: PatternFunctionTable,
     if np.any(counts == 0):
         raise CoverageError("some phase bins hold no samples")
 
+    w1, w2, w11 = _cloud_in_cell(q_f, bins, d, pf.q_axis)
     rho = np.zeros((dim, dim), complex)
     err = np.zeros((dim, dim))
-    inv_cnt = 1.0 / counts
+    inv_cnt = 1.0 / counts[:, None]
     for band in range(dim):
-        phase = np.exp(1j * band * thetas)
-        for n in range(dim - band):
-            m = n + band
-            vals = pf.evaluate(m, n, q_f)
-            mean_k = np.bincount(bins, weights=vals, minlength=d) * inv_cnt
-            mean2_k = np.bincount(bins, weights=vals**2, minlength=d) * inv_cnt
-            var_k = np.clip(mean2_k - mean_k**2, 0.0, None)
-            est = np.sum(phase * mean_k) / d
-            # per-bin phase factors are unit modulus, so Re/Im variances add
-            # to (1/d²) Σ_k Var_k(M)/N_k regardless of the phases
-            sigma = np.sqrt(np.sum(var_k * inv_cnt) / d**2)
-            rho[m, n] = est
-            rho[n, m] = np.conj(est)
-            err[m, n] = err[n, m] = sigma
+        M = pf.band_values[band]                      # row n holds M_{n+band, n}
+        mean_k = (w1 @ M.T) * inv_cnt                 # (d, dim − band)
+        mean2_k = (w2 @ (M**2).T + 2.0 * (w11[:, :-1] @ (M[:, :-1] * M[:, 1:]).T)) * inv_cnt
+        var_k = np.clip(mean2_k - mean_k**2, 0.0, None)
+        est = np.exp(1j * band * thetas) @ mean_k / d
+        # per-bin phase factors are unit modulus, so Re/Im variances add
+        # to (1/d²) Σ_k Var_k(M)/N_k regardless of the phases
+        sigma = np.sqrt(np.sum(var_k * inv_cnt, axis=0) / d**2)
+        n = np.arange(dim - band)
+        rho[n + band, n] = est
+        rho[n, n + band] = np.conj(est)
+        err[n + band, n] = err[n, n + band] = sigma
     dm = DensityMatrix(dim=dim, elements=rho, normalized=False,
                        meta={"method": "pattern", "d_phases": d, "n_samples": len(ds)})
     return dm, err

@@ -5,11 +5,17 @@ filter over θ ∈ [0, π); samples at θ ∈ [π, 2π) are folded in via
 Pr(q, θ+π) = Pr(−q, θ).  The ramp is truncated at a frequency cutoff k_c
 (with an optional cosine roll-off over its top 20%), which trades
 statistical noise against a small deterministic smoothing bias.
+
+The filter acts on binned projections as a q_bins × q_bins matrix that
+depends only on (q_bins, dq, k_c, kernel).  It is built on first use and
+cached, so one reconstruction config evaluates the ramp integral once and
+the main FBP and every bootstrap replicate share the same read-only matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -63,6 +69,21 @@ def ramp_kernel_profile(u: np.ndarray, k_c: float, kernel: str) -> np.ndarray:
     return 2.0 * np.trapezoid(integrand[None, :] * np.cos(np.outer(u, xi)), xi, axis=1)
 
 
+@lru_cache(maxsize=8)
+def ramp_filter_matrix(q_bins: int, dq: float, k_c: float, kernel: str) -> np.ndarray:
+    """κ(q_i − q_j) on a uniform grid of q_bins centres spaced dq, read-only.
+
+    The offsets q_i − q_j take only 2·q_bins − 1 distinct values, so the
+    ramp integral is evaluated once per lag and gathered into the matrix.
+    """
+    lags = np.arange(-(q_bins - 1), q_bins) * dq
+    kappa_1d = ramp_kernel_profile(lags, k_c, kernel)
+    idx = (np.arange(q_bins)[:, None] - np.arange(q_bins)[None, :]) + q_bins - 1
+    kappa = kappa_1d[idx]
+    kappa.flags.writeable = False
+    return kappa
+
+
 def _histogram_projections(thetas, qs, cfg: RadonConfig):
     """Per-phase-bin normalized histograms Pr_M(q | θ_bin)."""
     theta_f, q_f = fold_phases(thetas, qs)
@@ -108,12 +129,8 @@ def filtered_backprojection(ds: QuadratureDataset, cfg: RadonConfig | None = Non
     if counts.min() < 100:
         meta["low_count_warning"] = True
 
-    # filtered projections: G_b(q) = ∫ Pr(q'|θ_b) κ(q − q') dq'; the offsets
-    # q_i − q_j take only 2·nbins−1 distinct values on the uniform grid
-    lags = np.arange(-(cfg.q_bins - 1), cfg.q_bins) * dq
-    kappa_1d = ramp_kernel_profile(lags, cfg.k_c, cfg.kernel)
-    idx = (np.arange(cfg.q_bins)[:, None] - np.arange(cfg.q_bins)[None, :]) + cfg.q_bins - 1
-    kappa = kappa_1d[idx]
+    # filtered projections: G_b(q) = ∫ Pr(q'|θ_b) κ(q − q') dq'
+    kappa = ramp_filter_matrix(cfg.q_bins, float(dq), cfg.k_c, cfg.kernel)
     filtered = proj @ kappa.T * dq
 
     q_axis = default_grid_axis(cfg.grid_points, cfg.grid_span)

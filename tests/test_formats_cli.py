@@ -214,6 +214,36 @@ class TestCli:
         })
         assert run_cli("simulate", "--config", cfg) == 2
 
+    @pytest.mark.parametrize("override", [
+        {"detector": {"eta_q": 2.0}},
+        {"schedule": {"kind": "grid", "d": 0}},
+        {"state": {"kind": "fock", "n": -1}},
+        {"state": {"kind": "thermal", "nbar": -0.5}},
+    ])
+    def test_invalid_simulate_value_exit_2(self, tmp_path, capsys, override):
+        # schema-valid documents whose values the constructors refuse
+        doc = {"state": {"kind": "vacuum"}, "schedule": {"kind": "grid", "d": 4},
+               "n_samples": 10, "seed": 1, "outputs": {"dir": str(tmp_path / "o")}}
+        doc.update(override)
+        cfg = write_config(tmp_path, "bad.json", doc)
+        assert run_cli("simulate", "--config", cfg) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize("override", [
+        {"detector": {"eta_q": 2.0}},
+        {"source": {"kind": "correlated_thermal", "nbar": 1.0, "corr": 1.5}},
+        {"source": {"kind": "correlated_thermal", "nbar": -1.0}},
+    ])
+    def test_invalid_twomode_value_exit_2(self, tmp_path, capsys, override):
+        doc = {"source": {"kind": "correlated_thermal", "nbar": 1.0}, "n_samples": 10,
+               "seed": 1, "outputs": {"dir": str(tmp_path / "o")}}
+        doc.update(override)
+        cfg = write_config(tmp_path, "bad.json", doc)
+        assert run_cli("twomode", "--config", cfg) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*.jsonl"))
+
     def test_aliasing_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, "sim.json", {
             "state": {"kind": "vacuum"},

@@ -168,6 +168,69 @@ class TestRhoFromQuadratures:
         assert np.max(diff / np.sqrt(err_p**2 + err_r**2 + 1e-6)) < 3.0
 
 
+def _reference_rho(ds, pf):
+    """Per-element estimator: np.interp of every M_mn at every sample."""
+    theta_f, q_f = patterns.fold_to_half_circle(ds.thetas, ds.qs)
+    thetas, bins = np.unique(np.round(theta_f, 10), return_inverse=True)
+    d = thetas.size
+    inv_cnt = 1.0 / np.bincount(bins, minlength=d)
+    rho = np.zeros((pf.dim, pf.dim), complex)
+    err = np.zeros((pf.dim, pf.dim))
+    for m in range(pf.dim):
+        for n in range(m + 1):
+            vals = np.interp(q_f, pf.q_axis, pf.values(m, n), left=0.0, right=0.0)
+            mean_k = np.bincount(bins, weights=vals, minlength=d) * inv_cnt
+            mean2_k = np.bincount(bins, weights=vals**2, minlength=d) * inv_cnt
+            var_k = np.clip(mean2_k - mean_k**2, 0.0, None)
+            rho[m, n] = np.sum(np.exp(1j * (m - n) * thetas) * mean_k) / d
+            rho[n, m] = np.conj(rho[m, n])
+            err[m, n] = err[n, m] = np.sqrt(np.sum(var_k * inv_cnt) / d**2)
+    return rho, err
+
+
+def _random_table(q_axis, dim, rng):
+    """Table of O(1) random rows: unlike real pattern functions, it is not
+    vanishingly small at ±8, so grid-end handling shows in the sums."""
+    bands = {b: rng.normal(size=(dim - b, q_axis.size)) for b in range(dim)}
+    return patterns.PatternFunctionTable(dim=dim, q_axis=q_axis, band_values=bands,
+                                         L=1.0, condition_numbers={})
+
+
+class TestCloudInCell:
+    @pytest.mark.parametrize("table", ["pattern", "random"])
+    def test_matches_per_element_interpolation(self, pf8, table):
+        # samples beyond ±8, exactly on both grid ends and on interior nodes
+        # exercise the zero fill and the closed right endpoint of np.interp
+        rng = np.random.default_rng(330)
+        pf = pf8 if table == "pattern" else _random_table(pf8.q_axis, 8, rng)
+        d, n = 9, 30_000
+        thetas = np.repeat(np.arange(d) * np.pi / d, n // d)
+        thetas[::2] += np.pi
+        qs = rng.normal(0.0, 3.0, thetas.size)
+        qs[:40] = 8.0
+        qs[40:80] = -8.0
+        qs[80:120] = rng.uniform(8.0, 12.0, 40) * rng.choice([-1.0, 1.0], 40)
+        qs[120:160] = pf8.q_axis[rng.integers(0, pf8.q_axis.size, 40)]
+        ds = detection.QuadratureDataset(thetas=thetas, qs=qs, meta=None)
+        rho, err = patterns.rho_from_quadratures(ds, pf, d)
+        rho_ref, err_ref = _reference_rho(ds, pf)
+        assert np.max(np.abs(rho.elements - rho_ref)) < 1e-12
+        assert np.max(np.abs(err - err_ref)) < 1e-12
+
+    def test_deposit_sums_equal_interpolant_sums(self, pf8):
+        rng = np.random.default_rng(331)
+        q = np.concatenate([rng.uniform(-9.0, 9.0, 2_000), [8.0, -8.0]])
+        bins = rng.integers(0, 3, q.size)
+        w1, w2, w11 = patterns._cloud_in_cell(q, bins, 3, pf8.q_axis)
+        M = rng.normal(size=pf8.q_axis.size)
+        vals = np.interp(q, pf8.q_axis, M, left=0.0, right=0.0)
+        for k in range(3):
+            sel = bins == k
+            assert w1[k] @ M == pytest.approx(vals[sel].sum(), abs=1e-12)
+            sq = w2[k] @ M**2 + 2.0 * w11[k, :-1] @ (M[:-1] * M[1:])
+            assert sq == pytest.approx((vals[sel] ** 2).sum(), abs=1e-12)
+
+
 class TestPnPhaseAveraged:
     def test_vacuum(self, vacuum, pf8):
         ds = detection.sample_quadratures(

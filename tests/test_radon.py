@@ -98,6 +98,46 @@ class TestBootstrap:
         assert 0.4 * scatter < se.values[i, i] < 2.5 * scatter
 
 
+class TestRampFilterCache:
+    def test_fbp_matches_freshly_built_filter(self, coherent1):
+        # the cached matrix gives the same bytes as building κ for this call
+        ds = _dataset(coherent1, 20_000, seed=210)
+        cfg = radon.RadonConfig()
+        w = radon.filtered_backprojection(ds, cfg)
+        radon.ramp_filter_matrix.cache_clear()
+        fresh = radon.filtered_backprojection(ds, cfg)
+        assert np.array_equal(w.values, fresh.values)
+
+    def test_one_profile_per_config(self, vacuum, monkeypatch):
+        ds = _dataset(vacuum, 5_000, seed=211)
+        calls = []
+        profile = radon.ramp_kernel_profile
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return profile(*args, **kwargs)
+
+        monkeypatch.setattr(radon, "ramp_kernel_profile", counted)
+        radon.ramp_filter_matrix.cache_clear()
+        radon.filtered_backprojection(ds)
+        radon.bootstrap_backprojection(ds, n_boot=5, seed=2)
+        assert len(calls) == 1
+
+    def test_cached_matrix_is_read_only(self):
+        kappa = radon.ramp_filter_matrix(256, 16.0 / 256, 5.0, "ram-lak")
+        assert not kappa.flags.writeable
+        with pytest.raises(ValueError):
+            kappa[0, 0] = 1.0
+
+    def test_key_separates_cutoff_and_kernel(self):
+        dq = 16.0 / 256
+        base = radon.ramp_filter_matrix(256, dq, 5.0, "ram-lak")
+        assert radon.ramp_filter_matrix(256, dq, 5.0, "ram-lak") is base
+        assert not np.array_equal(radon.ramp_filter_matrix(256, dq, 4.0, "ram-lak"), base)
+        assert not np.array_equal(
+            radon.ramp_filter_matrix(256, dq, 5.0, "ram-lak-with-cosine-rolloff"), base)
+
+
 class TestLossSmoothing:
     def test_near_unity_eta_is_identity(self, fock1):
         w = states.wigner_from_rho(fock1)
