@@ -16,9 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import stream
-from .detection import DatasetMeta, DetectorModel, PhaseSchedule, QuadratureDataset
+from .detection import (DatasetMeta, DetectorModel, PhaseSchedule, QuadratureDataset,
+                        photodiode_counts)
 from .errors import CoverageError, UnsupportedStateError
 from .states import StateSpec
+
+#: planted per-pixel balancing offsets reach up to this fraction of the LO level
+IMBALANCE_SCALE = 0.01
+#: pulses in the blocked-signal run that measures the vacuum offsets
+N_CALIBRATION = 4000
 
 
 @dataclass(frozen=True)
@@ -113,17 +119,16 @@ def _amplitude_draws(spec: StateSpec, n: int, rng: np.random.Generator) -> np.nd
 
 def simulate_array_frames(signal, det: DetectorModel, grid: PixelGrid,
                           sched: PhaseSchedule, n_pulses: int, seed: int,
-                          imbalance_scale: float = 0.01,
-                          n_calibration: int = 4000,
                           common_random_phase: bool = False) -> ArrayFrameSet:
     """Balanced array frames for planted signal modes.
 
     `signal` is a list of (ModeVector, StateSpec) pairs.  The LO is a
     plane-wave coherent state; per-pixel counts on the two arrays are
-    independent Poisson draws around the interference means, plus planted
-    per-pixel balancing offsets (up to `imbalance_scale` of the LO level)
-    and electronic noise.  A companion blocked-signal run of
-    `n_calibration` pulses measures the vacuum offsets.
+    independent Poisson draws around the interference means
+    (`detection.photodiode_counts`), plus planted per-pixel balancing
+    offsets (up to IMBALANCE_SCALE of the LO level) and electronic noise.
+    A companion blocked-signal run of N_CALIBRATION pulses measures the
+    vacuum offsets.
     """
     lo = det.lo_mean_photons
     per_pixel_lo = lo / (2.0 * grid.n_pixels)
@@ -133,7 +138,7 @@ def simulate_array_frames(signal, det: DetectorModel, grid: PixelGrid,
         )
     thetas = sched.phases(n_pulses, stream(seed, "array-theta"))
     base = det.eta_q * lo / (2.0 * grid.n_pixels)
-    imb = imbalance_scale * (2.0 * stream(seed, "pixel-imbalance").random(grid.n_pixels) - 1.0)
+    imb = IMBALANCE_SCALE * (2.0 * stream(seed, "pixel-imbalance").random(grid.n_pixels) - 1.0)
 
     overlap_warned = []
     modes = []
@@ -163,17 +168,11 @@ def simulate_array_frames(signal, det: DetectorModel, grid: PixelGrid,
             * 2.0 * np.real(field_j * np.exp(-1j * theta_arr)[:, None])
         mu1 = base * (1.0 + imb)[None, :] + beat / 2.0
         mu2 = base * np.ones(grid.n_pixels)[None, :] - beat / 2.0
-        if mu1.min() < 0 or mu2.min() < 0:
-            raise ValueError("negative pixel rate; signal too strong for this LO")
-        n1 = rng.poisson(mu1)
-        n2 = rng.poisson(mu2)
-        if det.sigma_e > 0:
-            n1 = n1 + np.rint(rng.normal(0, det.sigma_e, size=n1.shape)).astype(np.int64)
-            n2 = n2 + np.rint(rng.normal(0, det.sigma_e, size=n2.shape)).astype(np.int64)
-        return (n1 - n2).astype(np.int64)
+        n1, n2 = photodiode_counts(mu1, mu2, det.sigma_e, rng)
+        return n1 - n2
 
-    cal_thetas = PhaseSchedule("uniform_random").phases(n_calibration, stream(seed, "cal-theta"))
-    cal = run(n_calibration, "calibration", cal_thetas, include_signal=False)
+    cal_thetas = PhaseSchedule("uniform_random").phases(N_CALIBRATION, stream(seed, "cal-theta"))
+    cal = run(N_CALIBRATION, "calibration", cal_thetas, include_signal=False)
     offsets = cal.mean(axis=0)
     frames = run(n_pulses, "frames", thetas, include_signal=True)
     planted = [({"kind": "mode", "values": mv.w.tolist()}, spec.to_dict()) for mv, spec in signal]

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.  Every run is reproducible: (config, seed) fixes all artifacts
-byte-for-byte.  A --threads flag is accepted for symmetry with batch
-runners; results never depend on it.
+byte-for-byte.  Each subcommand takes only the flags it reads.
 """
 
 from __future__ import annotations
@@ -11,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,9 @@ EXIT_NUMERIC = 4
 
 _NUM = {"type": "number"}
 _INT = {"type": "integer"}
+_COUNT = {"type": "integer", "minimum": 1}
+_NONNEG = {"type": "number", "minimum": 0}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
 STATE_SCHEMA = {
     "type": "object",
@@ -68,29 +71,10 @@ SCHEDULE_SCHEMA = {
     "additionalProperties": False,
 }
 
-RECONSTRUCTION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "method": {"enum": ["radon", "pattern", "both"]},
-        "params": {
-            "type": "object",
-            "properties": {
-                "dim": _INT, "d_phases": _INT, "k_c": _NUM, "n_phase_bins": _INT,
-                "kernel": {"type": "string"}, "grid_points": _INT,
-                "grid_span": _NUM, "bootstrap": _INT,
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["method"],
-    "additionalProperties": False,
-}
-
 OUTPUTS_SCHEMA = {
     "type": "object",
     "properties": {
         "dir": {"type": "string"},
-        "formats": {"type": "array", "items": {"enum": ["csv", "json"]}},
     },
     "additionalProperties": False,
 }
@@ -101,9 +85,8 @@ SIMULATE_SCHEMA = {
         "state": STATE_SCHEMA,
         "detector": DETECTOR_SCHEMA,
         "schedule": SCHEDULE_SCHEMA,
-        "n_samples": _INT,
+        "n_samples": _COUNT,
         "seed": _INT,
-        "reconstruction": RECONSTRUCTION_SCHEMA,
         "outputs": OUTPUTS_SCHEMA,
     },
     "required": ["state", "schedule", "n_samples", "seed"],
@@ -118,13 +101,13 @@ TWOMODE_SCHEMA = {
             "properties": {
                 "kind": {"enum": ["correlated_thermal", "independent_poisson", "hbt_split",
                                   "anticorrelated_thermal"]},
-                "nbar": _NUM, "nbar2": _NUM, "corr": _NUM,
+                "nbar": _NONNEG, "nbar2": _NONNEG, "corr": _NUM,
             },
-            "required": ["kind"],
+            "required": ["kind", "nbar"],
             "additionalProperties": False,
         },
         "detector": DETECTOR_SCHEMA,
-        "n_samples": _INT,
+        "n_samples": _COUNT,
         "seed": _INT,
         "outputs": OUTPUTS_SCHEMA,
     },
@@ -136,10 +119,10 @@ ARRAY_SCHEMA = {
     "type": "object",
     "properties": {
         "detector": DETECTOR_SCHEMA,
-        "n_pixels": _INT,
-        "pixel_area": _NUM,
+        "n_pixels": {"type": "integer", "minimum": 2},
+        "pixel_area": _POSITIVE,
         "schedule": SCHEDULE_SCHEMA,
-        "n_pulses": _INT,
+        "n_pulses": _COUNT,
         "seed": _INT,
         "modes": {
             "type": "array",
@@ -166,8 +149,9 @@ SAMPLE_SCHEMA = {
         "signal": {
             "type": "object",
             "properties": {
-                "nu": _NUM, "bandwidth": _NUM, "band_fill": _NUM,
-                "span": _NUM, "points": _INT, "chirp": _NUM, "seed": _INT,
+                "nu": _NUM, "bandwidth": _POSITIVE, "band_fill": _NUM,
+                "span": _POSITIVE, "points": {"type": "integer", "minimum": 2},
+                "chirp": _NUM, "seed": _INT,
             },
             "required": ["nu", "bandwidth"],
             "additionalProperties": False,
@@ -185,8 +169,8 @@ CALIBRATE_SCHEMA = {
     "type": "object",
     "properties": {
         "detector": DETECTOR_SCHEMA,
-        "lo_levels": {"type": "array", "items": _NUM, "minItems": 3},
-        "pulses_per_level": _INT,
+        "lo_levels": {"type": "array", "items": _POSITIVE, "minItems": 3},
+        "pulses_per_level": {"type": "integer", "minimum": 2},
         "seed": _INT,
         "outputs": OUTPUTS_SCHEMA,
     },
@@ -219,21 +203,6 @@ def _checked(build, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _state_from_config(doc: dict) -> states.StateSpec:
-    kw = dict(doc)
-    if "alpha" in kw and isinstance(kw["alpha"], list):
-        kw["alpha"] = complex(kw["alpha"][0], kw["alpha"][1])
-    return _checked(states.StateSpec, **kw)
-
-
-def _detector_from_config(doc: dict | None) -> detection.DetectorModel:
-    return _checked(detection.DetectorModel, **(doc or {}))
-
-
-def _schedule_from_config(doc: dict) -> detection.PhaseSchedule:
-    return _checked(detection.PhaseSchedule.from_dict, doc)
-
-
 def _outdir(cfg: dict, args) -> Path:
     out = args.out or (cfg.get("outputs") or {}).get("dir") or "."
     path = Path(out)
@@ -245,9 +214,9 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, SIMULATE_SCHEMA)
     seed = args.seed if args.seed is not None else cfg["seed"]
     out = _outdir(cfg, args)
-    spec = _state_from_config(cfg["state"])
-    det = _detector_from_config(cfg.get("detector"))
-    sched = _schedule_from_config(cfg["schedule"])
+    spec = _checked(states.StateSpec.from_dict, cfg["state"])
+    det = _checked(detection.DetectorModel, **cfg.get("detector", {}))
+    sched = _checked(detection.PhaseSchedule.from_dict, cfg["schedule"])
     rho = _checked(states.make_state, spec)
     ds = detection.sample_quadratures(rho, sched, det, cfg["n_samples"], seed)
     ds_path = out / "dataset.jsonl"
@@ -258,6 +227,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    # flags are checked before the dataset is read; the pattern table is
+    # built after the FBP so it is not held through the bootstrap
+    cfg = _checked(radon.RadonConfig, k_c=args.k_c, n_phase_bins=args.phase_bins)
+    if args.bootstrap < 0 or args.bootstrap == 1:
+        raise ConfigError("--bootstrap takes 0 (off) or at least 2 replicates")
+    if not 1 <= args.dim <= patterns.MAX_DIM:
+        raise ConfigError(f"--dim must be in 1..{patterns.MAX_DIM}")
     ds = formats.read_quadrature_dataset(args.input)
     if isinstance(ds, twomode.DualQuadratureDataset):
         raise DataFormatError("reconstruction expects a single-mode dataset")
@@ -266,9 +242,8 @@ def cmd_reconstruct(args) -> int:
     report = {"input": str(args.input), "n_samples": len(ds),
               "eta_eff": ds.meta.detector.eta_eff}
     if args.method in ("radon", "both"):
-        folded = np.unique(np.round(radon.fold_phases(ds.thetas, ds.qs)[0], 9))
-        n_bins = min(args.phase_bins, folded.size)
-        cfg = radon.RadonConfig(k_c=args.k_c, n_phase_bins=n_bins)
+        folded = np.unique(np.round(detection.fold_phases(ds.thetas, ds.qs)[0], 9))
+        cfg = replace(cfg, n_phase_bins=min(cfg.n_phase_bins, folded.size))
         w = radon.filtered_backprojection(ds, cfg)
         formats.write_wigner_csv(out / "wigner.csv", w)
         report["radon"] = {
@@ -315,7 +290,7 @@ def cmd_moments(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rep = moments.moment_report(ds)
     (out / "moments.json").write_text(formats.dumps_canonical(rep.to_dict()) + "\n")
-    if (args.format or "json") == "csv":
+    if args.format == "csv":
         with open(out / "moments.csv", "w") as f:
             f.write("quantity,value,stderr\n")
             f.write(f"mean_n,{rep.mean_n!r},{rep.mean_n_stderr!r}\n")
@@ -345,7 +320,7 @@ def cmd_twomode(args) -> int:
     cfg = load_config(args.config, TWOMODE_SCHEMA)
     seed = args.seed if args.seed is not None else cfg["seed"]
     out = _outdir(cfg, args)
-    det = _detector_from_config(cfg.get("detector"))
+    det = _checked(detection.DetectorModel, **cfg.get("detector", {}))
     src = cfg["source"]
     st = _checked(_twomode_state_from_config, src)
     rand = detection.PhaseSchedule("uniform_random")
@@ -367,10 +342,11 @@ def cmd_array(args) -> int:
     cfg = load_config(args.config, ARRAY_SCHEMA)
     seed = args.seed if args.seed is not None else cfg["seed"]
     out = _outdir(cfg, args)
-    det = _detector_from_config(cfg.get("detector"))
+    det = _checked(detection.DetectorModel, **cfg.get("detector", {}))
     grid = arrays.PixelGrid(n_pixels=cfg.get("n_pixels", 64),
                             pixel_area=cfg.get("pixel_area", 1.0 / cfg.get("n_pixels", 64)))
-    sched = _schedule_from_config(cfg.get("schedule", {"kind": "uniform_random"}))
+    sched = _checked(detection.PhaseSchedule.from_dict,
+                     cfg.get("schedule", {"kind": "uniform_random"}))
     planted = []
     for m in cfg.get("modes", []):
         if m["shape"] == "uniform":
@@ -379,7 +355,7 @@ def cmd_array(args) -> int:
             mv = arrays.ramp_mode(grid)
         else:
             mv = arrays.ModeVector.normalized(np.array(m["shape"], float), grid)
-        planted.append((mv, _state_from_config(m["state"])))
+        planted.append((mv, _checked(states.StateSpec.from_dict, m["state"])))
     frames = arrays.simulate_array_frames(planted, det, grid, sched, cfg["n_pulses"], seed)
     formats.write_array_frames(out / "frames.jsonl", frames)
     M = arrays.difference_correlation_matrix(frames)
@@ -407,7 +383,6 @@ def cmd_sample(args) -> int:
     dt = t[1] - t[0]
     omega = 2 * np.pi * np.fft.fftfreq(n, d=dt)
     inside = np.abs(omega - nu) <= fill * B / 2.0
-    rng = np.random.default_rng(sc.get("seed", cfg["seed"]))
     chirp = sc.get("chirp", 8.0)
     phi = np.zeros(n, complex)
     for k in np.nonzero(inside)[0]:
@@ -434,7 +409,7 @@ def cmd_calibrate(args) -> int:
     cfg = load_config(args.config, CALIBRATE_SCHEMA)
     seed = args.seed if args.seed is not None else cfg["seed"]
     out = _outdir(cfg, args)
-    det = _detector_from_config(cfg.get("detector"))
+    det = _checked(detection.DetectorModel, **cfg.get("detector", {}))
     cal = detection.calibration_curve(det, cfg["lo_levels"], cfg["pulses_per_level"], seed)
     report = {
         "gain_estimate": cal.gain_estimate,
@@ -498,22 +473,21 @@ def cmd_validate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ohtlab",
                                 description="homodyne tomography laboratory pipelines")
-    p.add_argument("--threads", type=int, default=None,
-                   help="bound worker threads (outputs never depend on this)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--format", choices=["csv", "json"], default=None)
+    def command(name, func, summary, source, seed=False, out=True):
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument(source, required=True)
+        if seed:
+            sp.add_argument("--seed", type=int, default=None, help="override config seed")
+        if out:
+            sp.add_argument("--out", default=None, help="output directory")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("simulate", help="synthesize a quadrature dataset")
-    sp.add_argument("--config", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_simulate)
+    command("simulate", cmd_simulate, "synthesize a quadrature dataset", "--config", seed=True)
 
-    sp = sub.add_parser("reconstruct", help="invert a dataset to W and/or rho")
-    sp.add_argument("--input", required=True)
+    sp = command("reconstruct", cmd_reconstruct, "invert a dataset to W and/or rho", "--input")
     sp.add_argument("--method", choices=["radon", "pattern", "both"], default="both")
     sp.add_argument("--dim", type=int, default=8, help="pattern reconstruction size")
     sp.add_argument("--phases", type=int, default=None,
@@ -521,40 +495,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-c", type=float, default=5.0, dest="k_c")
     sp.add_argument("--phase-bins", type=int, default=32, dest="phase_bins")
     sp.add_argument("--bootstrap", type=int, default=0)
-    common(sp)
-    sp.set_defaults(func=cmd_reconstruct)
 
-    sp = sub.add_parser("moments", help="photon statistics straight from a dataset")
-    sp.add_argument("--input", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_moments)
+    sp = command("moments", cmd_moments, "photon statistics straight from a dataset", "--input")
+    sp.add_argument("--format", choices=["csv", "json"], default="json")
 
-    sp = sub.add_parser("twomode", help="dual-LO three-angle g2 pipeline")
-    sp.add_argument("--config", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_twomode)
+    command("twomode", cmd_twomode, "dual-LO three-angle g2 pipeline", "--config", seed=True)
+    command("array", cmd_array, "array-detector frames and mode recovery", "--config",
+            seed=True)
+    command("sample", cmd_sample, "band-limited linear optical sampling demo", "--config")
+    command("calibrate", cmd_calibrate, "detector gain/noise calibration run", "--config",
+            seed=True)
 
-    sp = sub.add_parser("array", help="array-detector frames and mode recovery")
-    sp.add_argument("--config", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_array)
-
-    sp = sub.add_parser("sample", help="band-limited linear optical sampling demo")
-    sp.add_argument("--config", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_sample)
-
-    sp = sub.add_parser("calibrate", help="detector gain/noise calibration run")
-    sp.add_argument("--config", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_calibrate)
-
-    sp = sub.add_parser("validate", help="check an artifact file")
-    sp.add_argument("--input", required=True)
+    sp = command("validate", cmd_validate, "check an artifact file", "--input", out=False)
     sp.add_argument("--report", action="store_true",
                     help="list issues without a failing exit code")
-    common(sp)
-    sp.set_defaults(func=cmd_validate)
     return p
 
 

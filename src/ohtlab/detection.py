@@ -7,6 +7,11 @@ Pr(q, θ), detection losses smear it with a Gaussian of variance
 The count-space route (`detector_counts`) models the two photodiodes
 explicitly for classical (coherent mean-field) signals, where independent
 Poisson statistics are exact.
+
+Single-mode sampling, dual-LO two-mode records, array frames and both
+reconstructions share one implementation of each step: `fold_phases`,
+`draw_state_quadratures`/`draw_fock_quadratures` (inverse CDF),
+`add_detection_noise` and `photodiode_counts`.
 """
 
 from __future__ import annotations
@@ -121,7 +126,6 @@ class DatasetMeta:
     schedule: PhaseSchedule
     seed: int
     source: dict | None = None
-    format_version: str = FORMAT_VERSION
     extra: dict = field(default_factory=dict)
 
 
@@ -180,15 +184,50 @@ def _inverse_cdf_draw(pdf_rows: np.ndarray, q_grid: np.ndarray, group_idx: np.nd
     return out
 
 
-def electronic_quadrature_sigma(det: DetectorModel) -> float:
-    """Electronic noise mapped to quadrature units, both channels combined.
+def draw_state_quadratures(rho: DensityMatrix, thetas: np.ndarray,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Ideal quadratures q_θ ~ Pr(q, θ) of a state, one per phase in thetas.
 
-    σ_e·√2/(η_eff·√(2·N_LO)); valid as a quadrature-space shortcut while
-    σ_e is well below the shot noise.
+    The uniforms are drawn after the pdf table is built: pdf_table sets the
+    peak memory of a sampling run, and the N uniforms need not be alive then.
     """
-    if det.sigma_e == 0:
-        return 0.0
-    return det.sigma_e * np.sqrt(2.0) / (det.eta_eff * np.sqrt(2.0 * det.lo_mean_photons))
+    distinct, group = np.unique(thetas, return_inverse=True)
+    q_grid = np.linspace(-PDF_SPAN, PDF_SPAN, PDF_POINTS)
+    rows = pdf_table(rho, distinct, q_grid)
+    return _inverse_cdf_draw(rows, q_grid, group, rng.random(thetas.size))
+
+
+def draw_fock_quadratures(ns: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Quadratures of Fock states |n_i⟩: q_i ~ ψ_{n_i}(q)² (phase independent)."""
+    levels, group = np.unique(ns, return_inverse=True)
+    q_grid = np.linspace(-PDF_SPAN, PDF_SPAN, PDF_POINTS)
+    psi = hermite_psi_all(int(levels.max(initial=0)), q_grid)
+    return _inverse_cdf_draw(psi[levels] ** 2, q_grid, group, rng.random(ns.size))
+
+
+def fold_phases(thetas: np.ndarray, qs: np.ndarray, lower: float = 0.0):
+    """Map samples with θ in [lower, lower + 2π) onto [lower, lower + π).
+
+    Uses Pr(q, θ + π) = Pr(−q, θ): a phase at or above lower + π moves down
+    by π and its quadrature changes sign.
+    """
+    wrap = thetas >= lower + np.pi
+    return np.where(wrap, thetas - np.pi, thetas), np.where(wrap, -qs, qs)
+
+
+def add_detection_noise(qs: np.ndarray, det: DetectorModel, seed: int) -> np.ndarray:
+    """Ideal quadratures as detected: η_eff loss smearing, then electronic noise.
+
+    The electronic term maps σ_e to quadrature units with both channels
+    combined, a shortcut valid while σ_e is well below the shot noise.
+    """
+    if det.eta_eff < 1.0:
+        sig = np.sqrt((1.0 / det.eta_eff - 1.0) / 2.0)
+        qs = qs + sig * stream(seed, "efficiency").standard_normal(qs.size)
+    if det.sigma_e > 0:
+        sig_e = det.sigma_e * np.sqrt(2.0) / (det.eta_eff * np.sqrt(2.0 * det.lo_mean_photons))
+        qs = qs + sig_e * stream(seed, "electronic").standard_normal(qs.size)
+    return qs
 
 
 def sample_quadratures(rho: DensityMatrix, sched: PhaseSchedule, det: DetectorModel,
@@ -203,17 +242,8 @@ def sample_quadratures(rho: DensityMatrix, sched: PhaseSchedule, det: DetectorMo
     if det.lo_mean_photons < 1e4:
         warnings.warn("lo_mean_photons < 1e4: strong-LO Gaussian model is marginal")
     thetas = sched.phases(n_samples, stream(seed, "theta"))
-    distinct, group = np.unique(thetas, return_inverse=True)
-    q_grid = np.linspace(-PDF_SPAN, PDF_SPAN, PDF_POINTS)
-    rows = pdf_table(rho, distinct, q_grid)
-    u = stream(seed, "quadrature").random(n_samples)
-    qs = _inverse_cdf_draw(rows, q_grid, group, u)
-    if det.eta_eff < 1.0:
-        sig = np.sqrt((1.0 / det.eta_eff - 1.0) / 2.0)
-        qs = qs + sig * stream(seed, "efficiency").standard_normal(n_samples)
-    sig_e = electronic_quadrature_sigma(det)
-    if sig_e > 0:
-        qs = qs + sig_e * stream(seed, "electronic").standard_normal(n_samples)
+    qs = draw_state_quadratures(rho, thetas, stream(seed, "quadrature"))
+    qs = add_detection_noise(qs, det, seed)
     if det.balance_imbalance != 0.0:
         # leading-order effect of imperfect 50/50 splitting: the unsubtracted
         # LO leaves a DC offset on the scaled difference
@@ -239,13 +269,22 @@ def detector_counts(q_ideal, theta, det: DetectorModel, rng: np.random.Generator
     beat = det.eta_eff * np.sqrt(det.lo_mean_photons) * q_ideal / np.sqrt(2.0)
     mu1 = lo_det * (1.0 + det.balance_imbalance) / 2.0 + beat
     mu2 = lo_det * (1.0 - det.balance_imbalance) / 2.0 - beat
+    return photodiode_counts(mu1, mu2, det.sigma_e, rng)
+
+
+def photodiode_counts(mu1, mu2, sigma_e: float, rng: np.random.Generator):
+    """Photoelectron counts of two diodes with mean rates mu1, mu2.
+
+    Poisson draws for diode 1 then diode 2, then per-channel Gaussian
+    electronic noise of std sigma_e rounded to whole counts.
+    """
     if np.any(mu1 < 0) or np.any(mu2 < 0):
         raise ValueError("negative mean photoelectron rate; LO too weak for this signal")
     n1 = rng.poisson(mu1).astype(np.int64)
     n2 = rng.poisson(mu2).astype(np.int64)
-    if det.sigma_e > 0:
-        n1 = n1 + np.rint(rng.normal(0.0, det.sigma_e, size=n1.shape)).astype(np.int64)
-        n2 = n2 + np.rint(rng.normal(0.0, det.sigma_e, size=n2.shape)).astype(np.int64)
+    if sigma_e > 0:
+        n1 = n1 + np.rint(rng.normal(0.0, sigma_e, size=n1.shape)).astype(np.int64)
+        n2 = n2 + np.rint(rng.normal(0.0, sigma_e, size=n2.shape)).astype(np.int64)
     return n1, n2
 
 

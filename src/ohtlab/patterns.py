@@ -11,10 +11,14 @@ solved here by a Gram-matrix inversion over the damped Hermite basis
 the band.  The per-band Gram residual is driven to ~1e-10 with extended
 precision iterative refinement, so band overlaps are self-certifying.
 
-The estimator reads each sample once: it deposits the sample's linear
-interpolation weights on the pattern grid of its phase bin (cloud in cell),
-and every ⟨M_mn⟩ and ⟨M_mn²⟩ per bin follows from matrix products of those
-per-bin deposits with the tabulated bands.
+The record is first folded onto the [0, π) half circle by
+`detection.fold_phases`, the fold filtered back-projection uses too: the
+phase integral is symmetric under Pr(q, θ+π) = Pr(−q, θ) because the
+pattern functions carry parity (−1)^{m−n}.  The estimator then reads each
+sample once: it deposits the sample's linear interpolation weights on the
+pattern grid of its phase bin (cloud in cell), and every ⟨M_mn⟩ and
+⟨M_mn²⟩ per bin follows from matrix products of those per-bin deposits
+with the tabulated bands.
 """
 
 from __future__ import annotations
@@ -23,13 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import QuadratureDataset
+from .detection import QuadratureDataset, fold_phases
 from .errors import AliasingError, CoverageError, GramConditionError
 from .states import DensityMatrix, hermite_psi_all
 
 GRID_POINTS = 4097
 GRID_SPAN = 8.0
 COND_LIMIT = 1e12
+#: largest table size; the Gram matrices become numerically singular beyond it
+MAX_DIM = 30
 
 
 def _simpson_weights(n: int, dx: float) -> np.ndarray:
@@ -69,12 +75,11 @@ class PatternFunctionTable:
 def build_pattern_functions(dim: int, q_axis=None, L: float = 1.0) -> PatternFunctionTable:
     """Construct the dual-basis table for indices < dim.
 
-    dim is capped at 30: the Gram matrices become numerically singular
-    beyond that, and construction refuses bands whose condition number
-    exceeds 1e12.
+    dim is capped at MAX_DIM, and construction refuses bands whose
+    condition number exceeds 1e12.
     """
-    if dim < 1 or dim > 30:
-        raise ValueError("dim must be in 1..30 (Gram conditioning bound)")
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"dim must be in 1..{MAX_DIM} (Gram conditioning bound)")
     if q_axis is None:
         q_axis = np.linspace(-GRID_SPAN, GRID_SPAN, GRID_POINTS)
     q_axis = np.asarray(q_axis, float)
@@ -116,16 +121,6 @@ def build_pattern_functions(dim: int, q_axis=None, L: float = 1.0) -> PatternFun
         band_values[band] = np.asarray(C @ phi, dtype=float)
     return PatternFunctionTable(dim=dim, q_axis=q_axis, band_values=band_values,
                                 L=L, condition_numbers=conds, biorth_residuals=residuals)
-
-
-def fold_to_half_circle(thetas: np.ndarray, qs: np.ndarray):
-    """Map samples with θ in [π, 2π) onto [0, π) via Pr(q, θ+π) = Pr(−q, θ).
-
-    The phase integral in the reconstruction formula is symmetric under this
-    fold (the pattern functions carry parity (−1)^{m−n}), so only phases on
-    the half circle are informative."""
-    wrap = thetas >= np.pi
-    return np.where(wrap, thetas - np.pi, thetas), np.where(wrap, -qs, qs)
 
 
 def _grid_phase_bins(thetas: np.ndarray, d_expected: int | None):
@@ -183,7 +178,7 @@ def rho_from_quadratures(ds: QuadratureDataset, pf: PatternFunctionTable,
     `d_phases`, when given, asserts the folded phase count.
     """
     dim = pf.dim
-    theta_f, q_f = fold_to_half_circle(ds.thetas, ds.qs)
+    theta_f, q_f = fold_phases(ds.thetas, ds.qs)
     thetas, bins = _grid_phase_bins(theta_f, d_phases)
     d = thetas.size
     if d < dim:
@@ -226,7 +221,7 @@ def pn_phase_averaged(ds: QuadratureDataset, pf: PatternFunctionTable):
     """
     sched = ds.meta.schedule
     if sched.kind == "grid":
-        theta_f, _ = fold_to_half_circle(ds.thetas, ds.qs)
+        theta_f, _ = fold_phases(ds.thetas, ds.qs)
         d = np.unique(np.round(theta_f, 10)).size
         if d < pf.dim:
             raise AliasingError(

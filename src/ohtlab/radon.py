@@ -2,7 +2,8 @@
 
 The inversion integrates the measured Pr(q_θ, θ) against the |ξ| ramp
 filter over θ ∈ [0, π); samples at θ ∈ [π, 2π) are folded in via
-Pr(q, θ+π) = Pr(−q, θ).  The ramp is truncated at a frequency cutoff k_c
+Pr(q, θ+π) = Pr(−q, θ) by `detection.fold_phases`, the fold the pattern
+estimator uses too.  The ramp is truncated at a frequency cutoff k_c
 (with an optional cosine roll-off over its top 20%), which trades
 statistical noise against a small deterministic smoothing bias.
 
@@ -22,7 +23,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.signal import fftconvolve
 
 from ._rng import stream
-from .detection import QuadratureDataset
+from .detection import QuadratureDataset, fold_phases
 from .errors import CoverageError
 from .states import WignerGrid, default_grid_axis
 
@@ -49,12 +50,6 @@ class RadonConfig:
             raise ValueError("need at least 2 phase bins")
         if self.kernel not in self.KERNELS:
             raise ValueError(f"unknown filter kernel {self.kernel!r}")
-
-
-def fold_phases(thetas: np.ndarray, qs: np.ndarray):
-    """Map samples with θ in [π, 2π) onto [0, π) using Pr(q, θ+π) = Pr(−q, θ)."""
-    fold = thetas >= np.pi
-    return np.where(fold, thetas - np.pi, thetas), np.where(fold, -qs, qs)
 
 
 def ramp_kernel_profile(u: np.ndarray, k_c: float, kernel: str) -> np.ndarray:
@@ -90,9 +85,7 @@ def _histogram_projections(thetas, qs, cfg: RadonConfig):
     dtheta = np.pi / cfg.n_phase_bins
     # bins centered on k·dθ so exact grid phases never straddle an edge;
     # the wrap region near π folds onto θ−π, −q by the same symmetry
-    wrap = theta_f >= np.pi - dtheta / 2
-    theta_f = np.where(wrap, theta_f - np.pi, theta_f)
-    q_f = np.where(wrap, -q_f, q_f)
+    theta_f, q_f = fold_phases(theta_f, q_f, lower=-dtheta / 2)
     bin_idx = np.rint(theta_f / dtheta).astype(int)
     bin_idx = np.clip(bin_idx, 0, cfg.n_phase_bins - 1)
     edges = np.linspace(-cfg.q_span, cfg.q_span, cfg.q_bins + 1)

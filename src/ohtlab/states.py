@@ -185,8 +185,10 @@ class StateSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StateSpec":
+        """Inverse of to_dict; α may be a [re, im] pair or a real scalar,
+        which is kept as given."""
         kw = dict(d)
-        if "alpha" in kw:
+        if isinstance(kw.get("alpha"), list):
             kw["alpha"] = complex(kw["alpha"][0], kw["alpha"][1])
         return cls(**kw)
 

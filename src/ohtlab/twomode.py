@@ -16,10 +16,10 @@ import numpy as np
 
 from ._rng import stream
 from .detection import (DatasetMeta, DetectorModel, PhaseSchedule, QuadratureDataset,
-                        PDF_POINTS, PDF_SPAN, electronic_quadrature_sigma,
-                        pdf_table, _inverse_cdf_draw)
+                        add_detection_noise, draw_fock_quadratures, draw_state_quadratures,
+                        phase_coverage_kind)
 from .errors import UnsupportedStateError
-from .states import DensityMatrix, hermite_psi_all
+from .states import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -163,29 +163,6 @@ def independent_poisson_law(nbar1: float, nbar2: float):
     return law
 
 
-def _fock_quadrature_draw(ns: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Quadrature samples of Fock states: q ~ ψ_n(q)² (phase independent)."""
-    q_grid = np.linspace(-PDF_SPAN, PDF_SPAN, PDF_POINTS)
-    n_max = int(ns.max()) if ns.size else 0
-    psi = hermite_psi_all(n_max, q_grid)
-    out = np.empty(ns.size, float)
-    dq = q_grid[1] - q_grid[0]
-    for n in np.unique(ns):
-        sel = ns == n
-        pdf = psi[n] ** 2
-        cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * dq)])
-        cdf /= cdf[-1]
-        out[sel] = np.interp(u[sel], cdf, q_grid)
-    return out
-
-
-def _mode_quadratures_product(rho: DensityMatrix, phases: np.ndarray, u: np.ndarray) -> np.ndarray:
-    q_grid = np.linspace(-PDF_SPAN, PDF_SPAN, PDF_POINTS)
-    distinct, group = np.unique(phases, return_inverse=True)
-    rows = pdf_table(rho, distinct, q_grid)
-    return _inverse_cdf_draw(rows, q_grid, group, u)
-
-
 def combined_quadrature_samples(st: TwoModeState, lo: LOSuperposition, det: DetectorModel,
                                 n_samples: int, seed: int,
                                 theta_schedule: PhaseSchedule | None = None,
@@ -206,30 +183,24 @@ def combined_quadrature_samples(st: TwoModeState, lo: LOSuperposition, det: Dete
     zetas = (zeta_schedule.phases(n_samples, stream(seed, "zeta"))
              if zeta_schedule else np.full(n_samples, lo.zeta))
     betas = np.mod(thetas - zetas, 2.0 * np.pi)
-    u1 = stream(seed, "quadrature-1").random(n_samples)
-    u2 = stream(seed, "quadrature-2").random(n_samples)
+    rng1 = stream(seed, "quadrature-1")
+    rng2 = stream(seed, "quadrature-2")
     joint = {}
     if st.kind == "product":
-        q1 = _mode_quadratures_product(st.rho1, thetas, u1)
-        q2 = _mode_quadratures_product(st.rho2, betas, u2)
+        q1 = draw_state_quadratures(st.rho1, thetas, rng1)
+        q2 = draw_state_quadratures(st.rho2, betas, rng2)
     else:
         law = st.law if st.kind == "planted" else correlated_thermal_law(st.nbar, st.corr)
         n1, n2 = law(stream(seed, "numbers"), n_samples)
         n1 = np.asarray(n1, int)
         n2 = np.asarray(n2, int)
-        q1 = _fock_quadrature_draw(n1, u1)
-        q2 = _fock_quadrature_draw(n2, u2)
+        q1 = draw_fock_quadratures(n1, rng1)
+        q2 = draw_fock_quadratures(n2, rng2)
         if keep_joint:
             joint.update(n1=n1, n2=n2)
     if keep_joint:
         joint.update(q1=q1, q2=q2)
-    qs = np.cos(lo.alpha) * q1 + np.sin(lo.alpha) * q2
-    if det.eta_eff < 1.0:
-        sig = np.sqrt((1.0 / det.eta_eff - 1.0) / 2.0)
-        qs = qs + sig * stream(seed, "efficiency").standard_normal(n_samples)
-    sig_e = electronic_quadrature_sigma(det)
-    if sig_e > 0:
-        qs = qs + sig_e * stream(seed, "electronic").standard_normal(n_samples)
+    qs = add_detection_noise(np.cos(lo.alpha) * q1 + np.sin(lo.alpha) * q2, det, seed)
     meta = DatasetMeta(detector=det, schedule=theta_schedule or PhaseSchedule("grid", d=1),
                        seed=seed,
                        extra={"mode": "dual", "alpha": lo.alpha,
@@ -245,11 +216,6 @@ def grips_transform(gamma: float, zeta: float) -> np.ndarray:
     c, s = np.cos(gamma / 2.0), np.sin(gamma / 2.0)
     e = np.exp(1j * zeta)
     return np.array([[c, e * s], [-s, e * c]], dtype=complex)
-
-
-def _phase_randomized(ds: DualQuadratureDataset) -> bool:
-    sched = ds.meta.schedule
-    return sched.kind in ("uniform_random", "swept_linear")
 
 
 def _run_moments(ds: DualQuadratureDataset):
@@ -270,7 +236,7 @@ def two_time_g2(run0: DualQuadratureDataset, run45: DualQuadratureDataset,
     for ds, want in ((run0, 0.0), (run45, np.pi / 4), (run90, np.pi / 2)):
         if abs(ds.alpha - want) > 1e-9:
             raise ValueError(f"expected runs at α = 0, π/4, π/2; got α = {ds.alpha}")
-        if not _phase_randomized(ds):
+        if phase_coverage_kind(ds) != "full":
             raise ValueError("two-time g² needs phase-randomized records")
     if not (len(run0) == len(run45) == len(run90)):
         raise ValueError("mismatched sample counts between the three runs")

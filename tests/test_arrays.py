@@ -53,6 +53,16 @@ class TestFrames:
         with pytest.raises(ValueError):
             arrays.simulate_array_frames([], det, GRID, RAND, 10, seed=1)
 
+    def test_signal_too_strong_for_lo_rejected_by_shared_photodiode_model(self):
+        # per-pixel LO passes the strong-LO check; the rate check of
+        # detection.photodiode_counts refuses the frames
+        grid = arrays.PixelGrid(n_pixels=4, pixel_area=0.25)
+        det = detection.DetectorModel(lo_mean_photons=1e4)
+        signal = [(arrays.uniform_mode(grid), states.StateSpec("coherent", alpha=1000.0))]
+        with pytest.raises(ValueError, match="negative mean photoelectron rate") as exc:
+            arrays.simulate_array_frames(signal, det, grid, RAND, 10, seed=1)
+        assert exc.traceback[-1].name == "photodiode_counts"
+
     def test_nonclassical_signal_rejected(self):
         mode = arrays.uniform_mode(GRID)
         with pytest.raises(UnsupportedStateError):

@@ -175,10 +175,6 @@ class TestCli:
         (tmp_path / "a" / "dataset.jsonl").unlink()
         assert run_cli("simulate", "--config", cfg) == 0
         assert formats.sha256_file(tmp_path / "a" / "dataset.jsonl") == first
-        # worker-count flag must never change outputs
-        (tmp_path / "a" / "dataset.jsonl").unlink()
-        assert run_cli("--threads", "4", "simulate", "--config", cfg) == 0
-        assert formats.sha256_file(tmp_path / "a" / "dataset.jsonl") == first
 
     def test_vacuum_variance_sanity(self, tmp_path):
         cfg = write_config(tmp_path, "vac.json", {
@@ -219,6 +215,7 @@ class TestCli:
         {"schedule": {"kind": "grid", "d": 0}},
         {"state": {"kind": "fock", "n": -1}},
         {"state": {"kind": "thermal", "nbar": -0.5}},
+        {"n_samples": 0},
     ])
     def test_invalid_simulate_value_exit_2(self, tmp_path, capsys, override):
         # schema-valid documents whose values the constructors refuse
@@ -234,6 +231,10 @@ class TestCli:
         {"detector": {"eta_q": 2.0}},
         {"source": {"kind": "correlated_thermal", "nbar": 1.0, "corr": 1.5}},
         {"source": {"kind": "correlated_thermal", "nbar": -1.0}},
+        {"n_samples": 0},
+        {"source": {"kind": "hbt_split"}},
+        {"source": {"kind": "hbt_split", "nbar": -0.5}},
+        {"source": {"kind": "independent_poisson", "nbar": 1.0, "nbar2": -1.0}},
     ])
     def test_invalid_twomode_value_exit_2(self, tmp_path, capsys, override):
         doc = {"source": {"kind": "correlated_thermal", "nbar": 1.0}, "n_samples": 10,
@@ -243,6 +244,45 @@ class TestCli:
         assert run_cli("twomode", "--config", cfg) == 2
         assert "config error" in capsys.readouterr().err
         assert not list((tmp_path / "o").glob("*.jsonl"))
+
+    @pytest.mark.parametrize("command, doc", [
+        ("array", {"n_pulses": 0, "seed": 1}),
+        ("array", {"n_pulses": 10, "n_pixels": 1, "seed": 1}),
+        ("calibrate", {"lo_levels": [1e5, 3e5, 6e5], "pulses_per_level": 1, "seed": 1}),
+        ("calibrate", {"lo_levels": [-1e5, 3e5, 6e5], "pulses_per_level": 10, "seed": 1}),
+        ("sample", {"signal": {"nu": 12.0, "bandwidth": 0.0}, "seed": 1}),
+        ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0, "points": 0}, "seed": 1}),
+        ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0, "span": 0.0}, "seed": 1}),
+    ])
+    def test_invalid_config_value_exit_2(self, tmp_path, capsys, command, doc):
+        cfg = write_config(tmp_path, "bad.json", {**doc, "outputs": {"dir": str(tmp_path / "o")}})
+        assert run_cli(command, "--config", cfg) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--dim", "0"], ["--dim", "31"], ["--phase-bins", "1"], ["--k-c", "0"],
+        ["--bootstrap", "-3"], ["--bootstrap", "1"],
+    ])
+    def test_invalid_reconstruct_flag_exit_2(self, small_dataset, tmp_path, capsys, flags):
+        path = tmp_path / "ds.jsonl"
+        formats.write_quadrature_dataset(path, small_dataset)
+        out = tmp_path / "rec"
+        assert run_cli("reconstruct", "--input", str(path), "--out", str(out), *flags) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--threads", "4", "simulate", "--config", "c.json"],
+        ["simulate", "--config", "c.json", "--format", "csv"],
+        ["reconstruct", "--input", "d.jsonl", "--seed", "3"],
+        ["sample", "--config", "c.json", "--seed", "3"],
+        ["validate", "--input", "d.jsonl", "--out", "o"],
+    ])
+    def test_flags_a_command_does_not_read_are_refused(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
 
     def test_aliasing_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, "sim.json", {

@@ -170,7 +170,7 @@ class TestRhoFromQuadratures:
 
 def _reference_rho(ds, pf):
     """Per-element estimator: np.interp of every M_mn at every sample."""
-    theta_f, q_f = patterns.fold_to_half_circle(ds.thetas, ds.qs)
+    theta_f, q_f = detection.fold_phases(ds.thetas, ds.qs)
     thetas, bins = np.unique(np.round(theta_f, 10), return_inverse=True)
     d = thetas.size
     inv_cnt = 1.0 / np.bincount(bins, minlength=d)

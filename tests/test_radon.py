@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_quadrature_variance
@@ -75,13 +75,41 @@ class TestFilteredBackprojection:
         with pytest.raises(ValueError):
             radon.RadonConfig(kernel="hann")
 
-    @given(st.floats(0, 2 * np.pi, exclude_max=True), st.floats(-8, 8))
+    @given(st.floats(-np.pi, 3 * np.pi, exclude_max=True), st.floats(-8, 8),
+           st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)))
     @settings(max_examples=50, deadline=None)
-    def test_fold_is_idempotent(self, theta, q):
-        t1, q1 = radon.fold_phases(np.array([theta]), np.array([q]))
-        t2, q2 = radon.fold_phases(t1, q1)
-        assert 0 <= t1[0] < np.pi + 1e-12
+    def test_fold_is_idempotent(self, theta, q, lower):
+        assume(lower <= theta < lower + 2 * np.pi - 1e-9)
+        t1, q1 = detection.fold_phases(np.array([theta]), np.array([q]), lower=lower)
+        t2, q2 = detection.fold_phases(t1, q1, lower=lower)
+        assert lower - 1e-12 <= t1[0] < lower + np.pi + 1e-12
         assert t2[0] == t1[0] and q2[0] == q1[0]
+
+    @pytest.mark.parametrize("n_phase_bins", [2, 32, 33])
+    def test_histogram_fold_matches_reference(self, n_phase_bins):
+        # kept copy of the fold-then-wrap steps _histogram_projections ran
+        # inline before both moved to detection.fold_phases
+        def reference(thetas, qs, dtheta):
+            fold = thetas >= np.pi
+            theta_f, q_f = np.where(fold, thetas - np.pi, thetas), np.where(fold, -qs, qs)
+            wrap = theta_f >= np.pi - dtheta / 2
+            return np.where(wrap, theta_f - np.pi, theta_f), np.where(wrap, -q_f, q_f)
+
+        dtheta = np.pi / n_phase_bins
+        edges = np.array([0.0, np.pi, np.pi - dtheta / 2, 2 * np.pi - dtheta / 2])
+        near = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 7.0),
+                               [np.nextafter(2 * np.pi, 0.0)]])
+        rng = np.random.default_rng(n_phase_bins)
+        thetas = np.concatenate([near, rng.random(5_000) * 2 * np.pi])
+        thetas = thetas[(thetas >= 0) & (thetas < 2 * np.pi)]
+        qs = rng.normal(0.0, 2.0, thetas.size)
+        want = reference(thetas, qs, dtheta)
+        got = detection.fold_phases(*detection.fold_phases(thetas, qs), lower=-dtheta / 2)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        cfg = radon.RadonConfig(n_phase_bins=n_phase_bins)
+        for a, b in zip(radon._histogram_projections(thetas, qs, cfg),
+                        radon._histogram_projections(*want, cfg)):
+            assert np.array_equal(a, b)
 
 
 class TestBootstrap:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from ohtlab import detection, moments, states, twomode
+from ohtlab._rng import stream
 from ohtlab.errors import UnsupportedStateError
 
 DET = detection.DetectorModel()
@@ -61,6 +62,34 @@ class TestCombinedSamples:
     def test_alpha_range(self):
         with pytest.raises(ValueError):
             twomode.LOSuperposition(alpha=2.0)
+
+
+def _reference_fock_draw(ns, u):
+    """Kept copy of the per-level Fock sampler two-mode records used before
+    it moved to detection.draw_fock_quadratures."""
+    q_grid = np.linspace(-detection.PDF_SPAN, detection.PDF_SPAN, detection.PDF_POINTS)
+    n_max = int(ns.max()) if ns.size else 0
+    psi = states.hermite_psi_all(n_max, q_grid)
+    out = np.empty(ns.size, float)
+    dq = q_grid[1] - q_grid[0]
+    for n in np.unique(ns):
+        sel = ns == n
+        pdf = psi[n] ** 2
+        cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * dq)])
+        cdf /= cdf[-1]
+        out[sel] = np.interp(u[sel], cdf, q_grid)
+    return out
+
+
+class TestFockDraw:
+    @given(st.lists(st.integers(0, 25), min_size=1, max_size=300),
+           st.integers(0, 2**32 - 1))
+    @example(ns=[0] * 1_000, seed=3)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference(self, ns, seed):
+        ns = np.array(ns)
+        got = detection.draw_fock_quadratures(ns, stream(seed, "q"))
+        assert np.array_equal(got, _reference_fock_draw(ns, stream(seed, "q").random(ns.size)))
 
 
 class TestGrips:
