@@ -117,6 +117,15 @@ def _amplitude_draws(spec: StateSpec, n: int, rng: np.random.Generator) -> np.nd
     )
 
 
+def check_pixel_lo(det: DetectorModel, grid: PixelGrid) -> None:
+    """Raise ValueError unless each pixel's LO share suits the strong-LO pixel model."""
+    per_pixel_lo = det.lo_mean_photons / (2.0 * grid.n_pixels)
+    if per_pixel_lo < 1e3:
+        raise ValueError(
+            f"per-pixel LO count {per_pixel_lo:.0f} < 1e3; the strong-LO pixel model needs more"
+        )
+
+
 def simulate_array_frames(signal, det: DetectorModel, grid: PixelGrid,
                           sched: PhaseSchedule, n_pulses: int, seed: int,
                           common_random_phase: bool = False) -> ArrayFrameSet:
@@ -130,12 +139,8 @@ def simulate_array_frames(signal, det: DetectorModel, grid: PixelGrid,
     A companion blocked-signal run of N_CALIBRATION pulses measures the
     vacuum offsets.
     """
+    check_pixel_lo(det, grid)
     lo = det.lo_mean_photons
-    per_pixel_lo = lo / (2.0 * grid.n_pixels)
-    if per_pixel_lo < 1e3:
-        raise ValueError(
-            f"per-pixel LO count {per_pixel_lo:.0f} < 1e3; the strong-LO pixel model needs more"
-        )
     thetas = sched.phases(n_pulses, stream(seed, "array-theta"))
     base = det.eta_q * lo / (2.0 * grid.n_pixels)
     imb = IMBALANCE_SCALE * (2.0 * stream(seed, "pixel-imbalance").random(grid.n_pixels) - 1.0)

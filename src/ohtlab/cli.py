@@ -217,6 +217,7 @@ def cmd_simulate(args) -> int:
     spec = _checked(states.StateSpec.from_dict, cfg["state"])
     det = _checked(detection.DetectorModel, **cfg.get("detector", {}))
     sched = _checked(detection.PhaseSchedule.from_dict, cfg["schedule"])
+    _checked(detection.check_sampling_detector, det)
     rho = _checked(states.make_state, spec)
     ds = detection.sample_quadratures(rho, sched, det, cfg["n_samples"], seed)
     ds_path = out / "dataset.jsonl"
@@ -243,6 +244,9 @@ def cmd_reconstruct(args) -> int:
               "eta_eff": ds.meta.detector.eta_eff}
     if args.method in ("radon", "both"):
         folded = np.unique(np.round(detection.fold_phases(ds.thetas, ds.qs)[0], 9))
+        if folded.size < 2:
+            raise CoverageError(f"{args.input}: {folded.size} distinct phase(s) on [0, π); "
+                                "the radon reconstruction needs at least 2")
         cfg = replace(cfg, n_phase_bins=min(cfg.n_phase_bins, folded.size))
         w = radon.filtered_backprojection(ds, cfg)
         formats.write_wigner_csv(out / "wigner.csv", w)
@@ -341,10 +345,10 @@ def cmd_twomode(args) -> int:
 def cmd_array(args) -> int:
     cfg = load_config(args.config, ARRAY_SCHEMA)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    out = _outdir(cfg, args)
     det = _checked(detection.DetectorModel, **cfg.get("detector", {}))
     grid = arrays.PixelGrid(n_pixels=cfg.get("n_pixels", 64),
                             pixel_area=cfg.get("pixel_area", 1.0 / cfg.get("n_pixels", 64)))
+    _checked(arrays.check_pixel_lo, det, grid)
     sched = _checked(detection.PhaseSchedule.from_dict,
                      cfg.get("schedule", {"kind": "uniform_random"}))
     planted = []
@@ -356,6 +360,7 @@ def cmd_array(args) -> int:
         else:
             mv = arrays.ModeVector.normalized(np.array(m["shape"], float), grid)
         planted.append((mv, _checked(states.StateSpec.from_dict, m["state"])))
+    out = _outdir(cfg, args)
     frames = arrays.simulate_array_frames(planted, det, grid, sched, cfg["n_pulses"], seed)
     formats.write_array_frames(out / "frames.jsonl", frames)
     M = arrays.difference_correlation_matrix(frames)
@@ -408,8 +413,9 @@ def cmd_sample(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = load_config(args.config, CALIBRATE_SCHEMA)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    out = _outdir(cfg, args)
     det = _checked(detection.DetectorModel, **cfg.get("detector", {}))
+    _checked(detection.check_lo_levels, cfg["lo_levels"])
+    out = _outdir(cfg, args)
     cal = detection.calibration_curve(det, cfg["lo_levels"], cfg["pulses_per_level"], seed)
     report = {
         "gain_estimate": cal.gain_estimate,

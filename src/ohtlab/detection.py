@@ -171,16 +171,23 @@ def pdf_table(rho: DensityMatrix, thetas: np.ndarray, q_grid: np.ndarray) -> np.
 
 def _inverse_cdf_draw(pdf_rows: np.ndarray, q_grid: np.ndarray, group_idx: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
-    """Draw one quadrature per sample: sample i uses pdf row group_idx[i]."""
+    """Draw one quadrature per sample: sample i uses pdf row group_idx[i].
+
+    One stable sort lines the samples up group by group, so each group is a
+    contiguous slice of the order and each row's CDF is built once.
+    """
     dq = q_grid[1] - q_grid[0]
     out = np.empty(u.size, float)
-    for g in range(pdf_rows.shape[0]):
-        sel = group_idx == g
-        if not np.any(sel):
-            continue
-        cdf = np.concatenate([[0.0], np.cumsum((pdf_rows[g][1:] + pdf_rows[g][:-1]) * 0.5 * dq)])
-        cdf /= cdf[-1]
-        out[sel] = np.interp(u[sel], cdf, q_grid)
+    order = np.argsort(group_idx, kind="stable")
+    ends = np.cumsum(np.bincount(group_idx, minlength=pdf_rows.shape[0]))
+    start = 0
+    for g, end in enumerate(ends):
+        if end > start:
+            sel = order[start:end]
+            cdf = np.concatenate([[0.0], np.cumsum((pdf_rows[g][1:] + pdf_rows[g][:-1]) * 0.5 * dq)])
+            cdf /= cdf[-1]
+            out[sel] = np.interp(u[sel], cdf, q_grid)
+        start = end
     return out
 
 
@@ -230,15 +237,20 @@ def add_detection_noise(qs: np.ndarray, det: DetectorModel, seed: int) -> np.nda
     return qs
 
 
+def check_sampling_detector(det: DetectorModel) -> None:
+    """Raise ValueError unless quadrature sampling can model this detector."""
+    if det.eta_eff <= 0:
+        raise ValueError("eta_eff must be positive")
+    if det.lo_mean_photons <= 0:
+        raise ValueError("quadrature sampling needs a nonzero LO")
+
+
 def sample_quadratures(rho: DensityMatrix, sched: PhaseSchedule, det: DetectorModel,
                        n_samples: int, seed: int) -> QuadratureDataset:
     """Synthesize a balanced-homodyne measurement record from a state."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if det.eta_eff <= 0:
-        raise ValueError("eta_eff must be positive")
-    if det.lo_mean_photons <= 0:
-        raise ValueError("quadrature sampling needs a nonzero LO")
+    check_sampling_detector(det)
     if det.lo_mean_photons < 1e4:
         warnings.warn("lo_mean_photons < 1e4: strong-LO Gaussian model is marginal")
     thetas = sched.phases(n_samples, stream(seed, "theta"))
@@ -355,6 +367,14 @@ class CalibrationResult:
     reduced_residual: float
 
 
+def check_lo_levels(lo_levels) -> np.ndarray:
+    """The LO levels as an array; ValueError unless at least 3 are distinct."""
+    levels = np.asarray(lo_levels, float)
+    if np.unique(levels).size < 3:
+        raise ValueError("need at least 3 distinct LO levels")
+    return levels
+
+
 def calibration_curve(det: DetectorModel, lo_levels, pulses_per_level: int,
                       seed: int) -> CalibrationResult:
     """Shot-noise calibration: fit Var(V_−) = (1/g)·<V_+> + 2σ_e²/g².
@@ -364,9 +384,7 @@ def calibration_curve(det: DetectorModel, lo_levels, pulses_per_level: int,
     straight-line fit; a reduced residual well above 1 flags deviation from
     shot-noise-limited response.
     """
-    levels = np.asarray(lo_levels, float)
-    if np.unique(levels).size < 3:
-        raise ValueError("need at least 3 distinct LO levels")
+    levels = check_lo_levels(lo_levels)
     rng = stream(seed, "calibration")
     mean_vp = np.empty(levels.size)
     var_vm = np.empty(levels.size)

@@ -3,12 +3,25 @@
 All writers emit canonical JSON (sorted keys, compact separators) so a rerun
 with the same seed produces byte-identical artifacts.  Readers reject files
 whose format tag is missing or unknown.
+
+Quadrature datasets and array frames are written in bulk: a block of
+records is formatted by one `repr` of the list of its distinct values,
+which applies `float.__repr__`, the number format of `json.dumps`, so the
+lines are the bytes `dumps_canonical` writes for each record.  `read_quadrature_dataset`
+reads the body in bounded chunks.  A chunk made only of canonical lines
+(sorted keys, no spaces, JSON numbers with a fraction or exponent, a final
+newline) is checked by one regular expression and its numbers are parsed
+at once; any other chunk (hand-written files, ints, NaN, a missing last
+newline, bad records) goes line by line through `json.loads`, which keeps
+the `path:line` error messages.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +36,25 @@ ARRAY_FORMAT = "ohtlab-array-v1"
 KREC_FORMAT = "ohtlab-krec-v1"
 MANIFEST_FORMAT = "ohtlab-manifest-v1"
 
+#: values formatted per write, and characters read per parsed chunk; a
+#: chunk's text and number objects stay well below a megabyte, so they do
+#: not raise the peak memory of the commands that write or read datasets
+WRITE_CHUNK = 1 << 12
+READ_CHUNK = 1 << 17
+
+#: record lines as dumps_canonical writes them, and the keys of their fields
+_SINGLE_RECORD = ('{"q":%s,"theta":%s}\n', ("q", "theta"))
+_DUAL_RECORD = ('{"Q":%s,"theta":%s,"zeta":%s}\n', ("Q", "theta", "zeta"))
+_FRAME_RECORD = '{"d":[%s],"theta":%s}\n'
+
+#: a JSON number with a fraction or an exponent, as every finite float repr
+#: has; [0-9], not \d, which also matches digits json.loads refuses
+_FLOAT = r"-?(?:0|[1-9][0-9]*+)(?:\.[0-9]++(?:[eE][-+]?[0-9]++)?|[eE][-+]?[0-9]++)"
+#: json.dumps spellings of the non-finite float reprs
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: detector keys that headers written before they were recorded lack
+_LATER_DETECTOR_KEYS = ("gain", "balance_imbalance")
+
 
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -36,15 +68,30 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _json_floats(values) -> list[str]:
+    """Each value as json.dumps writes a float: its repr, or NaN/Infinity.
+
+    Each distinct bit pattern is formatted once; phases take few distinct
+    values, so their column costs little more than an index lookup.
+    """
+    bits, index = np.unique(np.asarray(values, float).view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    texts = repr(distinct.tolist())[1:-1].split(", ")
+    if not np.isfinite(distinct).all():
+        texts = [_NONFINITE.get(t, t) for t in texts]
+    return np.array(texts, dtype=object)[index].tolist()
+
+
+def _write_lines(f, template: str, *fields: list[str]) -> None:
+    """Write one template line per row of the given field texts."""
+    f.write((template * len(fields[0])) % tuple(chain.from_iterable(zip(*fields))))
+
+
 def _dataset_header(ds) -> dict:
-    det = ds.meta.detector
     sched = ds.meta.schedule
     header = {
         "format": FORMAT_VERSION,
-        "eta_q": det.eta_q,
-        "eta_ls": det.eta_ls,
-        "lo_mean_photons": det.lo_mean_photons,
-        "sigma_e": det.sigma_e,
+        **ds.meta.detector.to_dict(),
         "schedule": sched.to_dict(),
         "n_phases": sched.d,
         "seed": ds.meta.seed,
@@ -61,15 +108,56 @@ def _dataset_header(ds) -> dict:
 def write_quadrature_dataset(path, ds) -> None:
     """Write a (single or dual) quadrature record as JSON Lines."""
     path = Path(path)
+    if isinstance(ds, DualQuadratureDataset):
+        template, columns = _DUAL_RECORD[0], (ds.qs, ds.thetas, ds.zetas)
+    else:
+        template, columns = _SINGLE_RECORD[0], (ds.qs, ds.thetas)
+    rows = max(1, WRITE_CHUNK // len(columns))
     with open(path, "w") as f:
         f.write(dumps_canonical(_dataset_header(ds)) + "\n")
-        if isinstance(ds, DualQuadratureDataset):
-            for th, ze, q in zip(ds.thetas, ds.zetas, ds.qs):
-                f.write(dumps_canonical({"theta": float(th), "zeta": float(ze),
-                                         "Q": float(q)}) + "\n")
+        for start in range(0, len(ds), rows):
+            _write_lines(f, template, *(_json_floats(c[start:start + rows]) for c in columns))
+
+
+def _parse_lines(text: str, path, first_line: int, keys) -> list[np.ndarray]:
+    """Fields of the records in text, one json.loads per line."""
+    fields = [[] for _ in keys]
+    for i, line in enumerate(text.split("\n"), start=first_line):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            for values, key in zip(fields, keys):
+                values.append(rec[key])
+        except (json.JSONDecodeError, KeyError) as exc:
+            raise DataFormatError(f"{path}:{i}: bad record: {exc}") from exc
+    return [np.asarray(values, float) for values in fields]
+
+
+def _read_records(f, path, record) -> list[np.ndarray]:
+    """Fields of the body records, read in chunks of whole lines: a chunk of
+    canonical lines is parsed at once, any other chunk line by line."""
+    template, keys = record
+    canonical = re.compile("(?:%s)*+" % re.escape(template).replace("%s", _FLOAT))
+    prefix, *middles, suffix = template.split("%s")
+    parts = [[np.empty(0)] for _ in keys]
+    first_line = 2
+    while chunk := f.read(READ_CHUNK):
+        if not chunk.endswith("\n"):
+            chunk += f.readline()
+        if canonical.fullmatch(chunk):
+            numbers = chunk[len(prefix):-len(suffix)].replace(suffix + prefix, " ")
+            for sep in middles:
+                numbers = numbers.replace(sep, " ")
+            # correctly rounded like float() and json.loads; the match above
+            # leaves nothing else in the text
+            values = np.fromstring(numbers, sep=" ").reshape(-1, len(keys)).T
         else:
-            for th, q in zip(ds.thetas, ds.qs):
-                f.write(dumps_canonical({"theta": float(th), "q": float(q)}) + "\n")
+            values = _parse_lines(chunk, path, first_line, keys)
+        first_line += chunk.count("\n")
+        for part, column in zip(parts, values):
+            part.append(column)
+    return [np.concatenate(part) for part in parts]
 
 
 def read_quadrature_dataset(path):
@@ -87,32 +175,21 @@ def read_quadrature_dataset(path):
                 f"{path}: format {header.get('format')!r} is not {FORMAT_VERSION!r}"
             )
         dual = header.get("mode") == "dual"
-        thetas, zetas, qs = [], [], []
-        for i, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                thetas.append(rec["theta"])
-                if dual:
-                    zetas.append(rec["zeta"])
-                    qs.append(rec["Q"])
-                else:
-                    qs.append(rec["q"])
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise DataFormatError(f"{path}:{i}: bad record: {exc}") from exc
-    det = DetectorModel(eta_q=header["eta_q"], eta_ls=header["eta_ls"],
-                        lo_mean_photons=header["lo_mean_photons"],
-                        sigma_e=header["sigma_e"])
+        if dual:
+            qs, thetas, zetas = _read_records(f, path, _DUAL_RECORD)
+        else:
+            qs, thetas = _read_records(f, path, _SINGLE_RECORD)
+    det = DetectorModel(**{k: header[k] for k in DetectorModel().to_dict()
+                           if k in header or k not in _LATER_DETECTOR_KEYS})
     sched = PhaseSchedule.from_dict(header["schedule"])
     meta = DatasetMeta(detector=det, schedule=sched, seed=header["seed"],
                        source=header.get("source"))
     if dual:
         meta.extra = {"mode": "dual", "alpha": header["alpha"],
                       "zeta_schedule": header.get("zeta_schedule")}
-        return DualQuadratureDataset(thetas=np.array(thetas), zetas=np.array(zetas),
-                                     qs=np.array(qs), alpha=header["alpha"], meta=meta)
-    return QuadratureDataset(thetas=np.array(thetas), qs=np.array(qs), meta=meta)
+        return DualQuadratureDataset(thetas=thetas, zetas=zetas, qs=qs,
+                                     alpha=header["alpha"], meta=meta)
+    return QuadratureDataset(thetas=thetas, qs=qs, meta=meta)
 
 
 def write_density_matrix(path, rho: DensityMatrix, errors: np.ndarray | None = None) -> None:
@@ -198,10 +275,13 @@ def write_array_frames(path, frames) -> None:
         "vacuum_offsets": [float(x) for x in frames.vacuum_offsets],
         "planted": frames.planted,
     }
+    rows = max(1, WRITE_CHUNK // (frames.grid.n_pixels + 1))
     with open(path, "w") as f:
         f.write(dumps_canonical(header) + "\n")
-        for th, row in zip(frames.thetas, frames.frames):
-            f.write(dumps_canonical({"theta": float(th), "d": [int(x) for x in row]}) + "\n")
+        for start in range(0, len(frames.thetas), rows):
+            counts = repr(frames.frames[start:start + rows].tolist())
+            _write_lines(f, _FRAME_RECORD, counts.replace(" ", "")[2:-2].split("],["),
+                         _json_floats(frames.thetas[start:start + rows]))
 
 
 def read_array_frames(path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 from scipy.special import ive
 
@@ -92,6 +94,43 @@ class TestSampleQuadratures:
                 vacuum, detection.PhaseSchedule(kind, d=d),
                 detection.DetectorModel(), 3000, seed=9)
             assert ds.thetas.min() >= 0.0 and ds.thetas.max() < 2 * np.pi
+
+
+def _reference_inverse_cdf_draw(pdf_rows, q_grid, group_idx, u):
+    # the masked loop the sorted-slice draw replaced: one pass over all samples per group
+    dq = q_grid[1] - q_grid[0]
+    out = np.empty(u.size, float)
+    for g in range(pdf_rows.shape[0]):
+        sel = group_idx == g
+        if not np.any(sel):
+            continue
+        cdf = np.concatenate([[0.0], np.cumsum((pdf_rows[g][1:] + pdf_rows[g][:-1]) * 0.5 * dq)])
+        cdf /= cdf[-1]
+        out[sel] = np.interp(u[sel], cdf, q_grid)
+    return out
+
+
+class TestInverseCdfDraw:
+    @given(st.integers(1, 40), st.integers(0, 2_000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_masked_reference(self, n_rows, n, seed):
+        # even rows only, so the odd rows have no samples
+        rng = stream(seed, "draw-test")
+        q_grid = np.linspace(-detection.PDF_SPAN, detection.PDF_SPAN, 257)
+        rows = rng.random((n_rows, q_grid.size)) + 1e-3
+        group = 2 * rng.integers(0, (n_rows + 1) // 2, n)
+        u = rng.random(n)
+        got = detection._inverse_cdf_draw(rows, q_grid, group, u)
+        assert np.array_equal(got, _reference_inverse_cdf_draw(rows, q_grid, group, u))
+
+    def test_state_draw_on_snapped_random_phases_matches_reference(self, coherent1):
+        thetas = detection.PhaseSchedule("uniform_random").phases(20_000, stream(3, "t"))
+        distinct, group = np.unique(thetas, return_inverse=True)
+        q_grid = np.linspace(-detection.PDF_SPAN, detection.PDF_SPAN, detection.PDF_POINTS)
+        u = stream(3, "q").random(thetas.size)
+        got = detection.draw_state_quadratures(coherent1, thetas, stream(3, "q"))
+        rows = detection.pdf_table(coherent1, distinct, q_grid)
+        assert np.array_equal(got, _reference_inverse_cdf_draw(rows, q_grid, group, u))
 
 
 class TestDetectorCounts:

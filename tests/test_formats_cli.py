@@ -1,4 +1,6 @@
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,67 @@ from ohtlab import arrays, cli, detection, formats, states, twomode
 from ohtlab.errors import DataFormatError
 
 DET = detection.DetectorModel(eta_q=0.9, sigma_e=50.0)
+
+
+# the per-record writers and reader the bulk code replaced, kept as references
+def _reference_write_quadrature_dataset(path, ds):
+    with open(path, "w") as f:
+        f.write(formats.dumps_canonical(formats._dataset_header(ds)) + "\n")
+        if isinstance(ds, twomode.DualQuadratureDataset):
+            for th, ze, q in zip(ds.thetas, ds.zetas, ds.qs):
+                f.write(formats.dumps_canonical({"theta": float(th), "zeta": float(ze),
+                                                 "Q": float(q)}) + "\n")
+        else:
+            for th, q in zip(ds.thetas, ds.qs):
+                f.write(formats.dumps_canonical({"theta": float(th), "q": float(q)}) + "\n")
+
+
+def _reference_write_frame_lines(path, frames):
+    with open(path, "w") as f:
+        for th, row in zip(frames.thetas, frames.frames):
+            f.write(formats.dumps_canonical({"theta": float(th), "d": [int(x) for x in row]})
+                    + "\n")
+
+
+def _reference_read_fields(path, keys):
+    with open(path) as f:
+        f.readline()
+        fields = [[] for _ in keys]
+        for i, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                for values, key in zip(fields, keys):
+                    values.append(rec[key])
+            except (json.JSONDecodeError, KeyError) as exc:
+                raise DataFormatError(f"{path}:{i}: bad record: {exc}") from exc
+    return [np.array(values, float) for values in fields]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+#: any double, with the spellings and repr edge cases named explicitly
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e-7, 1e22, math.nan, math.inf, -math.inf]))
+#: phases a single-mode dataset accepts: [0, 2π), and NaN, which its range check lets by
+THETAS = st.one_of(st.floats(0.0, 2 * np.pi, exclude_max=True),
+                   st.sampled_from([-0.0, 5e-324, 1e-7, math.nan]))
+#: chunk sizes: the defaults, and small ones that put many chunk edges in a file
+CHUNKS = [(formats.WRITE_CHUNK, formats.READ_CHUNK), (8, 40)]
+HEADER = ('{"eta_ls":1.0,"eta_q":1.0,"format":"ohtlab-quad-v1","lo_mean_photons":1000000.0,'
+          '"n_phases":1,"schedule":{"d":1,"kind":"grid"},"seed":0,"sigma_e":0.0}\n')
+
+
+def _dataset(qs, thetas, zetas=None):
+    meta = detection.DatasetMeta(detector=DET, schedule=detection.PhaseSchedule("grid", d=1),
+                                 seed=0)
+    if zetas is None:
+        return detection.QuadratureDataset(thetas=thetas, qs=qs, meta=meta)
+    return twomode.DualQuadratureDataset(thetas=thetas, zetas=zetas, qs=qs, alpha=0.5,
+                                         meta=meta)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +133,96 @@ class TestQuadratureFiles:
         formats.write_quadrature_dataset(path, ds)
         back = formats.read_quadrature_dataset(path)
         assert np.array_equal(back.qs, qs)
+
+    @given(st.lists(st.tuples(FLOATS, THETAS, FLOATS), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_io_matches_per_record_reference(self, tmp_path_factory, rows):
+        d = tmp_path_factory.mktemp("bulk")
+        qs, thetas, zetas = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+        for ds, keys in ((_dataset(qs, thetas), ("q", "theta")),
+                         (_dataset(qs, thetas, zetas), ("Q", "theta", "zeta"))):
+            _reference_write_quadrature_dataset(d / "ref.jsonl", ds)
+            expected = _reference_read_fields(d / "ref.jsonl", keys)
+            for write_chunk, read_chunk in CHUNKS:
+                with mock.patch.object(formats, "WRITE_CHUNK", write_chunk), \
+                        mock.patch.object(formats, "READ_CHUNK", read_chunk):
+                    formats.write_quadrature_dataset(d / "new.jsonl", ds)
+                    back = formats.read_quadrature_dataset(d / "new.jsonl")
+                assert (d / "new.jsonl").read_bytes() == (d / "ref.jsonl").read_bytes()
+                got = [back.qs, back.thetas] + ([back.zetas] if len(keys) == 3 else [])
+                assert all(_same_bits(g, e) for g, e in zip(got, expected))
+
+    @given(st.lists(st.tuples(FLOATS, st.lists(st.integers(-2**63, 2**63 - 1),
+                                              min_size=3, max_size=3)), max_size=20))
+    @settings(max_examples=40, deadline=None)
+    def test_frame_lines_match_per_record_reference(self, tmp_path_factory, rows):
+        d = tmp_path_factory.mktemp("frames")
+        frames = arrays.ArrayFrameSet(
+            frames=np.array([r for _, r in rows], np.int64).reshape(len(rows), 3),
+            thetas=np.array([t for t, _ in rows], float), vacuum_offsets=np.zeros(3),
+            grid=arrays.PixelGrid(n_pixels=3, pixel_area=1 / 3), detector=DET,
+            schedule=detection.PhaseSchedule("uniform_random"), seed=0)
+        _reference_write_frame_lines(d / "ref.jsonl", frames)
+        for write_chunk, _ in CHUNKS:
+            with mock.patch.object(formats, "WRITE_CHUNK", write_chunk):
+                formats.write_array_frames(d / "new.jsonl", frames)
+            body = (d / "new.jsonl").read_bytes().split(b"\n", 1)[1]
+            assert body == (d / "ref.jsonl").read_bytes()
+
+    def test_written_file_skips_the_line_parser(self, small_dataset, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        formats.write_quadrature_dataset(path, small_dataset)
+        with mock.patch.object(formats, "_parse_lines", side_effect=AssertionError):
+            back = formats.read_quadrature_dataset(path)
+        assert _same_bits(back.qs, small_dataset.qs)
+
+    @pytest.mark.parametrize("read_chunk", [formats.READ_CHUNK, 40])
+    def test_hand_written_lines_load_through_fallback(self, tmp_path, read_chunk):
+        body = ('{"q":0.5,"theta":0.25}\n'
+                '{ "theta" : 1.5 , "q" : -2.0 }\n'
+                '{"theta":0.125,"q":3.0,"note":"hand"}\n'
+                '\n'
+                '{"q":2,"theta":0}\n'
+                '   \n'
+                '{"q":NaN,"theta":1e-3}\n'
+                '{"q":1E+2,"theta":0.75}\r\n'
+                '{"q":-0.0,"theta":0.5}')
+        path = tmp_path / "hand.jsonl"
+        path.write_text(HEADER + body)
+        with mock.patch.object(formats, "READ_CHUNK", read_chunk):
+            back = formats.read_quadrature_dataset(path)
+        qs, thetas = _reference_read_fields(path, ("q", "theta"))
+        assert _same_bits(back.qs, qs) and _same_bits(back.thetas, thetas)
+        assert back.qs.size == 7
+
+    @pytest.mark.parametrize("bad", [
+        '{"theta":0.5}', '{"q":1.0,"theta":}', 'not json', '{"q":01.5,"theta":0.5}',
+        '{"q":1.5,"theta":0.5', '{"q":1.\u0665,"theta":0.5}', '{"q":+1.5,"theta":0.5}',
+    ])
+    @pytest.mark.parametrize("read_chunk", [formats.READ_CHUNK, 40])
+    def test_bad_record_reports_its_line(self, tmp_path, bad, read_chunk):
+        lines = ['{"q":0.5,"theta":0.25}'] * 5
+        lines[3] = bad
+        path = tmp_path / "bad.jsonl"
+        path.write_text(HEADER + "\n".join(lines) + "\n")
+        with mock.patch.object(formats, "READ_CHUNK", read_chunk):
+            with pytest.raises(DataFormatError, match="bad.jsonl:5: bad record"):
+                formats.read_quadrature_dataset(path)
+
+    def test_header_keeps_every_detector_field(self, coherent1, tmp_path):
+        det = detection.DetectorModel(eta_q=0.9, eta_ls=0.95, lo_mean_photons=2e6,
+                                      sigma_e=30.0, gain=3e5, balance_imbalance=0.001)
+        ds = detection.sample_quadratures(
+            coherent1, detection.PhaseSchedule("grid", d=8), det, 200, seed=905)
+        path = tmp_path / "ds.jsonl"
+        formats.write_quadrature_dataset(path, ds)
+        assert formats.read_quadrature_dataset(path).meta.detector == det
+
+    def test_header_without_gain_and_imbalance_reads_defaults(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(HEADER + '{"q":0.5,"theta":0.0}\n')
+        det = formats.read_quadrature_dataset(path).meta.detector
+        assert det == detection.DetectorModel()
 
 
 class TestOtherArtifacts:
@@ -216,6 +369,8 @@ class TestCli:
         {"state": {"kind": "fock", "n": -1}},
         {"state": {"kind": "thermal", "nbar": -0.5}},
         {"n_samples": 0},
+        {"detector": {"lo_mean_photons": 0}},
+        {"detector": {"eta_ls": 0.0}},
     ])
     def test_invalid_simulate_value_exit_2(self, tmp_path, capsys, override):
         # schema-valid documents whose values the constructors refuse
@@ -253,6 +408,8 @@ class TestCli:
         ("sample", {"signal": {"nu": 12.0, "bandwidth": 0.0}, "seed": 1}),
         ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0, "points": 0}, "seed": 1}),
         ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0, "span": 0.0}, "seed": 1}),
+        ("calibrate", {"lo_levels": [1e5, 1e5, 1e5], "pulses_per_level": 10, "seed": 1}),
+        ("array", {"n_pulses": 10, "seed": 1, "detector": {"lo_mean_photons": 1e3}}),
     ])
     def test_invalid_config_value_exit_2(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", {**doc, "outputs": {"dir": str(tmp_path / "o")}})
@@ -297,6 +454,21 @@ class TestCli:
                        "--method", "pattern", "--dim", "6",
                        "--out", str(tmp_path / "al"))
         assert code == 3
+
+    def test_radon_on_one_phase_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sim.json", {
+            "state": {"kind": "vacuum"},
+            "schedule": {"kind": "grid", "d": 1},
+            "n_samples": 500,
+            "seed": 4,
+            "outputs": {"dir": str(tmp_path / "one")},
+        })
+        assert run_cli("simulate", "--config", cfg) == 0
+        code = run_cli("reconstruct", "--input", str(tmp_path / "one" / "dataset.jsonl"),
+                       "--method", "radon", "--out", str(tmp_path / "one"))
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "one" / "wigner.csv").exists()
 
     def test_missing_input_exit_3(self):
         assert run_cli("validate", "--input", "/nonexistent/file.jsonl") == 3
