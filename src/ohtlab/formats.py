@@ -5,9 +5,9 @@ with the same seed produces byte-identical artifacts.  Readers reject files
 whose format tag is missing or unknown.
 
 Quadrature datasets and array frames are written in bulk: a block of
-records is formatted by one `repr` of the list of its distinct values,
-which applies `float.__repr__`, the number format of `json.dumps`, so the
-lines are the bytes `dumps_canonical` writes for each record.  `read_quadrature_dataset`
+records is formatted by one `repr` of the list of its values, which
+applies `float.__repr__`, the number format of `json.dumps`, so the lines
+are the bytes `dumps_canonical` writes for each record.  `read_quadrature_dataset`
 reads the body in bounded chunks.  A chunk made only of canonical lines
 (sorted keys, no spaces, JSON numbers with a fraction or exponent, a final
 newline) is checked by one regular expression and its numbers are parsed
@@ -48,8 +48,10 @@ _DUAL_RECORD = ('{"Q":%s,"theta":%s,"zeta":%s}\n', ("Q", "theta", "zeta"))
 _FRAME_RECORD = '{"d":[%s],"theta":%s}\n'
 
 #: a JSON number with a fraction or an exponent, as every finite float repr
-#: has; [0-9], not \d, which also matches digits json.loads refuses
-_FLOAT = r"-?(?:0|[1-9][0-9]*+)(?:\.[0-9]++(?:[eE][-+]?[0-9]++)?|[eE][-+]?[0-9]++)"
+#: has; [0-9], not \d, which also matches digits json.loads refuses.  Each
+#: digit run ends at a literal that is not a digit, so a failed match gives
+#: back only a few characters per number and the check stays linear
+_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 #: json.dumps spellings of the non-finite float reprs
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 #: detector keys that headers written before they were recorded lack
@@ -69,17 +71,12 @@ def sha256_file(path) -> str:
 
 
 def _json_floats(values) -> list[str]:
-    """Each value as json.dumps writes a float: its repr, or NaN/Infinity.
-
-    Each distinct bit pattern is formatted once; phases take few distinct
-    values, so their column costs little more than an index lookup.
-    """
-    bits, index = np.unique(np.asarray(values, float).view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    texts = repr(distinct.tolist())[1:-1].split(", ")
-    if not np.isfinite(distinct).all():
+    """Each value as json.dumps writes a float: its repr, or NaN/Infinity."""
+    values = np.asarray(values, float)
+    texts = repr(values.tolist())[1:-1].split(", ")
+    if not np.isfinite(values).all():
         texts = [_NONFINITE.get(t, t) for t in texts]
-    return np.array(texts, dtype=object)[index].tolist()
+    return texts
 
 
 def _write_lines(f, template: str, *fields: list[str]) -> None:
@@ -138,7 +135,7 @@ def _read_records(f, path, record) -> list[np.ndarray]:
     """Fields of the body records, read in chunks of whole lines: a chunk of
     canonical lines is parsed at once, any other chunk line by line."""
     template, keys = record
-    canonical = re.compile("(?:%s)*+" % re.escape(template).replace("%s", _FLOAT))
+    canonical = re.compile("(?:%s)*" % re.escape(template).replace("%s", _FLOAT))
     prefix, *middles, suffix = template.split("%s")
     parts = [[np.empty(0)] for _ in keys]
     first_line = 2
