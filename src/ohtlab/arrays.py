@@ -18,7 +18,7 @@ import numpy as np
 from ._rng import stream
 from .detection import (DatasetMeta, DetectorModel, PhaseSchedule, QuadratureDataset,
                         photodiode_counts)
-from .errors import CoverageError, UnsupportedStateError
+from .errors import ConfigError, CoverageError, UnsupportedStateError
 from .states import StateSpec
 
 #: planted per-pixel balancing offsets reach up to this fraction of the LO level
@@ -36,7 +36,7 @@ class PixelGrid:
 
     def __post_init__(self):
         if self.n_pixels < 2 or self.pixel_area <= 0:
-            raise ValueError("need at least 2 pixels of positive area")
+            raise ConfigError("need at least 2 pixels of positive area")
 
     @property
     def array_area(self) -> float:
@@ -68,7 +68,10 @@ class ModeVector:
 
     @classmethod
     def normalized(cls, values, grid: PixelGrid) -> "ModeVector":
+        """The mode of this shape at unit norm; one value per pixel, not all zero."""
         v = np.asarray(values, float)
+        if v.shape != (grid.n_pixels,) or not v.any():
+            raise ConfigError(f"mode shape needs {grid.n_pixels} values, not all zero")
         return cls(w=v / np.sqrt(grid.pixel_area * np.sum(v**2)), grid=grid)
 
 
@@ -117,15 +120,6 @@ def _amplitude_draws(spec: StateSpec, n: int, rng: np.random.Generator) -> np.nd
     )
 
 
-def check_pixel_lo(det: DetectorModel, grid: PixelGrid) -> None:
-    """Raise ValueError unless each pixel's LO share suits the strong-LO pixel model."""
-    per_pixel_lo = det.lo_mean_photons / (2.0 * grid.n_pixels)
-    if per_pixel_lo < 1e3:
-        raise ValueError(
-            f"per-pixel LO count {per_pixel_lo:.0f} < 1e3; the strong-LO pixel model needs more"
-        )
-
-
 def simulate_array_frames(signal, det: DetectorModel, grid: PixelGrid,
                           sched: PhaseSchedule, n_pulses: int, seed: int,
                           common_random_phase: bool = False) -> ArrayFrameSet:
@@ -139,7 +133,11 @@ def simulate_array_frames(signal, det: DetectorModel, grid: PixelGrid,
     A companion blocked-signal run of N_CALIBRATION pulses measures the
     vacuum offsets.
     """
-    check_pixel_lo(det, grid)
+    per_pixel_lo = det.lo_mean_photons / (2.0 * grid.n_pixels)
+    if per_pixel_lo < 1e3:
+        raise ConfigError(
+            f"per-pixel LO count {per_pixel_lo:.0f} < 1e3; the strong-LO pixel model needs more"
+        )
     lo = det.lo_mean_photons
     thetas = sched.phases(n_pulses, stream(seed, "array-theta"))
     base = det.eta_q * lo / (2.0 * grid.n_pixels)

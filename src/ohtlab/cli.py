@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.  Every run is reproducible: (config, seed) fixes all artifacts
 byte-for-byte.  Each subcommand takes only the flags it reads.
+Values the JSON schema cannot judge are refused with a ConfigError where
+they are used; `main` maps error types to exit codes.  Artifacts are
+written by `formats` into a directory made only once everything is
+computed, so a refused run writes nothing.
 """
 
 from __future__ import annotations
@@ -15,10 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
+import jsonschema
 
 from . import arrays, detection, formats, moments, patterns, radon, states, temporal, twomode
 from .errors import (AliasingError, ConfigError, CoverageError, DataFormatError,
@@ -186,26 +187,17 @@ def load_config(path, schema) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(cfg, schema)
-        except jsonschema.ValidationError as exc:
-            where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-            raise ConfigError(f"{path}: at {where}: {exc.message}") from exc
+    try:
+        jsonschema.validate(cfg, schema)
+    except jsonschema.ValidationError as exc:
+        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        raise ConfigError(f"{path}: at {where}: {exc.message}") from exc
     return cfg
 
 
-def _checked(build, *args, **kwargs):
-    """Build a config object; a value its constructor rejects is a config error."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _outdir(cfg: dict, args) -> Path:
-    out = args.out or (cfg.get("outputs") or {}).get("dir") or "."
-    path = Path(out)
+def _outdir(args, cfg: dict | None = None) -> Path:
+    """The output directory, made once a command has computed everything."""
+    path = Path(args.out or ((cfg or {}).get("outputs") or {}).get("dir") or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -213,13 +205,11 @@ def _outdir(cfg: dict, args) -> Path:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, SIMULATE_SCHEMA)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    out = _outdir(cfg, args)
-    spec = _checked(states.StateSpec.from_dict, cfg["state"])
-    det = _checked(detection.DetectorModel, **cfg.get("detector", {}))
-    sched = _checked(detection.PhaseSchedule.from_dict, cfg["schedule"])
-    _checked(detection.check_sampling_detector, det)
-    rho = _checked(states.make_state, spec)
+    det = detection.DetectorModel(**cfg.get("detector", {}))
+    sched = detection.PhaseSchedule.from_dict(cfg["schedule"])
+    rho = states.make_state(states.StateSpec.from_dict(cfg["state"]))
     ds = detection.sample_quadratures(rho, sched, det, cfg["n_samples"], seed)
+    out = _outdir(args, cfg)
     ds_path = out / "dataset.jsonl"
     formats.write_quadrature_dataset(ds_path, ds)
     formats.write_manifest(out / "manifest.json", seed, cfg, {"dataset.jsonl": ds_path})
@@ -230,7 +220,7 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     # flags are checked before the dataset is read; the pattern table is
     # built after the FBP so it is not held through the bootstrap
-    cfg = _checked(radon.RadonConfig, k_c=args.k_c, n_phase_bins=args.phase_bins)
+    cfg = radon.RadonConfig(k_c=args.k_c, n_phase_bins=args.phase_bins)
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise ConfigError("--bootstrap takes 0 (off) or at least 2 replicates")
     if not 1 <= args.dim <= patterns.MAX_DIM:
@@ -238,10 +228,9 @@ def cmd_reconstruct(args) -> int:
     ds = formats.read_quadrature_dataset(args.input)
     if isinstance(ds, twomode.DualQuadratureDataset):
         raise DataFormatError("reconstruction expects a single-mode dataset")
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     report = {"input": str(args.input), "n_samples": len(ds),
               "eta_eff": ds.meta.detector.eta_eff}
+    w = rho = None
     if args.method in ("radon", "both"):
         folded = np.unique(np.round(detection.fold_phases(ds.thetas, ds.qs)[0], 9))
         if folded.size < 2:
@@ -249,16 +238,14 @@ def cmd_reconstruct(args) -> int:
                                 "the radon reconstruction needs at least 2")
         cfg = replace(cfg, n_phase_bins=min(cfg.n_phase_bins, folded.size))
         w = radon.filtered_backprojection(ds, cfg)
-        formats.write_wigner_csv(out / "wigner.csv", w)
-        report["radon"] = {
-            "k_c": cfg.k_c, "kernel": cfg.kernel,
-            "bin_counts": w.meta["bin_counts"],
-            "raw_integral": w.meta["raw_integral"],
-        }
         i0 = int(np.argmin(np.abs(w.q_axis)))
         j0 = int(np.argmin(np.abs(w.p_axis)))
         origin = float(w.values[i0, j0])
-        report["radon"]["w_origin"] = origin
+        report["radon"] = {
+            "k_c": cfg.k_c, "kernel": cfg.kernel,
+            "bin_counts": w.meta["bin_counts"],
+            "raw_integral": w.meta["raw_integral"], "w_origin": origin,
+        }
         if args.bootstrap:
             se = radon.bootstrap_backprojection(ds, cfg, n_boot=args.bootstrap,
                                                 seed=ds.meta.seed)
@@ -271,9 +258,7 @@ def cmd_reconstruct(args) -> int:
     if args.method in ("pattern", "both"):
         pf = patterns.build_pattern_functions(args.dim)
         rho, err = patterns.rho_from_quadratures(ds, pf, args.phases)
-        formats.write_density_matrix(out / "rho.json", rho, errors=err)
         pops = rho.populations()
-        formats.write_pn_csv(out / "pn.csv", pops, np.diag(err))
         report["pattern"] = {
             "dim": args.dim,
             "d_phases": rho.meta["d_phases"],
@@ -281,7 +266,13 @@ def cmd_reconstruct(args) -> int:
             "population_stderr": [float(x) for x in np.diag(err)],
             "gram_condition_numbers": pf.condition_numbers,
         }
-    (out / "report.json").write_text(formats.dumps_canonical(report) + "\n")
+    out = _outdir(args)
+    if w is not None:
+        formats.write_wigner_csv(out / "wigner.csv", w)
+    if rho is not None:
+        formats.write_density_matrix(out / "rho.json", rho, errors=err)
+        formats.write_pn_csv(out / "pn.csv", pops, np.diag(err))
+    formats.write_json(out / "report.json", report)
     print(f"report: {out / 'report.json'}")
     return EXIT_OK
 
@@ -290,18 +281,15 @@ def cmd_moments(args) -> int:
     ds = formats.read_quadrature_dataset(args.input)
     if isinstance(ds, twomode.DualQuadratureDataset):
         ds = ds.as_single_mode()
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     rep = moments.moment_report(ds)
-    (out / "moments.json").write_text(formats.dumps_canonical(rep.to_dict()) + "\n")
+    out = _outdir(args)
+    formats.write_json(out / "moments.json", rep.to_dict())
     if args.format == "csv":
-        with open(out / "moments.csv", "w") as f:
-            f.write("quantity,value,stderr\n")
-            f.write(f"mean_n,{rep.mean_n!r},{rep.mean_n_stderr!r}\n")
-            if rep.g2 is not None:
-                f.write(f"g2,{rep.g2!r},{rep.g2_stderr!r}\n")
-            for r, (v, se) in rep.factorial_moments.items():
-                f.write(f"factorial_{r},{v!r},{se!r}\n")
+        rows = [("mean_n", rep.mean_n, rep.mean_n_stderr)]
+        if rep.g2 is not None:
+            rows.append(("g2", rep.g2, rep.g2_stderr))
+        rows += [(f"factorial_{r}", v, se) for r, (v, se) in rep.factorial_moments.items()]
+        formats.write_csv(out / "moments.csv", "quantity,value,stderr", *zip(*rows))
     print(formats.dumps_canonical(rep.to_dict()))
     return EXIT_OK
 
@@ -323,21 +311,20 @@ def _twomode_state_from_config(src: dict) -> twomode.TwoModeState:
 def cmd_twomode(args) -> int:
     cfg = load_config(args.config, TWOMODE_SCHEMA)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    out = _outdir(cfg, args)
-    det = _checked(detection.DetectorModel, **cfg.get("detector", {}))
+    det = detection.DetectorModel(**cfg.get("detector", {}))
     src = cfg["source"]
-    st = _checked(_twomode_state_from_config, src)
+    st = _twomode_state_from_config(src)
     rand = detection.PhaseSchedule("uniform_random")
-    runs = []
-    for i, alpha in enumerate((0.0, np.pi / 4, np.pi / 2)):
-        ds = twomode.combined_quadrature_samples(
-            st, twomode.LOSuperposition(alpha=alpha), det, cfg["n_samples"],
-            seed + i, theta_schedule=rand, zeta_schedule=rand)
-        formats.write_quadrature_dataset(out / f"dual_alpha{i}.jsonl", ds)
-        runs.append(ds)
+    runs = [twomode.combined_quadrature_samples(
+                st, twomode.LOSuperposition(alpha=alpha), det, cfg["n_samples"],
+                seed + i, theta_schedule=rand, zeta_schedule=rand)
+            for i, alpha in enumerate((0.0, np.pi / 4, np.pi / 2))]
     g2, se = twomode.two_time_g2(*runs)
     report = {"g2": g2, "g2_stderr": se, "source": src, "n_samples": cfg["n_samples"]}
-    (out / "twomode_report.json").write_text(formats.dumps_canonical(report) + "\n")
+    out = _outdir(args, cfg)
+    for i, ds in enumerate(runs):
+        formats.write_quadrature_dataset(out / f"dual_alpha{i}.jsonl", ds)
+    formats.write_json(out / "twomode_report.json", report)
     print(formats.dumps_canonical(report))
     return EXIT_OK
 
@@ -345,12 +332,10 @@ def cmd_twomode(args) -> int:
 def cmd_array(args) -> int:
     cfg = load_config(args.config, ARRAY_SCHEMA)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    det = _checked(detection.DetectorModel, **cfg.get("detector", {}))
+    det = detection.DetectorModel(**cfg.get("detector", {}))
     grid = arrays.PixelGrid(n_pixels=cfg.get("n_pixels", 64),
                             pixel_area=cfg.get("pixel_area", 1.0 / cfg.get("n_pixels", 64)))
-    _checked(arrays.check_pixel_lo, det, grid)
-    sched = _checked(detection.PhaseSchedule.from_dict,
-                     cfg.get("schedule", {"kind": "uniform_random"}))
+    sched = detection.PhaseSchedule.from_dict(cfg.get("schedule", {"kind": "uniform_random"}))
     planted = []
     for m in cfg.get("modes", []):
         if m["shape"] == "uniform":
@@ -358,27 +343,24 @@ def cmd_array(args) -> int:
         elif m["shape"] == "ramp":
             mv = arrays.ramp_mode(grid)
         else:
-            mv = arrays.ModeVector.normalized(np.array(m["shape"], float), grid)
-        planted.append((mv, _checked(states.StateSpec.from_dict, m["state"])))
-    out = _outdir(cfg, args)
+            mv = arrays.ModeVector.normalized(m["shape"], grid)
+        planted.append((mv, states.StateSpec.from_dict(m["state"])))
     frames = arrays.simulate_array_frames(planted, det, grid, sched, cfg["n_pulses"], seed)
-    formats.write_array_frames(out / "frames.jsonl", frames)
     M = arrays.difference_correlation_matrix(frames)
     w_opt, n_est = arrays.optimal_mode(M, det, grid)
-    with open(out / "optimal_mode.csv", "w") as f:
-        f.write("pixel,x,w\n")
-        for j, (x, wv) in enumerate(zip(grid.coordinates, w_opt.w)):
-            f.write(f"{j},{float(x)!r},{float(wv)!r}\n")
     report = {"photon_estimate": n_est, "n_pulses": cfg["n_pulses"],
               "n_pixels": grid.n_pixels}
-    (out / "array_report.json").write_text(formats.dumps_canonical(report) + "\n")
+    out = _outdir(args, cfg)
+    formats.write_array_frames(out / "frames.jsonl", frames)
+    formats.write_csv(out / "optimal_mode.csv", "pixel,x,w", range(grid.n_pixels),
+                      grid.coordinates, w_opt.w)
+    formats.write_json(out / "array_report.json", report)
     print(formats.dumps_canonical(report))
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     cfg = load_config(args.config, SAMPLE_SCHEMA)
-    out = _outdir(cfg, args)
     sc = cfg["signal"]
     nu, B = sc["nu"], sc["bandwidth"]
     span = sc.get("span", 160.0)
@@ -402,10 +384,11 @@ def cmd_sample(args) -> int:
     rec = temporal.bandlimited_exact_recovery(sig, B, nu, tau)
     truth = np.interp(tau, t, phi.real) + 1j * np.interp(tau, t, phi.imag)
     rel_rms = float(np.sqrt(np.mean(np.abs(rec - truth) ** 2) / np.mean(np.abs(truth) ** 2)))
+    report = {"relative_rms_error": rel_rms, "bandwidth": B, "band_fill": fill}
+    out = _outdir(args, cfg)
     formats.write_signal_csv(out / "signal.csv", t, phi)
     formats.write_signal_csv(out / "recovered.csv", tau, rec)
-    report = {"relative_rms_error": rel_rms, "bandwidth": B, "band_fill": fill}
-    (out / "sampling_report.json").write_text(formats.dumps_canonical(report) + "\n")
+    formats.write_json(out / "sampling_report.json", report)
     print(formats.dumps_canonical(report))
     return EXIT_OK
 
@@ -413,9 +396,7 @@ def cmd_sample(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = load_config(args.config, CALIBRATE_SCHEMA)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    det = _checked(detection.DetectorModel, **cfg.get("detector", {}))
-    _checked(detection.check_lo_levels, cfg["lo_levels"])
-    out = _outdir(cfg, args)
+    det = detection.DetectorModel(**cfg.get("detector", {}))
     cal = detection.calibration_curve(det, cfg["lo_levels"], cfg["pulses_per_level"], seed)
     report = {
         "gain_estimate": cal.gain_estimate,
@@ -427,7 +408,8 @@ def cmd_calibrate(args) -> int:
         "table": {"mean_v_plus": cal.mean_v_plus.tolist(),
                   "var_v_minus": cal.var_v_minus.tolist()},
     }
-    (out / "calibration.json").write_text(formats.dumps_canonical(report) + "\n")
+    out = _outdir(args, cfg)
+    formats.write_json(out / "calibration.json", report)
     print(formats.dumps_canonical(report))
     return EXIT_OK
 
@@ -451,7 +433,7 @@ def cmd_validate(args) -> int:
             elif fmt == formats.KREC_FORMAT:
                 formats.read_k_records(path)
             else:
-                raise DataFormatError(f"{path}: unknown format tag {fmt!r}")
+                raise DataFormatError(f"{path}: unknown format tag {json.dumps(fmt)}")
         elif path.suffix == ".json":
             doc = json.loads(path.read_text())
             if doc.get("format") == formats.MANIFEST_FORMAT:

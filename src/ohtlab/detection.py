@@ -23,7 +23,7 @@ import numpy as np
 from scipy.stats import skellam
 
 from ._rng import stream
-from .errors import CoverageError, UnsupportedStateError
+from .errors import ConfigError, CoverageError, UnsupportedStateError
 from .states import DensityMatrix, StateSpec, hermite_psi_all
 
 FORMAT_VERSION = "ohtlab-quad-v1"
@@ -51,11 +51,13 @@ class DetectorModel:
 
     def __post_init__(self):
         if not 0.0 < self.eta_q <= 1.0:
-            raise ValueError("eta_q must be in (0, 1]")
+            raise ConfigError("eta_q must be in (0, 1]")
         if not 0.0 <= self.eta_ls <= 1.0:
-            raise ValueError("eta_ls must be in [0, 1]")
+            raise ConfigError("eta_ls must be in [0, 1]")
         if self.lo_mean_photons < 0 or self.sigma_e < 0:
-            raise ValueError("lo_mean_photons and sigma_e must be >= 0")
+            raise ConfigError("lo_mean_photons and sigma_e must be >= 0")
+        if self.gain <= 0:
+            raise ConfigError("gain must be positive")
 
     @property
     def eta_eff(self) -> float:
@@ -84,10 +86,10 @@ class PhaseSchedule:
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+            raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "grid":
             if self.d is None or self.d < 1:
-                raise ValueError("grid schedule needs d >= 1")
+                raise ConfigError("grid schedule needs d >= 1")
 
     def grid_phases(self) -> np.ndarray:
         lo, hi = self.span
@@ -238,18 +240,18 @@ def add_detection_noise(qs: np.ndarray, det: DetectorModel, seed: int) -> np.nda
 
 
 def check_sampling_detector(det: DetectorModel) -> None:
-    """Raise ValueError unless quadrature sampling can model this detector."""
+    """Raise ConfigError unless quadrature sampling can model this detector."""
     if det.eta_eff <= 0:
-        raise ValueError("eta_eff must be positive")
+        raise ConfigError("eta_eff must be positive")
     if det.lo_mean_photons <= 0:
-        raise ValueError("quadrature sampling needs a nonzero LO")
+        raise ConfigError("quadrature sampling needs a nonzero LO")
 
 
 def sample_quadratures(rho: DensityMatrix, sched: PhaseSchedule, det: DetectorModel,
                        n_samples: int, seed: int) -> QuadratureDataset:
     """Synthesize a balanced-homodyne measurement record from a state."""
     if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+        raise ConfigError("n_samples must be >= 1")
     check_sampling_detector(det)
     if det.lo_mean_photons < 1e4:
         warnings.warn("lo_mean_photons < 1e4: strong-LO Gaussian model is marginal")
@@ -367,14 +369,6 @@ class CalibrationResult:
     reduced_residual: float
 
 
-def check_lo_levels(lo_levels) -> np.ndarray:
-    """The LO levels as an array; ValueError unless at least 3 are distinct."""
-    levels = np.asarray(lo_levels, float)
-    if np.unique(levels).size < 3:
-        raise ValueError("need at least 3 distinct LO levels")
-    return levels
-
-
 def calibration_curve(det: DetectorModel, lo_levels, pulses_per_level: int,
                       seed: int) -> CalibrationResult:
     """Shot-noise calibration: fit Var(V_−) = (1/g)·<V_+> + 2σ_e²/g².
@@ -384,7 +378,9 @@ def calibration_curve(det: DetectorModel, lo_levels, pulses_per_level: int,
     straight-line fit; a reduced residual well above 1 flags deviation from
     shot-noise-limited response.
     """
-    levels = check_lo_levels(lo_levels)
+    levels = np.asarray(lo_levels, float)
+    if np.unique(levels).size < 3:
+        raise ConfigError("need at least 3 distinct LO levels")
     rng = stream(seed, "calibration")
     mean_vp = np.empty(levels.size)
     var_vm = np.empty(levels.size)

@@ -37,8 +37,9 @@ class DataFormatError(OhtlabError):
     """File failed format or schema validation."""
 
 
-class ConfigError(OhtlabError):
-    """Pipeline configuration failed validation."""
+class ConfigError(OhtlabError, ValueError):
+    """A config or flag value was refused, by the code that owns the check;
+    also a ValueError, so callers catching ValueError still catch it."""
 
 
 class NearVacuumError(OhtlabError):

@@ -1,8 +1,9 @@
 """File formats: JSON-Lines datasets, density-matrix JSON, long-format CSVs.
 
-All writers emit canonical JSON (sorted keys, compact separators) so a rerun
-with the same seed produces byte-identical artifacts.  Readers reject files
-whose format tag is missing or unknown.
+Every artifact's bytes are decided here: canonical JSON (sorted keys,
+compact separators) and CSVs with each float as its repr, so a rerun with
+the same seed produces byte-identical artifacts.  Readers refuse unknown
+format tags and bad header or record values with a DataFormatError.
 
 Quadrature datasets and array frames are written in bulk: a block of
 records is formatted by one `repr` of the list of its values, which
@@ -46,6 +47,7 @@ READ_CHUNK = 1 << 17
 _SINGLE_RECORD = ('{"q":%s,"theta":%s}\n', ("q", "theta"))
 _DUAL_RECORD = ('{"Q":%s,"theta":%s,"zeta":%s}\n', ("Q", "theta", "zeta"))
 _FRAME_RECORD = '{"d":[%s],"theta":%s}\n'
+_KREC_RECORD = '{"im":%s,"l":%s,"pulse":%s,"re":%s}\n'
 
 #: a JSON number with a fraction or an exponent, as every finite float repr
 #: has; [0-9], not \d, which also matches digits json.loads refuses.  Each
@@ -70,10 +72,24 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def write_json(path, doc) -> None:
+    """One canonical JSON document and a newline."""
+    Path(path).write_text(dumps_canonical(doc) + "\n")
+
+
+def _field_texts(column) -> list[str]:
+    """Floats as f"{x!r}" writes them, from one repr of their list; others by str."""
+    values = np.asarray(column)
+    if values.dtype.kind != "f":
+        return list(map(str, values.tolist()))
+    texts = repr(values.tolist())[1:-1]
+    return texts.split(", ") if texts else []
+
+
 def _json_floats(values) -> list[str]:
     """Each value as json.dumps writes a float: its repr, or NaN/Infinity."""
     values = np.asarray(values, float)
-    texts = repr(values.tolist())[1:-1].split(", ")
+    texts = _field_texts(values)
     if not np.isfinite(values).all():
         texts = [_NONFINITE.get(t, t) for t in texts]
     return texts
@@ -82,6 +98,15 @@ def _json_floats(values) -> list[str]:
 def _write_lines(f, template: str, *fields: list[str]) -> None:
     """Write one template line per row of the given field texts."""
     f.write((template * len(fields[0])) % tuple(chain.from_iterable(zip(*fields))))
+
+
+def write_csv(path, header: str, *columns) -> None:
+    """The header line, then one row per entry of the equally long columns."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for start in range(0, len(columns[0]), WRITE_CHUNK):
+            _write_lines(f, ",".join(["%s"] * len(columns)) + "\n",
+                         *(_field_texts(c[start:start + WRITE_CHUNK]) for c in columns))
 
 
 def _dataset_header(ds) -> dict:
@@ -117,7 +142,7 @@ def write_quadrature_dataset(path, ds) -> None:
 
 
 def _parse_lines(text: str, path, first_line: int, keys) -> list[np.ndarray]:
-    """Fields of the records in text, one json.loads per line."""
+    """Fields of the records in text, one json.loads per line, each a JSON number."""
     fields = [[] for _ in keys]
     for i, line in enumerate(text.split("\n"), start=first_line):
         if not line.strip():
@@ -125,8 +150,10 @@ def _parse_lines(text: str, path, first_line: int, keys) -> list[np.ndarray]:
         try:
             rec = json.loads(line)
             for values, key in zip(fields, keys):
+                if type(rec[key]) not in (int, float):
+                    raise TypeError(f"{key} is {rec[key]!r}, not a number")
                 values.append(rec[key])
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataFormatError(f"{path}:{i}: bad record: {exc}") from exc
     return [np.asarray(values, float) for values in fields]
 
@@ -176,17 +203,23 @@ def read_quadrature_dataset(path):
             qs, thetas, zetas = _read_records(f, path, _DUAL_RECORD)
         else:
             qs, thetas = _read_records(f, path, _SINGLE_RECORD)
-    det = DetectorModel(**{k: header[k] for k in DetectorModel().to_dict()
-                           if k in header or k not in _LATER_DETECTOR_KEYS})
-    sched = PhaseSchedule.from_dict(header["schedule"])
-    meta = DatasetMeta(detector=det, schedule=sched, seed=header["seed"],
-                       source=header.get("source"))
-    if dual:
-        meta.extra = {"mode": "dual", "alpha": header["alpha"],
-                      "zeta_schedule": header.get("zeta_schedule")}
-        return DualQuadratureDataset(thetas=thetas, zetas=zetas, qs=qs,
-                                     alpha=header["alpha"], meta=meta)
-    return QuadratureDataset(thetas=thetas, qs=qs, meta=meta)
+    try:
+        det = DetectorModel(**{k: header[k] for k in DetectorModel().to_dict()
+                               if k in header or k not in _LATER_DETECTOR_KEYS})
+        meta = DatasetMeta(detector=det, schedule=PhaseSchedule.from_dict(header["schedule"]),
+                           seed=header["seed"], source=header.get("source"))
+        if dual:
+            meta.extra = {"mode": "dual", "alpha": header["alpha"],
+                          "zeta_schedule": header.get("zeta_schedule")}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad header: {type(exc).__name__}: {exc}") from exc
+    try:
+        if dual:
+            return DualQuadratureDataset(thetas=thetas, zetas=zetas, qs=qs,
+                                         alpha=header["alpha"], meta=meta)
+        return QuadratureDataset(thetas=thetas, qs=qs, meta=meta)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def write_density_matrix(path, rho: DensityMatrix, errors: np.ndarray | None = None) -> None:
@@ -197,7 +230,7 @@ def write_density_matrix(path, rho: DensityMatrix, errors: np.ndarray | None = N
     }
     if errors is not None:
         doc["errors"] = [[float(x) for x in row] for row in np.asarray(errors)]
-    Path(path).write_text(dumps_canonical(doc) + "\n")
+    write_json(path, doc)
 
 
 def read_density_matrix(path):
@@ -212,11 +245,8 @@ def read_density_matrix(path):
 
 
 def write_wigner_csv(path, w: WignerGrid) -> None:
-    with open(path, "w") as f:
-        f.write("q,p,w\n")
-        for i, qv in enumerate(w.q_axis):
-            for j, pv in enumerate(w.p_axis):
-                f.write(f"{float(qv)!r},{float(pv)!r},{float(w.values[i, j])!r}\n")
+    write_csv(path, "q,p,w", np.repeat(w.q_axis, w.p_axis.size),
+              np.tile(w.p_axis, w.q_axis.size), w.values.ravel())
 
 
 def read_wigner_csv(path) -> WignerGrid:
@@ -230,33 +260,22 @@ def read_wigner_csv(path) -> WignerGrid:
 
 
 def write_pn_csv(path, p: np.ndarray, stderr: np.ndarray) -> None:
-    with open(path, "w") as f:
-        f.write("n,p,stderr\n")
-        for n, (pv, se) in enumerate(zip(p, stderr)):
-            f.write(f"{n},{float(pv)!r},{float(se)!r}\n")
+    write_csv(path, "n,p,stderr", range(len(p)), p, stderr)
 
 
 def write_phase_csv(path, phi_axis, values) -> None:
-    with open(path, "w") as f:
-        f.write("phi,pr\n")
-        for x, v in zip(phi_axis, values):
-            f.write(f"{float(x)!r},{float(v)!r}\n")
+    write_csv(path, "phi,pr", phi_axis, values)
 
 
 def write_signal_csv(path, t_axis, values) -> None:
     values = np.asarray(values, complex)
-    with open(path, "w") as f:
-        f.write("t,re,im\n")
-        for t, v in zip(t_axis, values):
-            f.write(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r}\n")
+    write_csv(path, "t,re,im", t_axis, values.real, values.imag)
 
 
 def write_map_csv(path, omega_axis, t_axis, values) -> None:
-    with open(path, "w") as f:
-        f.write("omega,t,value\n")
-        for i, om in enumerate(omega_axis):
-            for j, t in enumerate(t_axis):
-                f.write(f"{float(om)!r},{float(t)!r},{float(values[i, j])!r}\n")
+    omega, t = np.asarray(omega_axis, float), np.asarray(t_axis, float)
+    write_csv(path, "omega,t,value", np.repeat(omega, t.size), np.tile(t, omega.size),
+              np.asarray(values, float).ravel())
 
 
 def write_array_frames(path, frames) -> None:
@@ -314,12 +333,13 @@ def write_k_records(path, recs) -> None:
         "window": recs.window,
         "j_lo": recs.j_lo,
     }
+    pulses = np.arange(len(recs.K))
     with open(path, "w") as f:
         f.write(dumps_canonical(header) + "\n")
-        for pulse, row in enumerate(recs.K):
-            for l, val in zip(recs.l_values, row):
-                f.write(dumps_canonical({"pulse": pulse, "l": int(l),
-                                         "re": float(val.real), "im": float(val.imag)}) + "\n")
+        _write_lines(f, _KREC_RECORD, _json_floats(recs.K.imag.ravel()),
+                     _field_texts(np.tile(recs.l_values, pulses.size)),
+                     _field_texts(np.repeat(pulses, recs.l_values.size)),
+                     _json_floats(recs.K.real.ravel()))
 
 
 def read_k_records(path):
@@ -352,4 +372,4 @@ def write_manifest(path, seed: int, config: dict, files: dict) -> None:
         "versions": {"ohtlab": ohtlab.__version__, "numpy": np.__version__},
         "files": {name: sha256_file(p) for name, p in files.items()},
     }
-    Path(path).write_text(dumps_canonical(doc) + "\n")
+    write_json(path, doc)

@@ -7,8 +7,10 @@ estimator uses too.  The ramp is truncated at a frequency cutoff k_c
 (with an optional cosine roll-off over its top 20%), which trades
 statistical noise against a small deterministic smoothing bias.
 
-The filter acts on binned projections as a q_bins × q_bins matrix that
-depends only on (q_bins, dq, k_c, kernel).  It is built on first use and
+Projections are histogrammed into Q_BINS bins over |q| ≤ Q_SPAN, and W is
+returned on the default ±6 phase-space grid.  The filter acts on binned
+projections as a q_bins × q_bins matrix that depends only on (q_bins, dq,
+k_c, kernel).  It is built on first use and
 cached, so one reconstruction config evaluates the ramp integral once and
 the main FBP and every bootstrap replicate share the same read-only matrix.
 """
@@ -24,7 +26,7 @@ from scipy.signal import fftconvolve
 
 from ._rng import stream
 from .detection import QuadratureDataset, fold_phases
-from .errors import CoverageError
+from .errors import ConfigError, CoverageError
 from .states import WignerGrid, default_grid_axis
 
 Q_BINS = 256
@@ -33,23 +35,19 @@ Q_SPAN = 8.0
 
 @dataclass
 class RadonConfig:
-    grid_points: int = 201
-    grid_span: float = 6.0
     k_c: float = 5.0
     n_phase_bins: int = 32
     kernel: str = "ram-lak-with-cosine-rolloff"
-    q_bins: int = Q_BINS
-    q_span: float = Q_SPAN
 
     KERNELS = ("ram-lak", "ram-lak-with-cosine-rolloff")
 
     def __post_init__(self):
         if self.k_c <= 0:
-            raise ValueError("k_c must be positive")
+            raise ConfigError("k_c must be positive")
         if self.n_phase_bins < 2:
-            raise ValueError("need at least 2 phase bins")
+            raise ConfigError("need at least 2 phase bins")
         if self.kernel not in self.KERNELS:
-            raise ValueError(f"unknown filter kernel {self.kernel!r}")
+            raise ConfigError(f"unknown filter kernel {self.kernel!r}")
 
 
 def ramp_kernel_profile(u: np.ndarray, k_c: float, kernel: str) -> np.ndarray:
@@ -88,10 +86,10 @@ def _histogram_projections(thetas, qs, cfg: RadonConfig):
     theta_f, q_f = fold_phases(theta_f, q_f, lower=-dtheta / 2)
     bin_idx = np.rint(theta_f / dtheta).astype(int)
     bin_idx = np.clip(bin_idx, 0, cfg.n_phase_bins - 1)
-    edges = np.linspace(-cfg.q_span, cfg.q_span, cfg.q_bins + 1)
+    edges = np.linspace(-Q_SPAN, Q_SPAN, Q_BINS + 1)
     centers = 0.5 * (edges[1:] + edges[:-1])
     dq = edges[1] - edges[0]
-    proj = np.zeros((cfg.n_phase_bins, cfg.q_bins))
+    proj = np.zeros((cfg.n_phase_bins, Q_BINS))
     counts = np.zeros(cfg.n_phase_bins, dtype=int)
     mean_theta = np.arange(cfg.n_phase_bins) * dtheta
     for b in range(cfg.n_phase_bins):
@@ -123,11 +121,11 @@ def filtered_backprojection(ds: QuadratureDataset, cfg: RadonConfig | None = Non
         meta["low_count_warning"] = True
 
     # filtered projections: G_b(q) = ∫ Pr(q'|θ_b) κ(q − q') dq'
-    kappa = ramp_filter_matrix(cfg.q_bins, float(dq), cfg.k_c, cfg.kernel)
+    kappa = ramp_filter_matrix(Q_BINS, float(dq), cfg.k_c, cfg.kernel)
     filtered = proj @ kappa.T * dq
 
-    q_axis = default_grid_axis(cfg.grid_points, cfg.grid_span)
-    p_axis = default_grid_axis(cfg.grid_points, cfg.grid_span)
+    q_axis = default_grid_axis()
+    p_axis = default_grid_axis()
     Q, P = np.meshgrid(q_axis, p_axis, indexing="ij")
     dtheta = np.pi / cfg.n_phase_bins
     w = np.zeros_like(Q)
@@ -162,7 +160,7 @@ def bootstrap_backprojection(ds: QuadratureDataset, cfg: RadonConfig | None = No
         acc2 += w.values**2
     mean = acc / n_boot
     var = np.clip(acc2 / n_boot - mean**2, 0.0, None) * n_boot / (n_boot - 1)
-    q_axis = default_grid_axis(cfg.grid_points, cfg.grid_span)
+    q_axis = default_grid_axis()
     return WignerGrid(q_axis=q_axis, p_axis=q_axis.copy(), values=np.sqrt(var),
                       meta={"n_boot": n_boot})
 

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
-from .errors import PurityError, ReferencePointError, TruncationError, UnsupportedStateError
+from .errors import (ConfigError, PurityError, ReferencePointError, TruncationError,
+                     UnsupportedStateError)
 
 HERMITE_N_MAX = 200
 
@@ -160,15 +161,17 @@ class StateSpec:
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
-            raise ValueError(f"unknown state kind {self.kind!r}")
+            raise ConfigError(f"unknown state kind {self.kind!r}")
         if self.kind == "fock" and (self.n is None or self.n < 0):
-            raise ValueError("fock state needs n >= 0")
+            raise ConfigError("fock state needs n >= 0")
         if self.kind in ("coherent", "squeezed_coherent") and self.alpha is None:
-            raise ValueError(f"{self.kind} needs alpha")
+            raise ConfigError(f"{self.kind} needs alpha")
         if self.kind == "thermal" and (self.nbar is None or self.nbar < 0):
-            raise ValueError("thermal state needs nbar >= 0")
+            raise ConfigError("thermal state needs nbar >= 0")
         if self.kind in ("squeezed_vacuum", "squeezed_coherent") and self.r is None:
-            raise ValueError(f"{self.kind} needs squeeze parameter r")
+            raise ConfigError(f"{self.kind} needs squeeze parameter r")
+        if not 1 <= self.truncation_dim <= MAX_DIM:
+            raise ConfigError(f"truncation_dim must be in 1..{MAX_DIM}")
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "truncation_dim": self.truncation_dim}
@@ -455,7 +458,7 @@ def wavefunction_from_rho(rho: DensityMatrix, q_axis=None, q_ref: float = 0.0) -
         raise PurityError(f"Tr[rho^2] = {purity:.4f} < 0.99; state too mixed for a wave function")
     diag_ref = position_matrix_element(rho, np.array([q_ref]), q_ref)[0].real
     col = position_matrix_element(rho, q_axis, q_ref)
-    peak_diag = np.max(np.abs(position_matrix_element(rho, q_axis, q_ref)))
+    peak_diag = np.max(np.abs(col))
     if diag_ref <= 1e-6 * peak_diag**2 or diag_ref <= 0:
         raise ReferencePointError(
             f"<q'|rho|q'> ~ {diag_ref:.2e} at q'={q_ref}; choose a different reference column"

@@ -16,9 +16,9 @@ import numpy as np
 
 from ._rng import stream
 from .detection import (DatasetMeta, DetectorModel, PhaseSchedule, QuadratureDataset,
-                        add_detection_noise, draw_fock_quadratures, draw_state_quadratures,
-                        phase_coverage_kind)
-from .errors import UnsupportedStateError
+                        add_detection_noise, check_sampling_detector, draw_fock_quadratures,
+                        draw_state_quadratures, phase_coverage_kind)
+from .errors import ConfigError, UnsupportedStateError
 from .states import DensityMatrix
 
 
@@ -61,9 +61,9 @@ class TwoModeState:
     def __post_init__(self):
         if self.kind == "correlated_thermal":
             if self.nbar is None or self.nbar < 0:
-                raise ValueError("correlated_thermal needs nbar >= 0")
+                raise ConfigError("correlated_thermal needs nbar >= 0")
             if self.corr is None or not 0.0 <= self.corr <= 1.0:
-                raise ValueError("number correlation coefficient must be in [0, 1]")
+                raise ConfigError("number correlation coefficient must be in [0, 1]")
         elif self.kind == "product":
             if self.rho1 is None or self.rho2 is None:
                 raise ValueError("product state needs rho1 and rho2")
@@ -178,6 +178,7 @@ def combined_quadrature_samples(st: TwoModeState, lo: LOSuperposition, det: Dete
             "sampling from a general entangled joint Fock state is not implemented; "
             "use product / correlated_thermal / planted representations"
         )
+    check_sampling_detector(det)
     thetas = (theta_schedule.phases(n_samples, stream(seed, "theta"))
               if theta_schedule else np.full(n_samples, lo.theta))
     zetas = (zeta_schedule.phases(n_samples, stream(seed, "zeta"))

@@ -8,7 +8,7 @@ from scipy.special import ive
 from conftest import gaussian_quadrature_variance, variance_stderr
 from ohtlab import detection, states
 from ohtlab._rng import stream
-from ohtlab.errors import UnsupportedStateError
+from ohtlab.errors import ConfigError, UnsupportedStateError
 
 
 class TestSampleQuadratures:
@@ -81,6 +81,11 @@ class TestSampleQuadratures:
                                          detection.DetectorModel(), 0, seed=1)
         with pytest.raises(ValueError):
             detection.DetectorModel(eta_q=0.0)
+
+    def test_refused_detector_value_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="eta_q"):
+            detection.DetectorModel(eta_q=2)
+        assert issubclass(ConfigError, ValueError)
 
     def test_low_lo_warns(self, vacuum):
         with pytest.warns(UserWarning):

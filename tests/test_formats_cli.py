@@ -33,6 +33,29 @@ def _reference_write_frame_lines(path, frames):
                     + "\n")
 
 
+def _reference_write_csv(path, header, rows):
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(f"{x!r}" for x in row) + "\n")
+
+
+def _reference_write_k_lines(path, recs):
+    with open(path, "w") as f:
+        for pulse, row in enumerate(recs.K):
+            for l, val in zip(recs.l_values, row):
+                f.write(formats.dumps_canonical({"pulse": pulse, "l": int(l),
+                                                 "re": float(val.real),
+                                                 "im": float(val.imag)}) + "\n")
+
+
+def _complex(re, im):
+    # re + 1j * im would turn an infinite im into a NaN real part
+    z = np.array(re, complex)
+    z.imag = im
+    return z
+
+
 def _reference_read_fields(path, keys):
     with open(path) as f:
         f.readline()
@@ -198,6 +221,7 @@ class TestQuadratureFiles:
     @pytest.mark.parametrize("bad", [
         '{"theta":0.5}', '{"q":1.0,"theta":}', 'not json', '{"q":01.5,"theta":0.5}',
         '{"q":1.5,"theta":0.5', '{"q":1.\u0665,"theta":0.5}', '{"q":+1.5,"theta":0.5}',
+        '{"q":"1.5","theta":0.5}', '{"q":true,"theta":0.5}', '[0.5,0.25]',
     ])
     @pytest.mark.parametrize("read_chunk", [formats.READ_CHUNK, 40])
     def test_bad_record_reports_its_line(self, tmp_path, bad, read_chunk):
@@ -253,6 +277,34 @@ class TestOtherArtifacts:
         back = formats.read_array_frames(path)
         assert np.array_equal(back.frames, fs.frames)
         assert np.allclose(back.vacuum_offsets, fs.vacuum_offsets)
+
+    @given(st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=30))
+    @settings(max_examples=40, deadline=None)
+    def test_csv_and_k_lines_match_per_row_reference(self, tmp_path_factory, rows):
+        d = tmp_path_factory.mktemp("csv")
+        a, b, c = (np.array(col, float) for col in zip(*rows)) if rows else [np.empty(0)] * 3
+        grid = c[:len(c) // 2 * 2].reshape(-1, 2)
+        recs = arrays.SpectralKRecords(l_values=np.array([3, 4]), K=_complex(grid, grid[::-1]),
+                                       lo_photons=1e5, eta_q=0.9, window=8, j_lo=1)
+        cases = [
+            (formats.write_pn_csv, (a, b), "n,p,stderr",
+             [(n, float(x), float(y)) for n, (x, y) in enumerate(zip(a, b))]),
+            (formats.write_signal_csv, (a, _complex(b, c)), "t,re,im",
+             [(float(x), float(y), float(z)) for x, y, z in zip(a, b, c)]),
+            (formats.write_map_csv, (a[:len(grid)], np.array([0.5, -1.0]), grid), "omega,t,value",
+             [(float(x), t, float(grid[i, j])) for i, x in enumerate(a[:len(grid)])
+              for j, t in enumerate((0.5, -1.0))]),
+        ]
+        _reference_write_k_lines(d / "ref.jsonl", recs)
+        for write_chunk, _ in CHUNKS:
+            with mock.patch.object(formats, "WRITE_CHUNK", write_chunk):
+                for write, args, header, ref_rows in cases:
+                    write(d / "new.csv", *args)
+                    _reference_write_csv(d / "ref.csv", header, ref_rows)
+                    assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+                formats.write_k_records(d / "new.jsonl", recs)
+            body = (d / "new.jsonl").read_bytes().split(b"\n", 1)[1]
+            assert body == (d / "ref.jsonl").read_bytes()
 
     def test_k_records_round_trip(self, tmp_path):
         recs = arrays.unbalanced_spectral_sim([], np.array([500.0 + 0j]), 8, 20, seed=904)
@@ -371,6 +423,8 @@ class TestCli:
         {"n_samples": 0},
         {"detector": {"lo_mean_photons": 0}},
         {"detector": {"eta_ls": 0.0}},
+        {"state": {"kind": "vacuum", "truncation_dim": 0}},
+        {"state": {"kind": "vacuum", "truncation_dim": 250}},
     ])
     def test_invalid_simulate_value_exit_2(self, tmp_path, capsys, override):
         # schema-valid documents whose values the constructors refuse
@@ -380,7 +434,7 @@ class TestCli:
         cfg = write_config(tmp_path, "bad.json", doc)
         assert run_cli("simulate", "--config", cfg) == 2
         assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "dataset.jsonl").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override", [
         {"detector": {"eta_q": 2.0}},
@@ -390,6 +444,8 @@ class TestCli:
         {"source": {"kind": "hbt_split"}},
         {"source": {"kind": "hbt_split", "nbar": -0.5}},
         {"source": {"kind": "independent_poisson", "nbar": 1.0, "nbar2": -1.0}},
+        {"detector": {"eta_ls": 0.0}},
+        {"detector": {"lo_mean_photons": 0, "sigma_e": 1.0}},
     ])
     def test_invalid_twomode_value_exit_2(self, tmp_path, capsys, override):
         doc = {"source": {"kind": "correlated_thermal", "nbar": 1.0}, "n_samples": 10,
@@ -398,7 +454,7 @@ class TestCli:
         cfg = write_config(tmp_path, "bad.json", doc)
         assert run_cli("twomode", "--config", cfg) == 2
         assert "config error" in capsys.readouterr().err
-        assert not list((tmp_path / "o").glob("*.jsonl"))
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, doc", [
         ("array", {"n_pulses": 0, "seed": 1}),
@@ -410,6 +466,12 @@ class TestCli:
         ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0, "span": 0.0}, "seed": 1}),
         ("calibrate", {"lo_levels": [1e5, 1e5, 1e5], "pulses_per_level": 10, "seed": 1}),
         ("array", {"n_pulses": 10, "seed": 1, "detector": {"lo_mean_photons": 1e3}}),
+        ("array", {"n_pulses": 10, "n_pixels": 4, "seed": 1, "modes": [
+            {"shape": [1, 2, 3], "state": {"kind": "coherent", "alpha": 1.0}}]}),
+        ("array", {"n_pulses": 10, "n_pixels": 4, "seed": 1, "modes": [
+            {"shape": [0, 0, 0, 0], "state": {"kind": "coherent", "alpha": 1.0}}]}),
+        ("calibrate", {"lo_levels": [1e5, 3e5, 6e5], "pulses_per_level": 10, "seed": 1,
+                       "detector": {"gain": 0}}),
     ])
     def test_invalid_config_value_exit_2(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", {**doc, "outputs": {"dir": str(tmp_path / "o")}})
@@ -469,6 +531,22 @@ class TestCli:
         assert code == 3
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "one" / "wigner.csv").exists()
+
+    @pytest.mark.parametrize("header, record, message", [
+        ({"sigma_e": None}, '{"q":0.5,"theta":0.25}', "bad header"),  # None drops the key
+        ({"eta_q": 2.0}, '{"q":0.5,"theta":0.25}', "bad header"),
+        ({}, '{"q":0.5,"theta":7.0}', "phases must lie in"),
+    ])
+    def test_bad_file_value_exit_3(self, tmp_path, capsys, header, record, message):
+        # a value a file carries is a data error, even where a config with
+        # the same value would be a config error
+        doc = {**json.loads(HEADER), **header}
+        path = tmp_path / "ds.jsonl"
+        path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None})
+                        + "\n" + record + "\n")
+        assert run_cli("moments", "--input", str(path), "--out", str(tmp_path / "o")) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_input_exit_3(self):
         assert run_cli("validate", "--input", "/nonexistent/file.jsonl") == 3
