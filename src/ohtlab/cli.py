@@ -225,6 +225,8 @@ def cmd_reconstruct(args) -> int:
         raise ConfigError("--bootstrap takes 0 (off) or at least 2 replicates")
     if not 1 <= args.dim <= patterns.MAX_DIM:
         raise ConfigError(f"--dim must be in 1..{patterns.MAX_DIM}")
+    if args.phases is not None and args.phases < 1:
+        raise ConfigError("--phases must be at least 1")
     ds = formats.read_quadrature_dataset(args.input)
     if isinstance(ds, twomode.DualQuadratureDataset):
         raise DataFormatError("reconstruction expects a single-mode dataset")

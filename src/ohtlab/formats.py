@@ -194,6 +194,8 @@ def read_quadrature_dataset(path):
             header = json.loads(first)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: header line is not JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise DataFormatError(f"{path}: header line is not a JSON object")
         if header.get("format") != FORMAT_VERSION:
             raise DataFormatError(
                 f"{path}: format {header.get('format')!r} is not {FORMAT_VERSION!r}"

@@ -7,12 +7,13 @@ estimator uses too.  The ramp is truncated at a frequency cutoff k_c
 (with an optional cosine roll-off over its top 20%), which trades
 statistical noise against a small deterministic smoothing bias.
 
-Projections are histogrammed into Q_BINS bins over |q| ≤ Q_SPAN, and W is
-returned on the default ±6 phase-space grid.  The filter acts on binned
-projections as a q_bins × q_bins matrix that depends only on (q_bins, dq,
-k_c, kernel).  It is built on first use and
-cached, so one reconstruction config evaluates the ramp integral once and
-the main FBP and every bootstrap replicate share the same read-only matrix.
+FBP reads a record only through its count table: the samples in each
+occupied (distinct folded phase, q bin) cell, with Q_BINS bins over
+|q| ≤ Q_SPAN plus one cell each side for samples beyond.  Phase-bin
+histograms, counts and mean phases are sums over the table, and a
+bootstrap replicate is one multinomial draw of its counts.  The filter is a
+q_bins × q_bins matrix cached per (q_bins, dq, k_c, kernel) and shared
+read-only by every FBP.  W is returned on the default ±6 phase-space grid.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .states import WignerGrid, default_grid_axis
 
 Q_BINS = 256
 Q_SPAN = 8.0
+_EDGES = np.linspace(-Q_SPAN, Q_SPAN, Q_BINS + 1)
+_CENTERS = 0.5 * (_EDGES[1:] + _EDGES[:-1])
+_DQ = _EDGES[1] - _EDGES[0]
 
 
 @dataclass
@@ -66,42 +70,66 @@ def ramp_kernel_profile(u: np.ndarray, k_c: float, kernel: str) -> np.ndarray:
 def ramp_filter_matrix(q_bins: int, dq: float, k_c: float, kernel: str) -> np.ndarray:
     """κ(q_i − q_j) on a uniform grid of q_bins centres spaced dq, read-only.
 
-    The offsets q_i − q_j take only 2·q_bins − 1 distinct values, so the
-    ramp integral is evaluated once per lag and gathered into the matrix.
+    κ is even, so the ramp integral is evaluated once per lag |i − j| ∈
+    [0, q_bins) and gathered into the matrix.
     """
-    lags = np.arange(-(q_bins - 1), q_bins) * dq
-    kappa_1d = ramp_kernel_profile(lags, k_c, kernel)
-    idx = (np.arange(q_bins)[:, None] - np.arange(q_bins)[None, :]) + q_bins - 1
-    kappa = kappa_1d[idx]
+    lag = np.abs(np.arange(q_bins)[:, None] - np.arange(q_bins)[None, :])
+    kappa = ramp_kernel_profile(np.arange(q_bins) * dq, k_c, kernel)[lag]
     kappa.flags.writeable = False
     return kappa
 
 
-def _histogram_projections(thetas, qs, cfg: RadonConfig):
-    """Per-phase-bin normalized histograms Pr_M(q | θ_bin)."""
-    theta_f, q_f = fold_phases(thetas, qs)
-    dtheta = np.pi / cfg.n_phase_bins
+def _count_table(thetas, qs, n_phase_bins: int):
+    """(cell, phase, count) per occupied (distinct folded phase, q column)
+    cell, at most len(qs) of them; cell = phase bin · (Q_BINS + 2) + column,
+    where column 0 holds q < −Q_SPAN and Q_BINS + 1 holds q > Q_SPAN."""
+    dtheta = np.pi / n_phase_bins
     # bins centered on k·dθ so exact grid phases never straddle an edge;
     # the wrap region near π folds onto θ−π, −q by the same symmetry
-    theta_f, q_f = fold_phases(theta_f, q_f, lower=-dtheta / 2)
-    bin_idx = np.rint(theta_f / dtheta).astype(int)
-    bin_idx = np.clip(bin_idx, 0, cfg.n_phase_bins - 1)
-    edges = np.linspace(-Q_SPAN, Q_SPAN, Q_BINS + 1)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    dq = edges[1] - edges[0]
-    proj = np.zeros((cfg.n_phase_bins, Q_BINS))
-    counts = np.zeros(cfg.n_phase_bins, dtype=int)
-    mean_theta = np.arange(cfg.n_phase_bins) * dtheta
-    for b in range(cfg.n_phase_bins):
-        sel = bin_idx == b
-        counts[b] = int(sel.sum())
-        if counts[b]:
-            h, _ = np.histogram(q_f[sel], bins=edges)
-            proj[b] = h / (counts[b] * dq)
-            # project at the actual mean phase of the bin, not its center:
-            # grid schedules put all samples on one exact angle
-            mean_theta[b] = float(np.mean(theta_f[sel]))
-    return proj, counts, mean_theta, centers, dq
+    theta_f, q_f = fold_phases(*fold_phases(thetas, qs), lower=-dtheta / 2)
+    phases, row = np.unique(theta_f, return_inverse=True)
+    col = np.searchsorted(_EDGES, q_f, "right")
+    col[q_f == Q_SPAN] = Q_BINS      # np.histogram closes the last bin
+    cells, counts = np.unique(row * (Q_BINS + 2) + col, return_counts=True)
+    theta = phases[cells // (Q_BINS + 2)]
+    bin_idx = np.clip(np.rint(theta / dtheta).astype(int), 0, n_phase_bins - 1)
+    return bin_idx * (Q_BINS + 2) + cells % (Q_BINS + 2), theta, counts
+
+
+def _projections(cell, theta, counts, n_phase_bins: int):
+    """Per-phase-bin histograms Pr_M(q | θ_bin), sample counts and mean
+    phases from count-table entries; CoverageError if a bin is empty."""
+    hist = np.bincount(cell, counts, n_phase_bins * (Q_BINS + 2)).reshape(n_phase_bins, -1)
+    bin_counts = hist.sum(axis=1)
+    empty = np.nonzero(bin_counts == 0)[0]
+    if empty.size:
+        raise CoverageError(f"empty phase bins {empty.tolist()}; cover [0, π) before inverting")
+    proj = hist[:, 1:-1] / (bin_counts[:, None] * _DQ)
+    # project at the actual mean phase of the bin, not its center:
+    # grid schedules put all samples on one exact angle
+    mean_theta = np.bincount(cell // (Q_BINS + 2), counts * theta, n_phase_bins) / bin_counts
+    return proj, bin_counts.astype(int), mean_theta
+
+
+def _backproject(proj, bin_counts, theta_proj, cfg: RadonConfig) -> WignerGrid:
+    meta = {"bin_counts": bin_counts.tolist(), "k_c": cfg.k_c, "kernel": cfg.kernel}
+    if bin_counts.min() < 100:
+        meta["low_count_warning"] = True
+    # filtered projections: G_b(q) = ∫ Pr(q'|θ_b) κ(q − q') dq'
+    filtered = proj @ ramp_filter_matrix(Q_BINS, float(_DQ), cfg.k_c, cfg.kernel).T * _DQ
+
+    q_axis, p_axis = default_grid_axis(), default_grid_axis()
+    Q, P = np.meshgrid(q_axis, p_axis, indexing="ij")
+    w = np.zeros_like(Q)
+    for b, th in enumerate(theta_proj):
+        x = Q * np.cos(th) + P * np.sin(th)
+        w += np.interp(x.ravel(), _CENTERS, filtered[b], left=0.0, right=0.0).reshape(Q.shape)
+    w *= (np.pi / cfg.n_phase_bins) / (4.0 * np.pi**2)
+    grid = WignerGrid(q_axis=q_axis, p_axis=p_axis, values=w, meta=meta)
+    total = grid.integral()
+    grid.values /= total
+    grid.meta["raw_integral"] = total
+    return grid
 
 
 def filtered_backprojection(ds: QuadratureDataset, cfg: RadonConfig | None = None) -> WignerGrid:
@@ -112,52 +140,24 @@ def filtered_backprojection(ds: QuadratureDataset, cfg: RadonConfig | None = Non
     unit integral on its grid.
     """
     cfg = cfg or RadonConfig()
-    proj, counts, theta_proj, centers, dq = _histogram_projections(ds.thetas, ds.qs, cfg)
-    empty = np.nonzero(counts == 0)[0]
-    if empty.size:
-        raise CoverageError(f"empty phase bins {empty.tolist()}; cover [0, π) before inverting")
-    meta = {"bin_counts": counts.tolist(), "k_c": cfg.k_c, "kernel": cfg.kernel}
-    if counts.min() < 100:
-        meta["low_count_warning"] = True
-
-    # filtered projections: G_b(q) = ∫ Pr(q'|θ_b) κ(q − q') dq'
-    kappa = ramp_filter_matrix(Q_BINS, float(dq), cfg.k_c, cfg.kernel)
-    filtered = proj @ kappa.T * dq
-
-    q_axis = default_grid_axis()
-    p_axis = default_grid_axis()
-    Q, P = np.meshgrid(q_axis, p_axis, indexing="ij")
-    dtheta = np.pi / cfg.n_phase_bins
-    w = np.zeros_like(Q)
-    for b, th in enumerate(theta_proj):
-        x = Q * np.cos(th) + P * np.sin(th)
-        w += np.interp(x.ravel(), centers, filtered[b], left=0.0, right=0.0).reshape(Q.shape)
-    w *= dtheta / (4.0 * np.pi**2)
-    grid = WignerGrid(q_axis=q_axis, p_axis=p_axis, values=w, meta=meta)
-    total = grid.integral()
-    grid.values /= total
-    grid.meta["raw_integral"] = total
-    return grid
+    table = _count_table(ds.thetas, ds.qs, cfg.n_phase_bins)
+    return _backproject(*_projections(*table, cfg.n_phase_bins), cfg)
 
 
 def bootstrap_backprojection(ds: QuadratureDataset, cfg: RadonConfig | None = None,
                              n_boot: int = 100, seed: int = 0) -> WignerGrid:
     """Per-pixel standard error of the FBP reconstruction by resampling
-    (θ, q) pairs with replacement."""
+    (θ, q) pairs with replacement, drawn as its exact equivalent for FBP:
+    one multinomial(N, counts / N) draw of the count table per replicate."""
     cfg = cfg or RadonConfig()
     rng = stream(seed, "bootstrap")
+    cell, theta, counts = _count_table(ds.thetas, ds.qs, cfg.n_phase_bins)
     n = len(ds)
-    acc = None
-    acc2 = None
+    acc = acc2 = 0.0
     for _ in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        sub = QuadratureDataset(thetas=ds.thetas[idx], qs=ds.qs[idx], meta=ds.meta)
-        w = filtered_backprojection(sub, cfg)
-        if acc is None:
-            acc = np.zeros_like(w.values)
-            acc2 = np.zeros_like(w.values)
-        acc += w.values
-        acc2 += w.values**2
+        draw = rng.multinomial(n, counts / n)
+        w = _backproject(*_projections(cell, theta, draw, cfg.n_phase_bins), cfg).values
+        acc, acc2 = acc + w, acc2 + w**2
     mean = acc / n_boot
     var = np.clip(acc2 / n_boot - mean**2, 0.0, None) * n_boot / (n_boot - 1)
     q_axis = default_grid_axis()

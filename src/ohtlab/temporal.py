@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 #: sinc gates are truncated at this many main-lobe widths and tapered with a
 #: raised cosine over the final 25%; the residual ringing stays inside the
 #: 1e-3 relative-RMS recovery budget
@@ -113,7 +115,7 @@ def _check_resolution(sig: TemporalSignal, extra_bandwidth: float = 0.0):
     # need >= 8 samples per 1/B-scale oscillation of the fastest content
     omega_max = abs(sig.nu) + sig.bandwidth / 2.0 + extra_bandwidth
     if omega_max > 0 and sig.dt > 2.0 * np.pi / (8.0 * omega_max):
-        raise ValueError(
+        raise ConfigError(
             f"time grid too coarse: dt = {sig.dt:.3g} but the signal reaches "
             f"angular frequency {omega_max:.3g}; refine below {2*np.pi/(8*omega_max):.3g}"
         )

@@ -472,6 +472,7 @@ class TestCli:
             {"shape": [0, 0, 0, 0], "state": {"kind": "coherent", "alpha": 1.0}}]}),
         ("calibrate", {"lo_levels": [1e5, 3e5, 6e5], "pulses_per_level": 10, "seed": 1,
                        "detector": {"gain": 0}}),
+        ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0, "points": 2048}, "seed": 1}),
     ])
     def test_invalid_config_value_exit_2(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", {**doc, "outputs": {"dir": str(tmp_path / "o")}})
@@ -482,6 +483,7 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--dim", "0"], ["--dim", "31"], ["--phase-bins", "1"], ["--k-c", "0"],
         ["--bootstrap", "-3"], ["--bootstrap", "1"],
+        ["--method", "pattern", "--phases", "0"], ["--phases", "-2"],
     ])
     def test_invalid_reconstruct_flag_exit_2(self, small_dataset, tmp_path, capsys, flags):
         path = tmp_path / "ds.jsonl"
@@ -546,6 +548,14 @@ class TestCli:
                         + "\n" + record + "\n")
         assert run_cli("moments", "--input", str(path), "--out", str(tmp_path / "o")) == 3
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("header", ["[1]", "1.5", '"ohtlab-quad-v1"', "null"])
+    def test_header_not_an_object_exit_3(self, tmp_path, capsys, header):
+        path = tmp_path / "ds.jsonl"
+        path.write_text(header + '\n{"q":0.5,"theta":0.25}\n')
+        assert run_cli("moments", "--input", str(path), "--out", str(tmp_path / "o")) == 3
+        assert "header line is not a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_input_exit_3(self):

@@ -8,10 +8,48 @@ from ohtlab import detection, radon, states
 from ohtlab.errors import CoverageError
 
 
-def _dataset(rho, n, seed, d=64, det=None):
+def _dataset(rho, n, seed, d=64, det=None, schedule=None):
     det = det or detection.DetectorModel()
     return detection.sample_quadratures(
-        rho, detection.PhaseSchedule("grid", d=d), det, n, seed)
+        rho, schedule or detection.PhaseSchedule("grid", d=d), det, n, seed)
+
+
+# the per-bin histogram loop and the pair-resampling bootstrap that the
+# count table replaced, kept as references
+def _reference_projections(thetas, qs, n_phase_bins):
+    dtheta = np.pi / n_phase_bins
+    theta_f, q_f = detection.fold_phases(*detection.fold_phases(thetas, qs), lower=-dtheta / 2)
+    bin_idx = np.clip(np.rint(theta_f / dtheta).astype(int), 0, n_phase_bins - 1)
+    edges = np.linspace(-radon.Q_SPAN, radon.Q_SPAN, radon.Q_BINS + 1)
+    dq = edges[1] - edges[0]
+    proj = np.zeros((n_phase_bins, radon.Q_BINS))
+    counts = np.zeros(n_phase_bins, dtype=int)
+    mean_theta = np.arange(n_phase_bins) * dtheta
+    for b in range(n_phase_bins):
+        sel = bin_idx == b
+        counts[b] = int(sel.sum())
+        if counts[b]:
+            h, _ = np.histogram(q_f[sel], bins=edges)
+            proj[b] = h / (counts[b] * dq)
+            mean_theta[b] = float(np.mean(theta_f[sel]))
+    return proj, counts, mean_theta
+
+
+def _reference_pair_bootstrap(ds, cfg, n_boot, seed):
+    rng = np.random.default_rng(seed)
+    n = len(ds)
+    acc = acc2 = 0.0
+    for _ in range(n_boot):
+        idx = rng.integers(0, n, size=n)
+        sub = detection.QuadratureDataset(thetas=ds.thetas[idx], qs=ds.qs[idx], meta=ds.meta)
+        w = radon.filtered_backprojection(sub, cfg).values
+        acc, acc2 = acc + w, acc2 + w**2
+    mean = acc / n_boot
+    return np.sqrt(np.clip(acc2 / n_boot - mean**2, 0.0, None) * n_boot / (n_boot - 1))
+
+
+def _table_projections(thetas, qs, n_phase_bins):
+    return radon._projections(*radon._count_table(thetas, qs, n_phase_bins), n_phase_bins)
 
 
 class TestFilteredBackprojection:
@@ -106,10 +144,46 @@ class TestFilteredBackprojection:
         want = reference(thetas, qs, dtheta)
         got = detection.fold_phases(*detection.fold_phases(thetas, qs), lower=-dtheta / 2)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        cfg = radon.RadonConfig(n_phase_bins=n_phase_bins)
-        for a, b in zip(radon._histogram_projections(thetas, qs, cfg),
-                        radon._histogram_projections(*want, cfg)):
+        for a, b in zip(_table_projections(thetas, qs, n_phase_bins),
+                        _table_projections(*want, n_phase_bins)):
             assert np.array_equal(a, b)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_count_table_matches_per_bin_loop(self, data):
+        n_phase_bins = data.draw(st.sampled_from([2, 3, 32, 33]), label="n_phase_bins")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # a grid of 4·n_phase_bins phases puts every other one on a bin edge
+        if data.draw(st.booleans(), label="grid"):
+            thetas = rng.integers(0, 4 * n_phase_bins, 2_000) * (np.pi / (2 * n_phase_bins))
+        else:
+            thetas = rng.random(2_000) * 2 * np.pi
+        qs = rng.normal(0.0, 2.0, thetas.size)
+        k = np.arange(4 * n_phase_bins + 1) * (np.pi / (2 * n_phase_bins))
+        near = np.concatenate([k, np.nextafter(k, -1.0), np.nextafter(k, 7.0)])
+        near = near[(near >= 0) & (near < 2 * np.pi)]
+        q_span = radon.Q_SPAN
+        q_near = [-q_span, q_span, np.nextafter(q_span, 0.0), np.nextafter(q_span, 9.0),
+                  np.nextafter(-q_span, 0.0), np.nextafter(-q_span, -9.0), 8.5, -8.5, 1e3, -1e3,
+                  0.0, radon._EDGES[100], np.nextafter(radon._EDGES[100], -1.0)]
+        extra = data.draw(st.lists(st.tuples(
+            st.sampled_from(near.tolist()),
+            st.one_of(st.sampled_from(q_near), st.floats(-12.0, 12.0))), max_size=60),
+            label="extra")
+        if extra:
+            thetas = np.concatenate([thetas, [t for t, _ in extra]])
+            qs = np.concatenate([qs, [q for _, q in extra]])
+        want = _reference_projections(thetas, qs, n_phase_bins)
+        got = _table_projections(thetas, qs, n_phase_bins)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert np.max(np.abs(got[2] - want[2])) <= 1e-12
+        cfg = radon.RadonConfig(n_phase_bins=n_phase_bins)
+        w = radon.filtered_backprojection(
+            detection.QuadratureDataset(thetas=thetas, qs=qs, meta=None), cfg)
+        w_ref = radon._backproject(*want, cfg)
+        assert w.meta["bin_counts"] == w_ref.meta["bin_counts"]
+        assert np.max(np.abs(w.values - w_ref.values)) <= 1e-12
 
 
 class TestBootstrap:
@@ -124,6 +198,18 @@ class TestBootstrap:
             origins.append(w.values[i, i])
         scatter = np.std(origins)
         assert 0.4 * scatter < se.values[i, i] < 2.5 * scatter
+
+    @pytest.mark.parametrize("schedule", [detection.PhaseSchedule("grid", d=64),
+                                          detection.PhaseSchedule("uniform_random")])
+    def test_table_draws_match_pair_resampling(self, fock1, schedule):
+        # multinomial draws over the count table and resampled (θ, q) pairs
+        # give the same law for FBP, so the σ maps agree to Monte-Carlo error
+        ds = _dataset(fock1, 20_000, seed=212, schedule=schedule)
+        cfg = radon.RadonConfig()
+        se = radon.bootstrap_backprojection(ds, cfg, n_boot=200, seed=3).values
+        ref = _reference_pair_bootstrap(ds, cfg, 200, seed=4)
+        upper = ref >= np.median(ref)
+        assert 0.95 <= np.median(se[upper] / ref[upper]) <= 1.05
 
 
 class TestRampFilterCache:
@@ -150,6 +236,17 @@ class TestRampFilterCache:
         radon.filtered_backprojection(ds)
         radon.bootstrap_backprojection(ds, n_boot=5, seed=2)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("kernel", radon.RadonConfig.KERNELS)
+    @pytest.mark.parametrize("k_c", [3.0, 5.0, 7.3])
+    def test_half_lags_match_every_lag(self, kernel, k_c):
+        # κ is even: the matrix from the q_bins non-negative lags equals the
+        # one built from all 2·q_bins − 1 signed lags
+        q_bins, dq = 256, 16.0 / 256
+        lags = np.arange(-(q_bins - 1), q_bins) * dq
+        idx = np.arange(q_bins)[:, None] - np.arange(q_bins)[None, :] + q_bins - 1
+        every = radon.ramp_kernel_profile(lags, k_c, kernel)[idx]
+        assert np.array_equal(radon.ramp_filter_matrix(q_bins, dq, k_c, kernel), every)
 
     def test_cached_matrix_is_read_only(self):
         kappa = radon.ramp_filter_matrix(256, 16.0 / 256, 5.0, "ram-lak")
