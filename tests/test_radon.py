@@ -125,7 +125,7 @@ class TestFilteredBackprojection:
 
     @pytest.mark.parametrize("n_phase_bins", [2, 32, 33])
     def test_histogram_fold_matches_reference(self, n_phase_bins):
-        # kept copy of the fold-then-wrap steps _histogram_projections ran
+        # kept copy of the fold-then-wrap steps the phase binning ran
         # inline before both moved to detection.fold_phases
         def reference(thetas, qs, dtheta):
             fold = thetas >= np.pi
