@@ -234,7 +234,7 @@ def cmd_reconstruct(args) -> int:
               "eta_eff": ds.meta.detector.eta_eff}
     w = rho = None
     if args.method in ("radon", "both"):
-        folded = np.unique(np.round(detection.fold_phases(ds.thetas, ds.qs)[0], 9))
+        folded = np.unique(detection.phase_keys(detection.fold_phases(ds.thetas, ds.qs)[0]))
         if folded.size < 2:
             raise CoverageError(f"{args.input}: {folded.size} distinct phase(s) on [0, π); "
                                 "the radon reconstruction needs at least 2")

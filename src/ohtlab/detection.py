@@ -9,7 +9,8 @@ explicitly for classical (coherent mean-field) signals, where independent
 Poisson statistics are exact.
 
 Single-mode sampling, dual-LO two-mode records, array frames and both
-reconstructions share one implementation of each step: `fold_phases`,
+reconstructions share one implementation of each step: `fold_phases`
+and `phase_keys` (which phases count as one),
 `draw_state_quadratures`/`draw_fock_quadratures` (inverse CDF),
 `add_detection_noise` and `photodiode_counts`.
 """
@@ -36,6 +37,10 @@ PDF_SPAN = 8.0
 #: per-phase pdf tables stay affordable; phase averages of harmonics below
 #: this order are exact, and the recorded theta is the actual sampling phase
 PHASE_SNAP = 1024
+
+#: folded phases that agree to this many decimals are one phase; the fold's
+#: θ − π leaves a grid phase an ulp from its partner, far below this
+PHASE_DECIMALS = 10
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,12 @@ def fold_phases(thetas: np.ndarray, qs: np.ndarray, lower: float = 0.0):
     """
     wrap = thetas >= lower + np.pi
     return np.where(wrap, thetas - np.pi, thetas), np.where(wrap, -qs, qs)
+
+
+def phase_keys(thetas: np.ndarray) -> np.ndarray:
+    """Phases rounded to PHASE_DECIMALS: samples with equal keys were taken
+    at one phase, the rule every reconstruction counts distinct phases by."""
+    return np.round(thetas, PHASE_DECIMALS)
 
 
 def add_detection_noise(qs: np.ndarray, det: DetectorModel, seed: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import QuadratureDataset, fold_phases
+from .detection import QuadratureDataset, fold_phases, phase_keys
 from .errors import AliasingError, CoverageError, GramConditionError
 from .states import DensityMatrix, hermite_psi_all
 
@@ -126,8 +126,7 @@ def build_pattern_functions(dim: int, q_axis=None, L: float = 1.0) -> PatternFun
 def _grid_phase_bins(thetas: np.ndarray, d_expected: int | None):
     """Validate that (folded) phases form equally spaced values over [0, π);
     return (distinct phases, per-sample bin index)."""
-    keys = np.round(thetas, 10)
-    distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct, inverse = np.unique(phase_keys(thetas), return_inverse=True)
     d = distinct.size
     if d_expected is not None and d != d_expected:
         raise CoverageError(
@@ -222,7 +221,7 @@ def pn_phase_averaged(ds: QuadratureDataset, pf: PatternFunctionTable):
     sched = ds.meta.schedule
     if sched.kind == "grid":
         theta_f, _ = fold_phases(ds.thetas, ds.qs)
-        d = np.unique(np.round(theta_f, 10)).size
+        d = np.unique(phase_keys(theta_f)).size
         if d < pf.dim:
             raise AliasingError(
                 f"grid of {d} folded phases aliases indices up to {pf.dim - 1}; "

@@ -10,10 +10,17 @@ statistical noise against a small deterministic smoothing bias.
 FBP reads a record only through its count table: the samples in each
 occupied (distinct folded phase, q bin) cell, with Q_BINS bins over
 |q| ≤ Q_SPAN plus one cell each side for samples beyond.  Phase-bin
-histograms, counts and mean phases are sums over the table, and a
-bootstrap replicate is one multinomial draw of its counts.  The filter is a
-q_bins × q_bins matrix cached per (q_bins, dq, k_c, kernel) and shared
-read-only by every FBP.  W is returned on the default ±6 phase-space grid.
+histograms, counts and projection phases are sums over the table, and a
+bootstrap replicate is one multinomial draw of its counts.  A bin whose
+cells all hold one phase (`detection.phase_keys`), as on a grid schedule,
+is locked: it projects at that phase in every draw; any other bin projects
+at its count-weighted mean phase.  The filter is a q_bins × q_bins matrix
+cached per (q_bins, dq, k_c, kernel) and shared read-only by every FBP.
+The bootstrap draws, filters and back-projects replicates in blocks: a bin
+phase shared by at least two replicates of a block is one fixed linear map,
+applied to all of them as a sparse interpolation operator built slab by
+slab of pixel rows; every other projection goes through np.interp.  W is
+returned on the default ±6 phase-space grid.
 """
 
 from __future__ import annotations
@@ -24,9 +31,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.signal import fftconvolve
+from scipy.sparse import csr_array
 
 from ._rng import stream
-from .detection import QuadratureDataset, fold_phases
+from .detection import QuadratureDataset, fold_phases, phase_keys
 from .errors import ConfigError, CoverageError
 from .states import WignerGrid, default_grid_axis
 
@@ -35,6 +43,12 @@ Q_SPAN = 8.0
 _EDGES = np.linspace(-Q_SPAN, Q_SPAN, Q_BINS + 1)
 _CENTERS = 0.5 * (_EDGES[1:] + _EDGES[:-1])
 _DQ = _EDGES[1] - _EDGES[0]
+#: bootstrap replicates drawn, filtered and back-projected together
+_BLOCK = 16
+#: pixel rows of the back-projection grid per slab of a sparse operator
+_SLAB_ROWS = 16
+#: ramp-integral lags evaluated together, which bounds the cos temporaries
+_LAG_CHUNK = 16
 
 
 @dataclass
@@ -63,7 +77,12 @@ def ramp_kernel_profile(u: np.ndarray, k_c: float, kernel: str) -> np.ndarray:
         tail = xi > edge
         w[tail] = 0.5 * (1.0 + np.cos(np.pi * (xi[tail] - edge) / (k_c - edge)))
     integrand = xi * w
-    return 2.0 * np.trapezoid(integrand[None, :] * np.cos(np.outer(u, xi)), xi, axis=1)
+    u = np.asarray(u, float)
+    out = np.empty(u.size)
+    for i in range(0, u.size, _LAG_CHUNK):
+        chunk = u[i:i + _LAG_CHUNK]
+        out[i:i + _LAG_CHUNK] = np.trapezoid(integrand * np.cos(np.outer(chunk, xi)), xi, axis=1)
+    return 2.0 * out
 
 
 @lru_cache(maxsize=8)
@@ -97,35 +116,110 @@ def _count_table(thetas, qs, n_phase_bins: int):
 
 
 def _projections(cell, theta, counts, n_phase_bins: int):
-    """Per-phase-bin histograms Pr_M(q | θ_bin), sample counts and mean
-    phases from count-table entries; CoverageError if a bin is empty."""
-    hist = np.bincount(cell, counts, n_phase_bins * (Q_BINS + 2)).reshape(n_phase_bins, -1)
-    bin_counts = hist.sum(axis=1)
-    empty = np.nonzero(bin_counts == 0)[0]
+    """Per-phase-bin histograms Pr_M(q | θ_bin), sample counts and projection
+    phases from count-table entries, for one count vector or a stack of them
+    (…, cells); CoverageError if a bin is empty.
+
+    A locked bin, one whose cells all hold one phase, projects at its
+    smallest cell phase whatever the counts: a grid phase and its folded
+    partner θ + π − π differ by an ulp, so their count-weighted mean would
+    move with every draw.  Any other bin projects at its count-weighted
+    mean phase.
+    """
+    counts = np.asarray(counts)
+    stack = counts.reshape(-1, counts.shape[-1])
+    hist = np.stack([np.bincount(cell, c, n_phase_bins * (Q_BINS + 2)) for c in stack])
+    hist = hist.reshape(len(stack), n_phase_bins, Q_BINS + 2)
+    bin_counts = hist.sum(axis=2)
+    empty = np.nonzero((bin_counts == 0).any(axis=0))[0]
     if empty.size:
         raise CoverageError(f"empty phase bins {empty.tolist()}; cover [0, π) before inverting")
-    proj = hist[:, 1:-1] / (bin_counts[:, None] * _DQ)
-    # project at the actual mean phase of the bin, not its center:
-    # grid schedules put all samples on one exact angle
-    mean_theta = np.bincount(cell // (Q_BINS + 2), counts * theta, n_phase_bins) / bin_counts
-    return proj, bin_counts.astype(int), mean_theta
+    proj = hist[..., 1:-1] / (bin_counts[..., None] * _DQ)
+    bins = cell // (Q_BINS + 2)
+    mean_theta = np.stack([np.bincount(bins, c * theta, n_phase_bins) for c in stack]) / bin_counts
+    keys = phase_keys(theta)
+    lo, hi, first = (np.full(n_phase_bins, v) for v in (np.inf, -np.inf, np.inf))
+    np.minimum.at(lo, bins, keys)
+    np.maximum.at(hi, bins, keys)
+    np.minimum.at(first, bins, theta)
+    theta_proj = np.where(lo == hi, first, mean_theta)
+    lead = counts.shape[:-1]
+    return (proj.reshape(*lead, n_phase_bins, Q_BINS),
+            bin_counts.astype(int).reshape(*lead, n_phase_bins),
+            theta_proj.reshape(*lead, n_phase_bins))
+
+
+def _filtered(proj, cfg: RadonConfig):
+    """Filtered projections G_b(q) = ∫ Pr(q'|θ_b) κ(q − q') dq' of a stack of
+    projections (…, Q_BINS), as one product."""
+    kappa = ramp_filter_matrix(Q_BINS, float(_DQ), cfg.k_c, cfg.kernel)
+    return (proj.reshape(-1, Q_BINS) @ kappa.T * _DQ).reshape(proj.shape)
+
+
+def _interp_operator(x):
+    """Sparse (pixels × k·Q_BINS) linear interpolation at x (pixels, k).
+
+    Column block m holds two weights per pixel, so the product with k
+    stacked projections sampled on _CENTERS is np.interp(x[:, m], _CENTERS,
+    ·, left=0, right=0) summed over m.
+    """
+    n_pix, k = x.shape
+    t = (x - _CENTERS[0]) / _DQ
+    j = np.clip(t, 0, Q_BINS - 2).astype(np.int32)
+    data = np.empty((n_pix, k, 2))
+    f = np.subtract(t, j, out=data[..., 1])
+    np.subtract(1.0, f, out=data[..., 0])
+    data[(x < _CENTERS[0]) | (x > _CENTERS[-1])] = 0.0
+    indices = np.empty((n_pix, k, 2), np.int32)
+    np.add(j, np.arange(0, k * Q_BINS, Q_BINS, dtype=np.int32), out=indices[..., 0])
+    np.add(indices[..., 0], 1, out=indices[..., 1])
+    indptr = np.arange(0, 2 * k * n_pix + 1, 2 * k, dtype=np.int32)
+    return csr_array((data.reshape(-1), indices.reshape(-1), indptr), shape=(n_pix, k * Q_BINS))
+
+
+def _backproject_stack(filtered, theta_proj, n_phase_bins: int):
+    """Unnormalized W of a stack of R replicates on the default grid, as
+    (R, pixels), from their filtered projections (R, bins, Q_BINS) at
+    phases (R, bins).
+
+    A bin phase used by at least two replicates is one fixed linear map of
+    their projections: it is built once as a sparse interpolation operator,
+    slab by slab of pixel rows, and applied to all of them in one product.
+    A phase used once goes through np.interp, which costs less than
+    building its operator.
+    """
+    axis = default_grid_axis()
+    w = np.zeros((len(theta_proj), axis.size**2))
+    # shared[r, b]: another replicate projects bin b at the same phase
+    shared = (theta_proj[:, None] == theta_proj[None]).sum(axis=1) >= 2
+    phases, rhs = [], []
+    for b in np.nonzero(shared.any(axis=0))[0]:
+        for th in np.unique(theta_proj[shared[:, b], b]):
+            phases.append(th)
+            rhs.append(filtered[:, b].T * (theta_proj[:, b] == th))
+    if phases:
+        rhs = np.concatenate(rhs)
+        qc, ps = axis[:, None] * np.cos(phases), axis[:, None] * np.sin(phases)
+        for i in range(0, axis.size, _SLAB_ROWS):
+            x = qc[i:i + _SLAB_ROWS, None] + ps       # q cos θ + p sin θ, one slab of q rows
+            w[:, i * axis.size:(i + _SLAB_ROWS) * axis.size] += (
+                _interp_operator(x.reshape(-1, len(phases))) @ rhs).T
+    for r, b in zip(*np.nonzero(~shared)):
+        th = theta_proj[r, b]
+        x = axis[:, None] * np.cos(th) + axis * np.sin(th)
+        w[r] += np.interp(x.ravel(), _CENTERS, filtered[r, b], left=0.0, right=0.0)
+    w *= (np.pi / n_phase_bins) / (4.0 * np.pi**2)
+    return w
 
 
 def _backproject(proj, bin_counts, theta_proj, cfg: RadonConfig) -> WignerGrid:
     meta = {"bin_counts": bin_counts.tolist(), "k_c": cfg.k_c, "kernel": cfg.kernel}
     if bin_counts.min() < 100:
         meta["low_count_warning"] = True
-    # filtered projections: G_b(q) = ∫ Pr(q'|θ_b) κ(q − q') dq'
-    filtered = proj @ ramp_filter_matrix(Q_BINS, float(_DQ), cfg.k_c, cfg.kernel).T * _DQ
-
+    w = _backproject_stack(_filtered(proj, cfg)[None], theta_proj[None], cfg.n_phase_bins)
     q_axis, p_axis = default_grid_axis(), default_grid_axis()
-    Q, P = np.meshgrid(q_axis, p_axis, indexing="ij")
-    w = np.zeros_like(Q)
-    for b, th in enumerate(theta_proj):
-        x = Q * np.cos(th) + P * np.sin(th)
-        w += np.interp(x.ravel(), _CENTERS, filtered[b], left=0.0, right=0.0).reshape(Q.shape)
-    w *= (np.pi / cfg.n_phase_bins) / (4.0 * np.pi**2)
-    grid = WignerGrid(q_axis=q_axis, p_axis=p_axis, values=w, meta=meta)
+    grid = WignerGrid(q_axis=q_axis, p_axis=p_axis,
+                      values=w[0].reshape(q_axis.size, p_axis.size), meta=meta)
     total = grid.integral()
     grid.values /= total
     grid.meta["raw_integral"] = total
@@ -144,24 +238,43 @@ def filtered_backprojection(ds: QuadratureDataset, cfg: RadonConfig | None = Non
     return _backproject(*_projections(*table, cfg.n_phase_bins), cfg)
 
 
+def _replicate_sums(cell, theta, draws, cfg: RadonConfig):
+    """Σ W and Σ W² per pixel over a block of count-table draws (R, cells),
+    each W normalized to unit integral as FBP returns it.  The block's
+    arrays are freed on return, before the next block is drawn."""
+    proj, _, theta_proj = _projections(cell, theta, draws, cfg.n_phase_bins)
+    w = _backproject_stack(_filtered(proj, cfg), theta_proj, cfg.n_phase_bins)
+    axis = default_grid_axis()
+    w /= w.sum(axis=1, keepdims=True) * (axis[1] - axis[0]) ** 2
+    return w.sum(axis=0), np.square(w, out=w).sum(axis=0)
+
+
 def bootstrap_backprojection(ds: QuadratureDataset, cfg: RadonConfig | None = None,
                              n_boot: int = 100, seed: int = 0) -> WignerGrid:
     """Per-pixel standard error of the FBP reconstruction by resampling
     (θ, q) pairs with replacement, drawn as its exact equivalent for FBP:
-    one multinomial(N, counts / N) draw of the count table per replicate."""
+    one multinomial(N, counts / N) draw of the count table per replicate.
+
+    Replicates are drawn in blocks of _BLOCK, so memory does not grow with
+    n_boot.  ConfigError below 2 replicates, which give no spread.
+    """
+    if n_boot < 2:
+        raise ConfigError(f"the bootstrap needs at least 2 replicates, got {n_boot}")
     cfg = cfg or RadonConfig()
     rng = stream(seed, "bootstrap")
     cell, theta, counts = _count_table(ds.thetas, ds.qs, cfg.n_phase_bins)
     n = len(ds)
     acc = acc2 = 0.0
-    for _ in range(n_boot):
-        draw = rng.multinomial(n, counts / n)
-        w = _backproject(*_projections(cell, theta, draw, cfg.n_phase_bins), cfg).values
-        acc, acc2 = acc + w, acc2 + w**2
+    for start in range(0, n_boot, _BLOCK):
+        draws = np.array([rng.multinomial(n, counts / n)
+                          for _ in range(min(_BLOCK, n_boot - start))])
+        s1, s2 = _replicate_sums(cell, theta, draws, cfg)
+        acc, acc2 = acc + s1, acc2 + s2
     mean = acc / n_boot
     var = np.clip(acc2 / n_boot - mean**2, 0.0, None) * n_boot / (n_boot - 1)
     q_axis = default_grid_axis()
-    return WignerGrid(q_axis=q_axis, p_axis=q_axis.copy(), values=np.sqrt(var),
+    return WignerGrid(q_axis=q_axis, p_axis=q_axis.copy(),
+                      values=np.sqrt(var).reshape(q_axis.size, q_axis.size),
                       meta={"n_boot": n_boot})
 
 

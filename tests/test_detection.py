@@ -100,6 +100,16 @@ class TestSampleQuadratures:
                 detection.DetectorModel(), 3000, seed=9)
             assert ds.thetas.min() >= 0.0 and ds.thetas.max() < 2 * np.pi
 
+    @pytest.mark.parametrize("d", [64, 128, 1024])
+    def test_folded_grid_counts_half_its_phases(self, vacuum, d):
+        # θ_{k+d/2} − π lands an ulp from θ_k for some k; the distinct-phase
+        # rule counts each such pair as one phase
+        ds = detection.sample_quadratures(vacuum, detection.PhaseSchedule("grid", d=d),
+                                          detection.DetectorModel(), 4 * d, seed=10)
+        theta_f, _ = detection.fold_phases(ds.thetas, ds.qs)
+        assert np.unique(theta_f).size > d // 2
+        assert np.unique(detection.phase_keys(theta_f)).size == d // 2
+
 
 def _reference_inverse_cdf_draw(pdf_rows, q_grid, group_idx, u):
     # the masked loop the sorted-slice draw replaced: one pass over all samples per group

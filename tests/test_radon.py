@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import gaussian_quadrature_variance
 from ohtlab import detection, radon, states
-from ohtlab.errors import CoverageError
+from ohtlab._rng import stream
+from ohtlab.errors import ConfigError, CoverageError
 
 
 def _dataset(rho, n, seed, d=64, det=None, schedule=None):
@@ -43,6 +46,33 @@ def _reference_pair_bootstrap(ds, cfg, n_boot, seed):
         idx = rng.integers(0, n, size=n)
         sub = detection.QuadratureDataset(thetas=ds.thetas[idx], qs=ds.qs[idx], meta=ds.meta)
         w = radon.filtered_backprojection(sub, cfg).values
+        acc, acc2 = acc + w, acc2 + w**2
+    mean = acc / n_boot
+    return np.sqrt(np.clip(acc2 / n_boot - mean**2, 0.0, None) * n_boot / (n_boot - 1))
+
+
+# the per-bin np.interp back-projection loop that the shared-phase
+# operators replace in the bootstrap, kept as a reference
+def _reference_backproject_loop(filtered, theta_proj, n_phase_bins):
+    axis = states.default_grid_axis()
+    Q, P = np.meshgrid(axis, axis, indexing="ij")
+    w = np.zeros_like(Q)
+    for b, th in enumerate(theta_proj):
+        x = Q * np.cos(th) + P * np.sin(th)
+        w += np.interp(x.ravel(), radon._CENTERS, filtered[b], left=0.0, right=0.0).reshape(Q.shape)
+    return w * (np.pi / n_phase_bins) / (4.0 * np.pi**2)
+
+
+def _reference_table_bootstrap(ds, cfg, n_boot, seed):
+    """One _backproject call per multinomial replicate, on the same draws."""
+    rng = stream(seed, "bootstrap")
+    cell, theta, counts = radon._count_table(ds.thetas, ds.qs, cfg.n_phase_bins)
+    n = len(ds)
+    acc = acc2 = 0.0
+    for _ in range(n_boot):
+        draw = rng.multinomial(n, counts / n)
+        w = radon._backproject(*radon._projections(cell, theta, draw, cfg.n_phase_bins),
+                               cfg).values
         acc, acc2 = acc + w, acc2 + w**2
     mean = acc / n_boot
     return np.sqrt(np.clip(acc2 / n_boot - mean**2, 0.0, None) * n_boot / (n_boot - 1))
@@ -211,6 +241,97 @@ class TestBootstrap:
         upper = ref >= np.median(ref)
         assert 0.95 <= np.median(se[upper] / ref[upper]) <= 1.05
 
+    @pytest.mark.parametrize("record", ["grid", "uniform_random", "mixed"])
+    def test_blocks_match_backproject_loop(self, fock1, record):
+        # 17 replicates cross a block boundary; grid bins are all locked and
+        # go through the shared operators, random ones through np.interp, and
+        # the mixed record holds both: its random phases on [0, π/2) reach
+        # bins 0-16, which leaves 15 bins locked
+        grid = _dataset(fock1, 12_000, seed=213)
+        rand = _dataset(fock1, 12_000, seed=214,
+                        schedule=detection.PhaseSchedule("uniform_random"))
+        if record == "grid":
+            ds = grid
+        elif record == "uniform_random":
+            ds = rand
+        else:
+            keep = rand.thetas % np.pi < np.pi / 2
+            ds = detection.QuadratureDataset(
+                thetas=np.concatenate([grid.thetas, rand.thetas[keep]]),
+                qs=np.concatenate([grid.qs, rand.qs[keep]]), meta=grid.meta)
+        cfg = radon.RadonConfig()
+        table = radon._count_table(ds.thetas, ds.qs, cfg.n_phase_bins)
+        locked = radon._projections(*table, cfg.n_phase_bins)[2] == \
+            radon._projections(*table[:2], table[2] + 1, cfg.n_phase_bins)[2]
+        assert locked.sum() == {"grid": 32, "uniform_random": 0, "mixed": 15}[record]
+        se = radon.bootstrap_backprojection(ds, cfg, n_boot=17, seed=5)
+        ref = _reference_table_bootstrap(ds, cfg, 17, seed=5)
+        assert se.meta["n_boot"] == 17
+        assert np.max(np.abs(se.values - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("n_boot", [-1, 0, 1])
+    def test_fewer_than_two_replicates_refused(self, vacuum, n_boot):
+        ds = _dataset(vacuum, 5_000, seed=215)
+        with pytest.raises(ConfigError):
+            radon.bootstrap_backprojection(ds, n_boot=n_boot, seed=1)
+
+    def test_memory_flat_in_replicates(self, fock1):
+        # replicates go in fixed blocks, so 4× the replicates may not need
+        # more than 1.5× the peak allocation
+        ds = _dataset(fock1, 20_000, seed=216)
+        radon.bootstrap_backprojection(ds, n_boot=2, seed=1)    # builds the cached filter
+        peaks = {}
+        for n_boot in (16, 64):
+            tracemalloc.start()
+            try:
+                radon.bootstrap_backprojection(ds, n_boot=n_boot, seed=1)
+                peaks[n_boot] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] <= 1.5 * peaks[16]
+
+
+class TestSharedPhaseOperator:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_operator_matches_interp(self, data):
+        # x on the first and last centre, an ulp either side, on knots,
+        # between them and outside the projection grid
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        c = radon._CENTERS
+        special = [c[0], c[-1], np.nextafter(c[0], -9.0), np.nextafter(c[0], 0.0),
+                   np.nextafter(c[-1], 9.0), np.nextafter(c[-1], 0.0), c[100], -1e3, 1e3, 0.0]
+        x = np.array(data.draw(st.lists(st.one_of(st.sampled_from(special),
+                                                  st.floats(-9.0, 9.0)),
+                                        min_size=1, max_size=50), label="x"))
+        k = data.draw(st.integers(1, 3), label="k")
+        xs = np.stack([rng.permutation(x) for _ in range(k)], axis=1)
+        f = rng.normal(0.0, 1.0, (k, radon.Q_BINS))
+        got = radon._interp_operator(xs) @ f.reshape(-1)
+        want = sum(np.interp(xs[:, m], c, f[m], left=0.0, right=0.0) for m in range(k))
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_shared_phases_match_interp_loop(self, data):
+        # every phase used by all replicates goes through the operator; the
+        # phases hold bin centres, random values and one that puts the grid
+        # corners (±6, ±6) exactly on _CENTERS[0] and _CENTERS[-1]
+        n_phase_bins = data.draw(st.sampled_from([2, 3, 32]), label="n_phase_bins")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        corner = np.arcsin(radon._CENTERS[-1] / (6.0 * np.sqrt(2.0))) - np.pi / 4
+        assert 6.0 * np.cos(corner) + 6.0 * np.sin(corner) == radon._CENTERS[-1]
+        centres = np.arange(n_phase_bins) * (np.pi / n_phase_bins)
+        theta = np.array([data.draw(st.one_of(st.just(centres[b]), st.just(corner),
+                                              st.floats(-np.pi / 2, np.pi)),
+                                    label=f"theta{b}") for b in range(n_phase_bins)])
+        n_rep = data.draw(st.integers(2, 4), label="n_rep")
+        filtered = rng.normal(0.0, 1.0, (n_rep, n_phase_bins, radon.Q_BINS))
+        got = radon._backproject_stack(filtered, np.tile(theta, (n_rep, 1)), n_phase_bins)
+        for r in range(n_rep):
+            want = _reference_backproject_loop(filtered[r], theta, n_phase_bins)
+            assert np.max(np.abs(got[r] - want.ravel())) <= 1e-12
+
 
 class TestRampFilterCache:
     def test_fbp_matches_freshly_built_filter(self, coherent1):
@@ -247,6 +368,20 @@ class TestRampFilterCache:
         idx = np.arange(q_bins)[:, None] - np.arange(q_bins)[None, :] + q_bins - 1
         every = radon.ramp_kernel_profile(lags, k_c, kernel)[idx]
         assert np.array_equal(radon.ramp_filter_matrix(q_bins, dq, k_c, kernel), every)
+
+    @pytest.mark.parametrize("kernel", radon.RadonConfig.KERNELS)
+    @pytest.mark.parametrize("k_c", [3.0, 5.0, 7.3, 10.0])
+    def test_lag_chunks_match_one_product(self, kernel, k_c):
+        # kept copy of the profile evaluated over every lag in one product
+        xi = np.linspace(0.0, k_c, 4001)
+        w = np.ones_like(xi)
+        if kernel == "ram-lak-with-cosine-rolloff":
+            edge = 0.8 * k_c
+            tail = xi > edge
+            w[tail] = 0.5 * (1.0 + np.cos(np.pi * (xi[tail] - edge) / (k_c - edge)))
+        u = np.arange(256) * (16.0 / 256)
+        want = 2.0 * np.trapezoid((xi * w)[None, :] * np.cos(np.outer(u, xi)), xi, axis=1)
+        assert np.array_equal(radon.ramp_kernel_profile(u, k_c, kernel), want)
 
     def test_cached_matrix_is_read_only(self):
         kappa = radon.ramp_filter_matrix(256, 16.0 / 256, 5.0, "ram-lak")
