@@ -32,8 +32,9 @@ def main():
     for eta in args.etas:
         det = detection.DetectorModel(eta_q=eta)
         ds = detection.sample_quadratures(fock1, sched, det, args.samples, args.seed)
-        w = radon.filtered_backprojection(ds)
-        se = radon.bootstrap_backprojection(ds, n_boot=args.bootstrap, seed=args.seed)
+        table = radon.count_table(ds, radon.RadonConfig().n_phase_bins)
+        w = radon.filtered_backprojection(table)
+        se = radon.bootstrap_backprojection(table, n_boot=args.bootstrap, seed=args.seed)
         i = int(np.argmin(np.abs(w.q_axis)))
         origin, err = float(w.values[i, i]), float(se.values[i, i])
         analytic = -eta * (2 * eta - 1) / np.pi

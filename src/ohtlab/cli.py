@@ -6,7 +6,9 @@ byte-for-byte.  Each subcommand takes only the flags it reads.
 Values the JSON schema cannot judge are refused with a ConfigError where
 they are used; `main` maps error types to exit codes.  Artifacts are
 written by `formats` into a directory made only once everything is
-computed, so a refused run writes nothing.
+computed, so a refused run writes nothing.  A scipy submodule that no
+pipeline command calls is imported inside the function that uses it, so
+a command does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -239,7 +241,8 @@ def cmd_reconstruct(args) -> int:
             raise CoverageError(f"{args.input}: {folded.size} distinct phase(s) on [0, π); "
                                 "the radon reconstruction needs at least 2")
         cfg = replace(cfg, n_phase_bins=min(cfg.n_phase_bins, folded.size))
-        w = radon.filtered_backprojection(ds, cfg)
+        table = radon.count_table(ds, cfg.n_phase_bins)
+        w = radon.filtered_backprojection(table, cfg)
         i0 = int(np.argmin(np.abs(w.q_axis)))
         j0 = int(np.argmin(np.abs(w.p_axis)))
         origin = float(w.values[i0, j0])
@@ -249,7 +252,7 @@ def cmd_reconstruct(args) -> int:
             "raw_integral": w.meta["raw_integral"], "w_origin": origin,
         }
         if args.bootstrap:
-            se = radon.bootstrap_backprojection(ds, cfg, n_boot=args.bootstrap,
+            se = radon.bootstrap_backprojection(table, cfg, n_boot=args.bootstrap,
                                                 seed=ds.meta.seed)
             s0 = float(se.values[i0, j0])
             report["radon"]["bootstrap"] = {
@@ -416,6 +419,14 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _json_object(path, text: str) -> dict:
+    """The JSON object in text; DataFormatError for any other JSON value."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: first JSON document is not an object")
+    return doc
+
+
 def cmd_validate(args) -> int:
     issues = []
     path = Path(args.input)
@@ -423,7 +434,8 @@ def cmd_validate(args) -> int:
         if not path.exists():
             raise DataFormatError(f"{path}: no such file")
         if path.suffix == ".jsonl":
-            head = json.loads(path.open().readline())
+            with path.open() as f:
+                head = _json_object(path, f.readline())
             fmt = head.get("format")
             if fmt == formats.FORMAT_VERSION:
                 ds = formats.read_quadrature_dataset(path)
@@ -437,7 +449,7 @@ def cmd_validate(args) -> int:
             else:
                 raise DataFormatError(f"{path}: unknown format tag {json.dumps(fmt)}")
         elif path.suffix == ".json":
-            doc = json.loads(path.read_text())
+            doc = _json_object(path, path.read_text())
             if doc.get("format") == formats.MANIFEST_FORMAT:
                 for name, digest in doc["files"].items():
                     fpath = path.parent / name

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import skellam
 
 from ._rng import stream
 from .errors import ConfigError, CoverageError, UnsupportedStateError
@@ -330,6 +329,8 @@ def skellam_difference_pdf(signal_alpha, theta: float, det: DetectorModel,
 
     Returns (n_values, pmf, mu1, mu2).
     """
+    from scipy.stats import skellam
+
     if isinstance(signal_alpha, StateSpec):
         if signal_alpha.kind == "vacuum":
             alpha = 0.0 + 0.0j

@@ -8,7 +8,9 @@ format tags and bad header or record values with a DataFormatError.
 Quadrature datasets and array frames are written in bulk: a block of
 records is formatted by one `repr` of the list of its values, which
 applies `float.__repr__`, the number format of `json.dumps`, so the lines
-are the bytes `dumps_canonical` writes for each record.  `read_quadrature_dataset`
+are the bytes `dumps_canonical` writes for each record.  A phase column
+holds at most max(d, PHASE_SNAP) distinct values, and a grid CSV's axes
+repeat, so each such value is formatted once.  `read_quadrature_dataset`
 reads the body in bounded chunks.  A chunk made only of canonical lines
 (sorted keys, no spaces, JSON numbers with a fraction or exponent, a final
 newline) is checked by one regular expression and its numbers are parsed
@@ -95,6 +97,14 @@ def _json_floats(values) -> list[str]:
     return texts
 
 
+def _distinct_json_floats(column) -> tuple[np.ndarray, np.ndarray]:
+    """_json_floats of a column with few distinct values, each formatted once:
+    the texts of its distinct bit patterns (so −0.0 and NaN keep their own
+    text) and, per value, the index of its text."""
+    keys, index = np.unique(np.asarray(column, float).view(np.uint64), return_inverse=True)
+    return np.array(_json_floats(keys.view(float)), dtype=object), index
+
+
 def _write_lines(f, template: str, *fields: list[str]) -> None:
     """Write one template line per row of the given field texts."""
     f.write((template * len(fields[0])) % tuple(chain.from_iterable(zip(*fields))))
@@ -131,14 +141,16 @@ def write_quadrature_dataset(path, ds) -> None:
     """Write a (single or dual) quadrature record as JSON Lines."""
     path = Path(path)
     if isinstance(ds, DualQuadratureDataset):
-        template, columns = _DUAL_RECORD[0], (ds.qs, ds.thetas, ds.zetas)
+        template, phases = _DUAL_RECORD[0], (ds.thetas, ds.zetas)
     else:
-        template, columns = _SINGLE_RECORD[0], (ds.qs, ds.thetas)
-    rows = max(1, WRITE_CHUNK // len(columns))
+        template, phases = _SINGLE_RECORD[0], (ds.thetas,)
+    phases = [_distinct_json_floats(c) for c in phases]
+    rows = max(1, WRITE_CHUNK // (1 + len(phases)))
     with open(path, "w") as f:
         f.write(dumps_canonical(_dataset_header(ds)) + "\n")
         for start in range(0, len(ds), rows):
-            _write_lines(f, template, *(_json_floats(c[start:start + rows]) for c in columns))
+            _write_lines(f, template, _json_floats(ds.qs[start:start + rows]),
+                         *(texts[index[start:start + rows]] for texts, index in phases))
 
 
 def _parse_lines(text: str, path, first_line: int, keys) -> list[np.ndarray]:
@@ -246,9 +258,23 @@ def read_density_matrix(path):
     return rho, errors
 
 
+def _write_grid_csv(path, header: str, row_axis, col_axis, values) -> None:
+    """The header line, then one (row axis, column axis, value) row per grid
+    point, rows outer, as write_csv writes the repeated and tiled axes; each
+    axis value is formatted once."""
+    row_texts, col_texts = _field_texts(row_axis), _field_texts(col_axis)
+    values = values.reshape(len(row_texts), len(col_texts))
+    rows = max(1, WRITE_CHUNK // max(1, len(col_texts)))
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for start in range(0, len(row_texts), rows):
+            block = row_texts[start:start + rows]
+            _write_lines(f, "%s,%s,%s\n", [t for t in block for _ in col_texts],
+                         col_texts * len(block), _field_texts(values[start:start + rows].ravel()))
+
+
 def write_wigner_csv(path, w: WignerGrid) -> None:
-    write_csv(path, "q,p,w", np.repeat(w.q_axis, w.p_axis.size),
-              np.tile(w.p_axis, w.q_axis.size), w.values.ravel())
+    _write_grid_csv(path, "q,p,w", w.q_axis, w.p_axis, w.values)
 
 
 def read_wigner_csv(path) -> WignerGrid:
@@ -275,9 +301,8 @@ def write_signal_csv(path, t_axis, values) -> None:
 
 
 def write_map_csv(path, omega_axis, t_axis, values) -> None:
-    omega, t = np.asarray(omega_axis, float), np.asarray(t_axis, float)
-    write_csv(path, "omega,t,value", np.repeat(omega, t.size), np.tile(t, omega.size),
-              np.asarray(values, float).ravel())
+    _write_grid_csv(path, "omega,t,value", np.asarray(omega_axis, float),
+                    np.asarray(t_axis, float), np.asarray(values, float))
 
 
 def write_array_frames(path, frames) -> None:

@@ -11,7 +11,8 @@ FBP reads a record only through its count table: the samples in each
 occupied (distinct folded phase, q bin) cell, with Q_BINS bins over
 |q| ≤ Q_SPAN plus one cell each side for samples beyond.  Phase-bin
 histograms, counts and projection phases are sums over the table, and a
-bootstrap replicate is one multinomial draw of its counts.  A bin whose
+bootstrap replicate is one multinomial draw of its counts; `count_table`
+builds it once for a run that needs both.  A bin whose
 cells all hold one phase (`detection.phase_keys`), as on a grid schedule,
 is locked: it projects at that phase in every draw; any other bin projects
 at its count-weighted mean phase.  The filter is a q_bins × q_bins matrix
@@ -29,8 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.signal import fftconvolve
 from scipy.sparse import csr_array
 
 from ._rng import stream
@@ -113,6 +112,33 @@ def _count_table(thetas, qs, n_phase_bins: int):
     theta = phases[cells // (Q_BINS + 2)]
     bin_idx = np.clip(np.rint(theta / dtheta).astype(int), 0, n_phase_bins - 1)
     return bin_idx * (Q_BINS + 2) + cells % (Q_BINS + 2), theta, counts
+
+
+@dataclass(frozen=True)
+class CountTable:
+    """A record's count table for n_phase_bins phase bins: each occupied
+    cell (bin · (Q_BINS + 2) + column), its phase and its sample count."""
+
+    cell: np.ndarray
+    theta: np.ndarray
+    counts: np.ndarray
+    n_phase_bins: int
+
+
+def count_table(ds: QuadratureDataset, n_phase_bins: int) -> CountTable:
+    """The count table both FBP functions read, built once to pass to both."""
+    return CountTable(*_count_table(ds.thetas, ds.qs, n_phase_bins), n_phase_bins)
+
+
+def _table(record, cfg: RadonConfig) -> CountTable:
+    """The count table of a dataset, or the given CountTable if it has cfg's
+    phase bins (ConfigError otherwise)."""
+    if not isinstance(record, CountTable):
+        return count_table(record, cfg.n_phase_bins)
+    if record.n_phase_bins != cfg.n_phase_bins:
+        raise ConfigError(f"count table has {record.n_phase_bins} phase bins, "
+                          f"the config {cfg.n_phase_bins}")
+    return record
 
 
 def _projections(cell, theta, counts, n_phase_bins: int):
@@ -226,16 +252,18 @@ def _backproject(proj, bin_counts, theta_proj, cfg: RadonConfig) -> WignerGrid:
     return grid
 
 
-def filtered_backprojection(ds: QuadratureDataset, cfg: RadonConfig | None = None) -> WignerGrid:
-    """Reconstruct W(q, p) from a quadrature dataset.
+def filtered_backprojection(ds: QuadratureDataset | CountTable,
+                            cfg: RadonConfig | None = None) -> WignerGrid:
+    """Reconstruct W(q, p) from a quadrature dataset or its count table.
 
     Raises CoverageError when any phase bin is empty; flags bins with fewer
     than 100 samples in the result metadata.  Output is renormalized to
     unit integral on its grid.
     """
     cfg = cfg or RadonConfig()
-    table = _count_table(ds.thetas, ds.qs, cfg.n_phase_bins)
-    return _backproject(*_projections(*table, cfg.n_phase_bins), cfg)
+    table = _table(ds, cfg)
+    return _backproject(*_projections(table.cell, table.theta, table.counts,
+                                      cfg.n_phase_bins), cfg)
 
 
 def _replicate_sums(cell, theta, draws, cfg: RadonConfig):
@@ -249,11 +277,13 @@ def _replicate_sums(cell, theta, draws, cfg: RadonConfig):
     return w.sum(axis=0), np.square(w, out=w).sum(axis=0)
 
 
-def bootstrap_backprojection(ds: QuadratureDataset, cfg: RadonConfig | None = None,
+def bootstrap_backprojection(ds: QuadratureDataset | CountTable,
+                             cfg: RadonConfig | None = None,
                              n_boot: int = 100, seed: int = 0) -> WignerGrid:
     """Per-pixel standard error of the FBP reconstruction by resampling
     (θ, q) pairs with replacement, drawn as its exact equivalent for FBP:
     one multinomial(N, counts / N) draw of the count table per replicate.
+    Takes the dataset or its count table.
 
     Replicates are drawn in blocks of _BLOCK, so memory does not grow with
     n_boot.  ConfigError below 2 replicates, which give no spread.
@@ -262,8 +292,9 @@ def bootstrap_backprojection(ds: QuadratureDataset, cfg: RadonConfig | None = No
         raise ConfigError(f"the bootstrap needs at least 2 replicates, got {n_boot}")
     cfg = cfg or RadonConfig()
     rng = stream(seed, "bootstrap")
-    cell, theta, counts = _count_table(ds.thetas, ds.qs, cfg.n_phase_bins)
-    n = len(ds)
+    table = _table(ds, cfg)
+    cell, theta, counts = table.cell, table.theta, table.counts
+    n = int(counts.sum())
     acc = acc2 = 0.0
     for start in range(0, n_boot, _BLOCK):
         draws = np.array([rng.multinomial(n, counts / n)
@@ -298,6 +329,8 @@ def loss_smoothing(w: WignerGrid, eta: float) -> WignerGrid:
     renormalizes; this is the forward model an η-limited reconstruction
     should be compared against.
     """
+    from scipy.signal import fftconvolve
+
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must be in (0, 1)")
     var = (1.0 / eta - 1.0) / 2.0
@@ -311,6 +344,8 @@ def loss_smoothing(w: WignerGrid, eta: float) -> WignerGrid:
 
 def radon_forward(w: WignerGrid, theta: float, q_axis=None) -> np.ndarray:
     """Marginal Pr(q_θ): line integrals of W along the axis rotated by θ."""
+    from scipy.interpolate import RegularGridInterpolator
+
     q_axis = w.q_axis if q_axis is None else np.asarray(q_axis, float)
     interp = RegularGridInterpolator((w.q_axis, w.p_axis), w.values, method="cubic",
                                      bounds_error=False, fill_value=0.0)

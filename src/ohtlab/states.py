@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import (ConfigError, PurityError, ReferencePointError, TruncationError,
@@ -233,6 +232,8 @@ def _annihilation(dim: int) -> np.ndarray:
 
 def _squeezed_coherent_vector(alpha: complex, r: float, phi: float, dim: int) -> np.ndarray:
     """D(α)S(ζ)|0> computed by matrix exponentials in a padded space."""
+    from scipy.linalg import expm
+
     pad = max(2 * dim, dim + 40)
     a = _annihilation(pad)
     ad = a.conj().T

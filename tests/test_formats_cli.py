@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -82,6 +84,10 @@ FLOATS = st.one_of(st.floats(), st.sampled_from(
 #: phases a single-mode dataset accepts: [0, 2π), and NaN, which its range check lets by
 THETAS = st.one_of(st.floats(0.0, 2 * np.pi, exclude_max=True),
                    st.sampled_from([-0.0, 5e-324, 1e-7, math.nan]))
+#: a few phases repeated many times, as schedules write them: both zeros,
+#: the smallest subnormal, NaN and a NaN with another payload
+REPEATED_PHASES = [0.0, -0.0, 5e-324, 1.5, math.nan,
+                   float(np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0])]
 #: chunk sizes: the defaults, and small ones that put many chunk edges in a file
 CHUNKS = [(formats.WRITE_CHUNK, formats.READ_CHUNK), (8, 40)]
 HEADER = ('{"eta_ls":1.0,"eta_q":1.0,"format":"ohtlab-quad-v1","lo_mean_photons":1000000.0,'
@@ -174,6 +180,20 @@ class TestQuadratureFiles:
                 assert (d / "new.jsonl").read_bytes() == (d / "ref.jsonl").read_bytes()
                 got = [back.qs, back.thetas] + ([back.zetas] if len(keys) == 3 else [])
                 assert all(_same_bits(g, e) for g, e in zip(got, expected))
+
+    @given(st.lists(st.tuples(FLOATS, st.sampled_from(REPEATED_PHASES),
+                              st.sampled_from(REPEATED_PHASES)), max_size=60))
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_phases_match_per_record_reference(self, tmp_path_factory, rows):
+        # phase columns are formatted once per distinct bit pattern
+        d = tmp_path_factory.mktemp("phases")
+        qs, thetas, zetas = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+        for ds in (_dataset(qs, thetas), _dataset(qs, thetas, zetas)):
+            _reference_write_quadrature_dataset(d / "ref.jsonl", ds)
+            for write_chunk, _ in CHUNKS:
+                with mock.patch.object(formats, "WRITE_CHUNK", write_chunk):
+                    formats.write_quadrature_dataset(d / "new.jsonl", ds)
+                assert (d / "new.jsonl").read_bytes() == (d / "ref.jsonl").read_bytes()
 
     @given(st.lists(st.tuples(FLOATS, st.lists(st.integers(-2**63, 2**63 - 1),
                                               min_size=3, max_size=3)), max_size=20))
@@ -560,6 +580,23 @@ class TestCli:
 
     def test_missing_input_exit_3(self):
         assert run_cli("validate", "--input", "/nonexistent/file.jsonl") == 3
+
+    @pytest.mark.parametrize("name, text", [("ds.jsonl", '[1]\n{"q":0.5,"theta":0.25}\n'),
+                                            ("doc.json", "[1]\n")])
+    def test_validate_non_object_exit_3(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli("validate", "--input", str(path)) == 3
+        assert "first JSON document is not an object" in capsys.readouterr().err
+
+    def test_validate_closes_the_file(self, small_dataset, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        formats.write_quadrature_dataset(path, small_dataset)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert run_cli("validate", "--input", str(path)) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_fock1_negativity_flagged_in_report(self, tmp_path):
         cfg = write_config(tmp_path, "f1.json", {

@@ -457,3 +457,39 @@ class TestRadonForward:
             var[theta] = np.trapezoid(w.q_axis**2 * pr, w.q_axis)
         assert var[0.0] == pytest.approx(gaussian_quadrature_variance(0.5, 0.0), abs=1e-4)
         assert var[np.pi / 2] == pytest.approx(gaussian_quadrature_variance(0.5, np.pi / 2), abs=1e-4)
+
+
+class TestCountTable:
+    def test_table_gives_the_dataset_bytes(self, fock1):
+        # a run passes one table to both functions; the results and the
+        # replicate draws stay those of the dataset
+        ds = _dataset(fock1, 20_000, seed=217)
+        cfg = radon.RadonConfig(n_phase_bins=16)
+        table = radon.count_table(ds, cfg.n_phase_bins)
+        assert np.array_equal(radon.filtered_backprojection(table, cfg).values,
+                              radon.filtered_backprojection(ds, cfg).values)
+        assert np.array_equal(radon.bootstrap_backprojection(table, cfg, n_boot=3, seed=4).values,
+                              radon.bootstrap_backprojection(ds, cfg, n_boot=3, seed=4).values)
+
+    def test_other_bin_count_refused(self, vacuum):
+        table = radon.count_table(_dataset(vacuum, 5_000, seed=218), 16)
+        with pytest.raises(ConfigError):
+            radon.filtered_backprojection(table, radon.RadonConfig(n_phase_bins=32))
+        with pytest.raises(ConfigError):
+            radon.bootstrap_backprojection(table, n_boot=2, seed=1)
+
+    def test_reconstruct_builds_one_table(self, vacuum, tmp_path, monkeypatch):
+        from ohtlab import cli, formats
+
+        formats.write_quadrature_dataset(tmp_path / "ds.jsonl", _dataset(vacuum, 5_000, seed=219))
+        calls = []
+        build = radon._count_table
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(radon, "_count_table", counted)
+        assert cli.main(["reconstruct", "--input", str(tmp_path / "ds.jsonl"), "--method",
+                         "radon", "--bootstrap", "3", "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
