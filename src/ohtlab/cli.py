@@ -451,6 +451,8 @@ def cmd_validate(args) -> int:
         elif path.suffix == ".json":
             doc = _json_object(path, path.read_text())
             if doc.get("format") == formats.MANIFEST_FORMAT:
+                if not isinstance(doc["files"], dict):
+                    raise DataFormatError(f"{path}: manifest files is not a JSON object")
                 for name, digest in doc["files"].items():
                     fpath = path.parent / name
                     if not fpath.exists():

@@ -11,7 +11,8 @@ Poisson statistics are exact.
 Single-mode sampling, dual-LO two-mode records, array frames and both
 reconstructions share one implementation of each step: `fold_phases`
 and `phase_keys` (which phases count as one),
-`draw_state_quadratures`/`draw_fock_quadratures` (inverse CDF),
+`draw_state_quadratures`/`draw_fock_quadratures` (one inverse-CDF draw,
+tabulated PHASE_BLOCK phases at a time, so memory is flat in the phases),
 `add_detection_noise` and `photodiode_counts`.
 """
 
@@ -36,6 +37,10 @@ PDF_SPAN = 8.0
 #: per-phase pdf tables stay affordable; phase averages of harmonics below
 #: this order are exact, and the recorded theta is the actual sampling phase
 PHASE_SNAP = 1024
+
+#: distinct phases the sampler tabulates and integrates at a time; its pdf
+#: and CDF tables never exceed (PHASE_BLOCK + 1) × PDF_POINTS
+PHASE_BLOCK = 64
 
 #: folded phases that agree to this many decimals are one phase; the fold's
 #: θ − π leaves a grid phase an ulp from its partner, far below this
@@ -155,13 +160,8 @@ class QuadratureDataset:
         return self.qs.size
 
 
-def pdf_table(rho: DensityMatrix, thetas: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
-    """Pr(q, θ) rows for each θ via the harmonic-band decomposition.
-
-    Pr(q,θ) = c_0(q) + 2 Re Σ_{k≥1} e^{ikθ} c_k(q) with
-    c_k(q) = Σ_μ ρ_{μ,μ+k} ψ_μ(q) ψ_{μ+k}(q); cost is one ψ table plus a
-    (n_θ × bands) × (bands × n_q) product.
-    """
+def harmonic_bands(rho: DensityMatrix, q_grid: np.ndarray) -> np.ndarray:
+    """c_k(q) = Σ_μ ρ_{μ,μ+k} ψ_μ(q) ψ_{μ+k}(q) for k = 0 … dim − 1."""
     dim = rho.dim
     psi = hermite_psi_all(dim - 1, q_grid)
     bands = np.zeros((dim, q_grid.size), complex)
@@ -169,31 +169,50 @@ def pdf_table(rho: DensityMatrix, thetas: np.ndarray, q_grid: np.ndarray) -> np.
         mu = np.arange(dim - k)
         coeff = rho.elements[mu, mu + k]
         bands[k] = np.einsum("m,mq,mq->q", coeff, psi[mu], psi[mu + k])
-    phase = np.exp(1j * np.outer(thetas, np.arange(dim)))
-    table = np.real(phase[:, :1] * bands[:1]).reshape(thetas.size, q_grid.size) \
-        + 2.0 * np.real(phase[:, 1:] @ bands[1:])
-    return np.clip(table, 0.0, None)
+    return bands
 
 
-def _inverse_cdf_draw(pdf_rows: np.ndarray, q_grid: np.ndarray, group_idx: np.ndarray,
+def pdf_table(rho: DensityMatrix, thetas: np.ndarray, q_grid: np.ndarray,
+              bands: np.ndarray | None = None) -> np.ndarray:
+    """Pr(q, θ) rows for each θ via the harmonic-band decomposition.
+
+    Pr(q,θ) = c_0(q) + 2 Re Σ_{k≥1} e^{ikθ} c_k(q); cost is one
+    harmonic_bands table (pass it as bands to tabulate phases block by
+    block) plus a (n_θ × bands) × (bands × n_q) product.
+    """
+    bands = harmonic_bands(rho, q_grid) if bands is None else bands
+    phase = np.exp(1j * np.outer(thetas, np.arange(bands.shape[0])))
+    table = 2.0 * np.real(phase[:, 1:] @ bands[1:])
+    table += np.real(phase[:, :1] * bands[:1])   # addition commutes: c_0 second, same bits
+    return np.clip(table, 0.0, None, out=table)
+
+
+def _inverse_cdf_draw(pdf_rows, q_grid: np.ndarray, group_idx: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """Draw one quadrature per sample: sample i uses pdf row group_idx[i].
 
-    One stable sort lines the samples up group by group, so each group is a
-    contiguous slice of the order and each row's CDF is built once.
+    pdf_rows is the row table or a function (lo, hi) -> rows lo … hi − 1.
+    Rows are taken PHASE_BLOCK at a time, so one block's pdf and CDF tables
+    are alive at once. One stable sort lines the samples up group by group,
+    so each group is a contiguous slice of the order.
     """
+    rows_of = pdf_rows if callable(pdf_rows) else lambda lo, hi: pdf_rows[lo:hi]
     dq = q_grid[1] - q_grid[0]
     out = np.empty(u.size, float)
-    order = np.argsort(group_idx, kind="stable")
-    ends = np.cumsum(np.bincount(group_idx, minlength=pdf_rows.shape[0]))
-    start = 0
-    for g, end in enumerate(ends):
-        if end > start:
-            sel = order[start:end]
-            cdf = np.concatenate([[0.0], np.cumsum((pdf_rows[g][1:] + pdf_rows[g][:-1]) * 0.5 * dq)])
-            cdf /= cdf[-1]
-            out[sel] = np.interp(u[sel], cdf, q_grid)
-        start = end
+    counts = np.bincount(group_idx)
+    slices = np.split(np.argsort(group_idx, kind="stable"), np.cumsum(counts)[:-1])
+    # a lone last row joins the block before it: a one-row table goes through
+    # BLAS matrix-vector code, which rounds differently from the full product
+    edges = [*range(0, max(counts.size - 1, 1), PHASE_BLOCK), counts.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows = rows_of(lo, hi)
+        cdf = np.zeros((hi - lo, q_grid.size))
+        np.cumsum((rows[:, 1:] + rows[:, :-1]) * 0.5 * dq, axis=1, out=cdf[:, 1:])
+        cdf /= cdf[:, -1:]
+        for g in range(lo, hi):
+            sel = slices[g]
+            if sel.size:
+                out[sel] = np.interp(u[sel], cdf[g - lo], q_grid)
     return out
 
 
@@ -201,13 +220,15 @@ def draw_state_quadratures(rho: DensityMatrix, thetas: np.ndarray,
                            rng: np.random.Generator) -> np.ndarray:
     """Ideal quadratures q_θ ~ Pr(q, θ) of a state, one per phase in thetas.
 
-    The uniforms are drawn after the pdf table is built: pdf_table sets the
-    peak memory of a sampling run, and the N uniforms need not be alive then.
+    The distinct phases are tabulated, integrated and drawn PHASE_BLOCK at a
+    time from one harmonic_bands table, so the tables' memory is set by the
+    block and the state's dimension, not by the number of distinct phases.
     """
     distinct, group = np.unique(thetas, return_inverse=True)
     q_grid = np.linspace(-PDF_SPAN, PDF_SPAN, PDF_POINTS)
-    rows = pdf_table(rho, distinct, q_grid)
-    return _inverse_cdf_draw(rows, q_grid, group, rng.random(thetas.size))
+    bands = harmonic_bands(rho, q_grid)
+    return _inverse_cdf_draw(lambda lo, hi: pdf_table(rho, distinct[lo:hi], q_grid, bands),
+                             q_grid, group, rng.random(thetas.size))
 
 
 def draw_fock_quadratures(ns: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -196,18 +196,23 @@ def _read_records(f, path, record) -> list[np.ndarray]:
     return [np.concatenate(part) for part in parts]
 
 
+def _json_object(path, line: str, what: str) -> dict:
+    """The JSON object on one line of path; DataFormatError for anything else."""
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: {what} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: {what} is not a JSON object")
+    return doc
+
+
 def read_quadrature_dataset(path):
     """Read an ohtlab-quad-v1 file; returns QuadratureDataset or
     DualQuadratureDataset according to the header."""
     path = Path(path)
     with open(path) as f:
-        first = f.readline()
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: header line is not JSON: {exc}") from exc
-        if not isinstance(header, dict):
-            raise DataFormatError(f"{path}: header line is not a JSON object")
+        header = _json_object(path, f.readline(), "header line")
         if header.get("format") != FORMAT_VERSION:
             raise DataFormatError(
                 f"{path}: format {header.get('format')!r} is not {FORMAT_VERSION!r}"
@@ -331,14 +336,14 @@ def read_array_frames(path):
     from .arrays import ArrayFrameSet, PixelGrid
 
     with open(path) as f:
-        header = json.loads(f.readline())
+        header = _json_object(path, f.readline(), "header line")
         if header.get("format") != ARRAY_FORMAT:
             raise DataFormatError(f"{path}: not an {ARRAY_FORMAT} file")
         thetas, rows = [], []
-        for line in f:
+        for i, line in enumerate(f, 2):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            rec = _json_object(path, line, f"line {i}")
             thetas.append(rec["theta"])
             rows.append(rec["d"])
     grid = PixelGrid(n_pixels=header["n_pixels"], pixel_area=header["pixel_area"])
@@ -373,15 +378,15 @@ def read_k_records(path):
     from .arrays import SpectralKRecords
 
     with open(path) as f:
-        header = json.loads(f.readline())
+        header = _json_object(path, f.readline(), "header line")
         if header.get("format") != KREC_FORMAT:
             raise DataFormatError(f"{path}: not an {KREC_FORMAT} file")
         l_values = np.array(header["l_values"], int)
         by_pulse = {}
-        for line in f:
+        for i, line in enumerate(f, 2):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            rec = _json_object(path, line, f"line {i}")
             by_pulse.setdefault(rec["pulse"], {})[rec["l"]] = rec["re"] + 1j * rec["im"]
     K = np.array([[by_pulse[p][l] for l in l_values] for p in sorted(by_pulse)], complex)
     return SpectralKRecords(l_values=l_values, K=K, lo_photons=header["lo_photons"],

@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +149,76 @@ class TestInverseCdfDraw:
         got = detection.draw_state_quadratures(coherent1, thetas, stream(3, "q"))
         rows = detection.pdf_table(coherent1, distinct, q_grid)
         assert np.array_equal(got, _reference_inverse_cdf_draw(rows, q_grid, group, u))
+
+
+_BLOCK_STATES = {
+    "coherent": states.StateSpec("coherent", alpha=complex(1.5, 0.5)),
+    "squeezed": states.StateSpec("squeezed_vacuum", r=0.5),
+    "fock": states.StateSpec("fock", n=2, truncation_dim=8),
+}
+
+
+@functools.cache
+def _block_state(kind):
+    return states.make_state(_BLOCK_STATES[kind])
+
+
+def _snapped_thetas(n_phases, n, seed):
+    """n samples on n_phases distinct phases of the PHASE_SNAP grid, each used at least once."""
+    rng = stream(seed, "block-phases")
+    grid = 2.0 * np.pi * np.arange(detection.PHASE_SNAP) / detection.PHASE_SNAP
+    phases = rng.choice(grid, n_phases, replace=False)
+    return rng.permutation(np.concatenate([phases, rng.choice(phases, n - n_phases)]))
+
+
+class TestBlockedDraw:
+    # the blocked tabulation must reproduce the one-table draw bit for bit,
+    # on either side of a block edge and at the full snapped phase set
+    B = detection.PHASE_BLOCK
+
+    @pytest.mark.parametrize("kind", sorted(_BLOCK_STATES))
+    @pytest.mark.parametrize("n_phases", [1, B - 1, B, B + 1, detection.PHASE_SNAP])
+    @given(extra=st.integers(0, 2_000), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=3, deadline=None)
+    def test_state_draw_matches_full_table(self, kind, n_phases, extra, seed):
+        rho = _block_state(kind)
+        thetas = _snapped_thetas(n_phases, n_phases + extra, seed)
+        distinct, group = np.unique(thetas, return_inverse=True)
+        q_grid = np.linspace(-detection.PDF_SPAN, detection.PDF_SPAN, detection.PDF_POINTS)
+        got = detection.draw_state_quadratures(rho, thetas, stream(seed, "q"))
+        rows = detection.pdf_table(rho, distinct, q_grid)
+        u = stream(seed, "q").random(thetas.size)
+        assert np.array_equal(got, _reference_inverse_cdf_draw(rows, q_grid, group, u))
+
+    @given(n_levels=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]),
+           n=st.integers(0, 1_500), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_fock_draw_matches_reference(self, n_levels, n, seed):
+        rng = stream(seed, "block-levels")
+        ns = rng.permutation(np.concatenate([np.arange(n_levels), rng.integers(0, n_levels, n)]))
+        levels, group = np.unique(ns, return_inverse=True)
+        q_grid = np.linspace(-detection.PDF_SPAN, detection.PDF_SPAN, detection.PDF_POINTS)
+        rows = states.hermite_psi_all(int(levels.max()), q_grid)[levels] ** 2
+        got = detection.draw_fock_quadratures(ns, stream(seed, "q"))
+        u = stream(seed, "q").random(ns.size)
+        assert np.array_equal(got, _reference_inverse_cdf_draw(rows, q_grid, group, u))
+
+    def test_memory_flat_in_distinct_phases(self, coherent1):
+        # phases go in fixed blocks, so 8× the distinct phases may not need
+        # more than 1.5× the peak allocation, nor one full float table
+        full_table = detection.PHASE_SNAP * detection.PDF_POINTS * 8
+        peaks = {}
+        for n_phases in (128, detection.PHASE_SNAP):
+            thetas = _snapped_thetas(n_phases, 4096, seed=5)
+            detection.draw_state_quadratures(coherent1, thetas, stream(5, "q"))   # warm caches
+            tracemalloc.start()
+            try:
+                detection.draw_state_quadratures(coherent1, thetas, stream(5, "q"))
+                peaks[n_phases] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[detection.PHASE_SNAP] < full_table
+        assert peaks[detection.PHASE_SNAP] <= 1.5 * peaks[128]
 
 
 class TestDetectorCounts:

@@ -589,6 +589,29 @@ class TestCli:
         assert run_cli("validate", "--input", str(path)) == 3
         assert "first JSON document is not an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("frames.jsonl", '{"format":"ohtlab-array-v1"}\n[1]\n', "line 2 is not a JSON object"),
+        ("frames.jsonl", '{"format":"ohtlab-array-v1"}\n{"d":[1],"theta":0.0}\n7\n',
+         "line 3 is not a JSON object"),
+        ("k.jsonl", '{"format":"ohtlab-krec-v1","l_values":[0]}\n[1]\n',
+         "line 2 is not a JSON object"),
+        ("manifest.json", '{"format":"ohtlab-manifest-v1","files":["dataset.jsonl"]}\n',
+         "manifest files is not a JSON object"),
+    ])
+    def test_validate_malformed_body_exit_3(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli("validate", "--input", str(path)) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", [formats.read_array_frames, formats.read_k_records])
+    @pytest.mark.parametrize("text", ["[1]\n", "null\n", '"x"\n'])
+    def test_reader_refuses_non_object_header(self, tmp_path, reader, text):
+        path = tmp_path / "f.jsonl"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match="header line is not a JSON object"):
+            reader(path)
+
     def test_validate_closes_the_file(self, small_dataset, tmp_path):
         path = tmp_path / "ds.jsonl"
         formats.write_quadrature_dataset(path, small_dataset)
