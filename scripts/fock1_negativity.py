@@ -34,8 +34,9 @@ def main():
         ds = detection.sample_quadratures(fock1, sched, det, args.samples, args.seed)
         table = radon.count_table(ds, radon.RadonConfig().n_phase_bins)
         w = radon.filtered_backprojection(table)
-        se = radon.bootstrap_backprojection(table, n_boot=args.bootstrap, seed=args.seed)
         i = int(np.argmin(np.abs(w.q_axis)))
+        se = radon.bootstrap_backprojection(table, n_boot=args.bootstrap, seed=args.seed,
+                                            pixels=[(i, i)])
         origin, err = float(w.values[i, i]), float(se.values[i, i])
         analytic = -eta * (2 * eta - 1) / np.pi
         rows.append({"eta": eta, "w_origin": origin, "stderr": err,

@@ -11,10 +11,10 @@ carry no loss correction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_hermite, factorial
 
 from .detection import QuadratureDataset, require_full_coverage
 from .errors import NearVacuumError
@@ -67,13 +67,29 @@ def n_min(mean_n: float, mean_n2: float) -> float:
     return (3.0 * mean_n2 + mean_n + 0.5) / (2.0 * mean_n**2)
 
 
+def _hermite(n: int, x) -> np.ndarray:
+    """Physicists' Hermite polynomial H_n(x) = 2^{n/2} He_n(√2 x), n >= 2.
+
+    He_n comes from Clenshaw's backward pass over the three-term recurrence
+    He_{k+1} = x He_k − k He_{k−1}, the order of operations of
+    scipy.special.eval_hermite, so the two agree bit for bit.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    x = math.sqrt(2.0) * np.asarray(x, float)
+    b1, b2 = np.ones_like(x), np.zeros_like(x)
+    for k in range(n, 1, -1):
+        b1, b2 = x * b1 - k * b2, b1
+    return (x * b1 - b2) * 2.0 ** (n / 2.0)
+
+
 def factorial_moment(ds: QuadratureDataset, r: int):
     """Richter's formula: ⟨n^(r)⟩ = (r!)²/(2^r (2r)!) ⟨⟨H_2r(q)⟩⟩."""
     if not 1 <= r <= 4:
         raise ValueError("r must be in 1..4")
     require_full_coverage(ds, min_harmonic=2 * r)
-    pref = factorial(r) ** 2 / (2.0**r * factorial(2 * r))
-    summand = pref * eval_hermite(2 * r, ds.qs)
+    pref = math.factorial(r) ** 2 / (2.0**r * math.factorial(2 * r))
+    summand = pref * _hermite(2 * r, ds.qs)
     value = float(np.mean(summand))
     stderr = float(np.std(summand) / np.sqrt(summand.size))
     return value, stderr

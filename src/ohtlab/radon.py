@@ -17,20 +17,22 @@ cells all hold one phase (`detection.phase_keys`), as on a grid schedule,
 is locked: it projects at that phase in every draw; any other bin projects
 at its count-weighted mean phase.  The filter is a q_bins × q_bins matrix
 cached per (q_bins, dq, k_c, kernel) and shared read-only by every FBP.
-The bootstrap draws, filters and back-projects replicates in blocks: a bin
-phase shared by at least two replicates of a block is one fixed linear map,
-applied to all of them as a sparse interpolation operator built slab by
-slab of pixel rows; every other projection goes through np.interp.  W is
+The bootstrap draws, filters and back-projects replicates in blocks and
+reports the pixels asked for.  A bin phase shared by at least two
+replicates of a block is one fixed linear map: each pixel asked for
+gathers two interpolation weights per such phase, and each replicate's
+grid integral, which normalizes it, is its projections' dot product with
+the phase's column sums of interpolation weights, cached per phase.  Every
+other projection goes through np.interp over the whole grid.  W is
 returned on the default ±6 phase-space grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from ._rng import stream
 from .detection import QuadratureDataset, fold_phases, phase_keys
@@ -44,8 +46,8 @@ _CENTERS = 0.5 * (_EDGES[1:] + _EDGES[:-1])
 _DQ = _EDGES[1] - _EDGES[0]
 #: bootstrap replicates drawn, filtered and back-projected together
 _BLOCK = 16
-#: pixel rows of the back-projection grid per slab of a sparse operator
-_SLAB_ROWS = 16
+#: pixels per slab of a shared-phase gather, which bounds its temporaries
+_SLAB = 4096
 #: ramp-integral lags evaluated together, which bounds the cos temporaries
 _LAG_CHUNK = 16
 
@@ -182,40 +184,66 @@ def _filtered(proj, cfg: RadonConfig):
     return (proj.reshape(-1, Q_BINS) @ kappa.T * _DQ).reshape(proj.shape)
 
 
-def _interp_operator(x):
-    """Sparse (pixels × k·Q_BINS) linear interpolation at x (pixels, k).
-
-    Column block m holds two weights per pixel, so the product with k
-    stacked projections sampled on _CENTERS is np.interp(x[:, m], _CENTERS,
-    ·, left=0, right=0) summed over m.
-    """
-    n_pix, k = x.shape
+def _interp_weights(x):
+    """Left column j and weights (…, 2) of linear interpolation at x on
+    _CENTERS, zero outside them: np.interp(x, _CENTERS, f, left=0, right=0)
+    = w[…, 0] f[j] + w[…, 1] f[j + 1]."""
     t = (x - _CENTERS[0]) / _DQ
-    j = np.clip(t, 0, Q_BINS - 2).astype(np.int32)
-    data = np.empty((n_pix, k, 2))
-    f = np.subtract(t, j, out=data[..., 1])
-    np.subtract(1.0, f, out=data[..., 0])
-    data[(x < _CENTERS[0]) | (x > _CENTERS[-1])] = 0.0
-    indices = np.empty((n_pix, k, 2), np.int32)
-    np.add(j, np.arange(0, k * Q_BINS, Q_BINS, dtype=np.int32), out=indices[..., 0])
-    np.add(indices[..., 0], 1, out=indices[..., 1])
-    indptr = np.arange(0, 2 * k * n_pix + 1, 2 * k, dtype=np.int32)
-    return csr_array((data.reshape(-1), indices.reshape(-1), indptr), shape=(n_pix, k * Q_BINS))
+    j = np.clip(t, 0, Q_BINS - 2).astype(np.intp)
+    w = np.empty(x.shape + (2,))
+    f = np.subtract(t, j, out=w[..., 1])
+    np.subtract(1.0, f, out=w[..., 0])
+    w[(x < _CENTERS[0]) | (x > _CENTERS[-1])] = 0.0
+    return j, w
 
 
-def _backproject_stack(filtered, theta_proj, n_phase_bins: int):
-    """Unnormalized W of a stack of R replicates on the default grid, as
-    (R, pixels), from their filtered projections (R, bins, Q_BINS) at
-    phases (R, bins).
+def _gather(x, rhs):
+    """Σ_m np.interp(x[:, m], _CENTERS, block m of rhs, left=0, right=0) for
+    each column of rhs (k·Q_BINS, R) stacked in k blocks of Q_BINS rows, as
+    (pixels, R), for x (pixels, k).
+
+    Terms are added phase by phase, weight 0 before weight 1, the row order
+    of a CSR interpolation operator, so the bits equal its product.
+    """
+    j, w = _interp_weights(x)
+    j += np.arange(0, x.shape[1] * Q_BINS, Q_BINS)
+    out = np.zeros((len(x), rhs.shape[1]))
+    for m in range(x.shape[1]):
+        out += w[:, m, 0, None] * rhs[j[:, m]]
+        out += w[:, m, 1, None] * rhs[j[:, m] + 1]
+    return out
+
+
+@lru_cache(maxsize=256)
+def _column_sums(theta: float) -> np.ndarray:
+    """Interpolation weight on each projection centre summed over the default
+    grid at phase θ, read-only: the grid sum of the back-projection of F at
+    θ is its dot product with F."""
+    axis = default_grid_axis()
+    j, w = _interp_weights((axis[:, None] * np.cos(theta) + axis * np.sin(theta)).ravel())
+    sums = np.bincount(j, w[:, 0], Q_BINS)
+    sums[1:] += np.bincount(j, w[:, 1], Q_BINS)[:-1]     # weight 1 sits on column j + 1
+    sums.flags.writeable = False
+    return sums
+
+
+def _backproject_stack(filtered, theta_proj, n_phase_bins: int, pixels=None):
+    """Unnormalized W of a stack of R replicates at flat pixels of the default
+    grid (all of them by default), as (R, pixels), and each replicate's sum
+    over the whole grid (R,), from their filtered projections
+    (R, bins, Q_BINS) at phases (R, bins).
 
     A bin phase used by at least two replicates is one fixed linear map of
-    their projections: it is built once as a sparse interpolation operator,
-    slab by slab of pixel rows, and applied to all of them in one product.
-    A phase used once goes through np.interp, which costs less than
-    building its operator.
+    their projections: the pixels asked for are gathered from two
+    interpolation weights per phase, slab by slab, and the grid sum is the
+    projections' dot product with the phase's cached column sums.  A phase
+    used once goes through np.interp over the whole grid.
     """
     axis = default_grid_axis()
-    w = np.zeros((len(theta_proj), axis.size**2))
+    pix = np.arange(axis.size**2) if pixels is None else np.asarray(pixels)
+    scale = (np.pi / n_phase_bins) / (4.0 * np.pi**2)
+    w = np.zeros((len(theta_proj), pix.size))
+    total = np.zeros(len(theta_proj))
     # shared[r, b]: another replicate projects bin b at the same phase
     shared = (theta_proj[:, None] == theta_proj[None]).sum(axis=1) >= 2
     phases, rhs = [], []
@@ -225,24 +253,32 @@ def _backproject_stack(filtered, theta_proj, n_phase_bins: int):
             rhs.append(filtered[:, b].T * (theta_proj[:, b] == th))
     if phases:
         rhs = np.concatenate(rhs)
-        qc, ps = axis[:, None] * np.cos(phases), axis[:, None] * np.sin(phases)
-        for i in range(0, axis.size, _SLAB_ROWS):
-            x = qc[i:i + _SLAB_ROWS, None] + ps       # q cos θ + p sin θ, one slab of q rows
-            w[:, i * axis.size:(i + _SLAB_ROWS) * axis.size] += (
-                _interp_operator(x.reshape(-1, len(phases))) @ rhs).T
-    for r, b in zip(*np.nonzero(~shared)):
-        th = theta_proj[r, b]
-        x = axis[:, None] * np.cos(th) + axis * np.sin(th)
-        w[r] += np.interp(x.ravel(), _CENTERS, filtered[r, b], left=0.0, right=0.0)
-    w *= (np.pi / n_phase_bins) / (4.0 * np.pi**2)
-    return w
+        cos, sin = np.cos(phases), np.sin(phases)
+        q, p = axis[pix // axis.size, None], axis[pix % axis.size, None]
+        for i in range(0, pix.size, _SLAB):
+            x = q[i:i + _SLAB] * cos + p[i:i + _SLAB] * sin    # q cos θ + p sin θ
+            w[:, i:i + _SLAB] = _gather(x, rhs).T
+        w *= scale
+        sums = np.concatenate([_column_sums(th) for th in phases])
+        total += (sums[:, None] * rhs).sum(axis=0) * scale
+    lone = np.nonzero(~shared)
+    if lone[0].size:
+        grid = np.zeros((len(theta_proj), axis.size**2))
+        for r, b in zip(*lone):
+            th = theta_proj[r, b]
+            x = axis[:, None] * np.cos(th) + axis * np.sin(th)
+            grid[r] += np.interp(x.ravel(), _CENTERS, filtered[r, b], left=0.0, right=0.0)
+        grid *= scale
+        w += grid[:, pix]
+        total += grid.sum(axis=1)
+    return w, total
 
 
 def _backproject(proj, bin_counts, theta_proj, cfg: RadonConfig) -> WignerGrid:
     meta = {"bin_counts": bin_counts.tolist(), "k_c": cfg.k_c, "kernel": cfg.kernel}
     if bin_counts.min() < 100:
         meta["low_count_warning"] = True
-    w = _backproject_stack(_filtered(proj, cfg)[None], theta_proj[None], cfg.n_phase_bins)
+    w, _ = _backproject_stack(_filtered(proj, cfg)[None], theta_proj[None], cfg.n_phase_bins)
     q_axis, p_axis = default_grid_axis(), default_grid_axis()
     grid = WignerGrid(q_axis=q_axis, p_axis=p_axis,
                       values=w[0].reshape(q_axis.size, p_axis.size), meta=meta)
@@ -266,25 +302,33 @@ def filtered_backprojection(ds: QuadratureDataset | CountTable,
                                       cfg.n_phase_bins), cfg)
 
 
-def _replicate_sums(cell, theta, draws, cfg: RadonConfig):
-    """Σ W and Σ W² per pixel over a block of count-table draws (R, cells),
-    each W normalized to unit integral as FBP returns it.  The block's
+def _replicate_sums(cell, theta, draws, cfg: RadonConfig, pixels=None):
+    """Σ W and Σ W² at flat pixels of the default grid (all by default) over
+    a block of count-table draws (R, cells), each W normalized to unit grid
+    integral as FBP returns it.  Replicates are added in order, so a pixel's
+    sums do not depend on which other pixels are asked for.  The block's
     arrays are freed on return, before the next block is drawn."""
     proj, _, theta_proj = _projections(cell, theta, draws, cfg.n_phase_bins)
-    w = _backproject_stack(_filtered(proj, cfg), theta_proj, cfg.n_phase_bins)
+    w, total = _backproject_stack(_filtered(proj, cfg), theta_proj, cfg.n_phase_bins, pixels)
     axis = default_grid_axis()
-    w /= w.sum(axis=1, keepdims=True) * (axis[1] - axis[0]) ** 2
-    return w.sum(axis=0), np.square(w, out=w).sum(axis=0)
+    w /= total[:, None] * (axis[1] - axis[0]) ** 2
+    zero = np.zeros(w.shape[1])
+    return reduce(np.add, w, zero), reduce(np.add, np.square(w, out=w), zero)
 
 
 def bootstrap_backprojection(ds: QuadratureDataset | CountTable,
                              cfg: RadonConfig | None = None,
-                             n_boot: int = 100, seed: int = 0) -> WignerGrid:
+                             n_boot: int = 100, seed: int = 0,
+                             pixels=None) -> WignerGrid:
     """Per-pixel standard error of the FBP reconstruction by resampling
     (θ, q) pairs with replacement, drawn as its exact equivalent for FBP:
     one multinomial(N, counts / N) draw of the count table per replicate.
     Takes the dataset or its count table.
 
+    pixels lists the (q index, p index) pairs of the default grid to report;
+    every other pixel of the result is NaN.  By default all are reported.
+    A pixel's error does not depend on which others are asked for, and on
+    locked phase bins asking for a few costs far less than the whole grid.
     Replicates are drawn in blocks of _BLOCK, so memory does not grow with
     n_boot.  ConfigError below 2 replicates, which give no spread.
     """
@@ -294,18 +338,22 @@ def bootstrap_backprojection(ds: QuadratureDataset | CountTable,
     rng = stream(seed, "bootstrap")
     table = _table(ds, cfg)
     cell, theta, counts = table.cell, table.theta, table.counts
+    q_axis = default_grid_axis()
+    flat = None if pixels is None else \
+        np.ravel_multi_index(tuple(np.asarray(pixels).reshape(-1, 2).T), (q_axis.size,) * 2)
     n = int(counts.sum())
     acc = acc2 = 0.0
     for start in range(0, n_boot, _BLOCK):
         draws = np.array([rng.multinomial(n, counts / n)
                           for _ in range(min(_BLOCK, n_boot - start))])
-        s1, s2 = _replicate_sums(cell, theta, draws, cfg)
+        s1, s2 = _replicate_sums(cell, theta, draws, cfg, flat)
         acc, acc2 = acc + s1, acc2 + s2
     mean = acc / n_boot
     var = np.clip(acc2 / n_boot - mean**2, 0.0, None) * n_boot / (n_boot - 1)
-    q_axis = default_grid_axis()
+    values = np.full(q_axis.size**2, np.nan)
+    values[slice(None) if flat is None else flat] = np.sqrt(var)
     return WignerGrid(q_axis=q_axis, p_axis=q_axis.copy(),
-                      values=np.sqrt(var).reshape(q_axis.size, q_axis.size),
+                      values=values.reshape(q_axis.size, q_axis.size),
                       meta={"n_boot": n_boot})
 
 

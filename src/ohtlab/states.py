@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import (ConfigError, PurityError, ReferencePointError, TruncationError,
                      UnsupportedStateError)
@@ -198,31 +197,31 @@ class StateSpec:
 LEAK_TOL = 1e-6
 
 
-def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    if alpha == 0:
-        c = np.zeros(dim, complex)
-        c[0] = 1.0
-        return c
-    n = np.arange(dim)
-    logmag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1)
-    return np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
+def _coherent_amplitudes(alpha, dim: int) -> np.ndarray:
+    """<n|α> = e^{−|α|²/2} α^n/√n! for n < dim, by c_n = c_{n−1} α/√n.
+
+    α may be an array of amplitudes; the result is then (dim, *α.shape).
+    """
+    alpha = np.asarray(alpha, complex)
+    c = np.empty((dim,) + alpha.shape, complex)
+    c[0] = np.exp(-0.5 * np.abs(alpha) ** 2)
+    for n in range(1, dim):
+        c[n] = c[n - 1] * alpha / math.sqrt(n)
+    return c
 
 
 def _squeezed_vacuum_amplitudes(r: float, phi: float, dim: int) -> np.ndarray:
     """Fock amplitudes of S(ζ)|0>, ζ = r e^{iφ}, S = exp[(ζ* a² − ζ a†²)/2].
 
-    c_{2k} = (cosh r)^{-1/2} (−e^{iφ} tanh r)^k sqrt((2k)!)/(2^k k!); odd terms
-    vanish (pair production).  The φ=0 state is squeezed in q: Var(q) = e^{−2r}/2.
+    c_0 = (cosh r)^{-1/2} and c_{2k} = c_{2k−2} (−e^{iφ} tanh r) √((2k−1)/2k),
+    i.e. c_{2k} = c_0 (−e^{iφ} tanh r)^k √((2k)!)/(2^k k!); odd terms vanish
+    (pair production).  The φ=0 state is squeezed in q: Var(q) = e^{−2r}/2.
     """
     c = np.zeros(dim, complex)
-    if r == 0:
-        c[0] = 1.0
-        return c
-    k = np.arange((dim + 1) // 2)
-    logmag = 0.5 * gammaln(2 * k + 1) - k * math.log(2.0) - gammaln(k + 1) \
-        + k * math.log(math.tanh(abs(r))) - 0.5 * math.log(math.cosh(r))
-    phase = (-np.exp(1j * phi) * np.sign(r)) ** k
-    c[2 * k] = np.exp(logmag) * phase
+    c[0] = 1.0 / math.sqrt(math.cosh(r))
+    t = -np.exp(1j * phi) * math.tanh(r)
+    for n in range(2, dim, 2):
+        c[n] = c[n - 2] * t * math.sqrt((n - 1) / n)
     return c
 
 
@@ -231,18 +230,23 @@ def _annihilation(dim: int) -> np.ndarray:
 
 
 def _squeezed_coherent_vector(alpha: complex, r: float, phi: float, dim: int) -> np.ndarray:
-    """D(α)S(ζ)|0> computed by matrix exponentials in a padded space."""
-    from scipy.linalg import expm
+    """D(α)S(ζ)|0> by its Fock recurrence, on a padded range of photon numbers.
 
+    The state is the eigenvector of a + t a† with eigenvalue γ = α + t α*,
+    t = e^{iφ} tanh r, so √(n+1) c_{n+1} = γ c_n − t √n c_{n−1}, started
+    from c_0 = (cosh r)^{-1/2} exp(−|α|²/2 − α*² t/2) and normalized over
+    the padded range.  Each coefficient is a fixed sequence of scalar
+    operations, so the bits do not depend on the BLAS build or threads.
+    """
     pad = max(2 * dim, dim + 40)
-    a = _annihilation(pad)
-    ad = a.conj().T
-    zeta = r * np.exp(1j * phi)
-    s_gen = 0.5 * (np.conj(zeta) * (a @ a) - zeta * (ad @ ad))
-    d_gen = alpha * ad - np.conj(alpha) * a
+    t = np.exp(1j * phi) * math.tanh(r)
+    gamma = alpha + t * np.conj(alpha)
     vec = np.zeros(pad, complex)
-    vec[0] = 1.0
-    vec = expm(d_gen) @ (expm(s_gen) @ vec)
+    vec[0] = np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * np.conj(alpha) ** 2 * t) / math.sqrt(math.cosh(r))
+    vec[1] = gamma * vec[0]
+    for n in range(1, pad - 1):
+        vec[n + 1] = (gamma * vec[n] - t * math.sqrt(n) * vec[n - 1]) / math.sqrt(n + 1)
+    vec /= math.sqrt(np.sum(np.abs(vec) ** 2))
     tail = np.sum(np.abs(vec[-6:]) ** 2)
     if tail > 1e-12:
         raise TruncationError("padded workspace too small for squeezed_coherent state")
@@ -340,13 +344,24 @@ def wigner_kernel_laguerre(n: int, m: int, Q: np.ndarray, P: np.ndarray) -> np.n
         return np.conj(wigner_kernel_laguerre(m, n, Q, P))
     k = m - n
     r2 = Q**2 + P**2
-    lag = eval_genlaguerre(n, k, 2.0 * r2)
-    pref = (-1.0) ** n / np.pi * math.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
+    pref = (-1.0) ** n / np.pi * math.sqrt(math.factorial(n) / math.factorial(m))
     if k == 0:
         cross = 1.0
     else:
         cross = (np.sqrt(2.0) * (Q + 1j * P)) ** k
-    return pref * cross * np.exp(-r2) * lag
+    return pref * cross * np.exp(-r2) * _genlaguerre(n, k, 2.0 * r2)
+
+
+def _genlaguerre(n: int, k: int, x) -> np.ndarray:
+    """Generalized Laguerre polynomial L_n^k(x) by the three-term recurrence
+    (j+1) L_{j+1} = (2j + 1 + k − x) L_j − (j + k) L_{j−1}."""
+    x = np.asarray(x, float)
+    if n == 0:
+        return np.ones_like(x)
+    prev, cur = 1.0, 1.0 + k - x
+    for j in range(1, n):
+        prev, cur = cur, ((2 * j + 1 + k - x) * cur - (j + k) * prev) / (j + 1)
+    return cur
 
 
 def wigner_kernel_fourier(n: int, m: int, Q: np.ndarray, P: np.ndarray, x_span: float = 12.0, x_points: int = 1201) -> np.ndarray:
@@ -421,19 +436,7 @@ def q_function(rho: DensityMatrix, q_axis=None, p_axis=None) -> WignerGrid:
     q_axis = default_grid_axis() if q_axis is None else np.asarray(q_axis, float)
     p_axis = default_grid_axis() if p_axis is None else np.asarray(p_axis, float)
     Q, P = _grid_mesh(q_axis, p_axis)
-    alpha = (Q + 1j * P) / np.sqrt(2.0)
-    n = np.arange(rho.dim)
-    flat = alpha.ravel()
-    mag = np.abs(flat)
-    # α^n / sqrt(n!) e^{−|α|²/2} in log space; the α = 0 column is e_0
-    safe = np.where(mag > 0, mag, 1.0)
-    logmag = n[:, None] * np.log(safe)[None, :] - 0.5 * gammaln(n + 1)[:, None] \
-        - 0.5 * mag[None, :] ** 2
-    c = np.exp(logmag) * np.exp(1j * n[:, None] * np.angle(flat)[None, :])
-    zero = mag == 0
-    if np.any(zero):
-        c[:, zero] = 0.0
-        c[0, zero] = 1.0
+    c = _coherent_amplitudes(((Q + 1j * P) / np.sqrt(2.0)).ravel(), rho.dim)
     vals = np.real(np.einsum("np,nm,mp->p", c.conj(), rho.elements, c, optimize=True))
     vals = np.clip(vals, 0.0, None).reshape(Q.shape) / (2 * np.pi)
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=vals)

@@ -1,16 +1,22 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema.validators import validator_for
 
 from ohtlab import arrays, cli, detection, formats, states, twomode
-from ohtlab.errors import DataFormatError
+from ohtlab.errors import ConfigError, DataFormatError
 
 DET = detection.DetectorModel(eta_q=0.9, sigma_e=50.0)
 
@@ -365,6 +371,40 @@ def write_config(tmp_path, name, doc):
     return str(path)
 
 
+SCHEMAS = {name: getattr(cli, name) for name in dir(cli) if name.endswith("_SCHEMA")}
+
+
+class TestConfigSchemas:
+    @pytest.mark.parametrize("name", sorted(SCHEMAS))
+    def test_schema_is_valid(self, name):
+        # load_config skips the metaschema check, so it is made here
+        schema = SCHEMAS[name]
+        validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("schema, doc", [
+        (cli.SIMULATE_SCHEMA, {"state": {"kind": "vacuum"}, "schedule": {"kind": "grid"},
+                               "n_samples": 10, "seed": 1, "surprise": True}),
+        (cli.SIMULATE_SCHEMA, {"state": {"kind": "nope"}, "schedule": {"kind": "grid"},
+                               "n_samples": 10, "seed": 1}),
+        (cli.SIMULATE_SCHEMA, {"state": {"kind": "coherent", "alpha": [1.0]},
+                               "schedule": {"kind": "grid"}, "n_samples": 0}),
+        (cli.TWOMODE_SCHEMA, {"source": {"kind": "hbt_split"}, "n_samples": 10, "seed": 1}),
+        (cli.ARRAY_SCHEMA, {"n_pulses": 10, "seed": 1.5,
+                            "modes": [{"shape": "wave", "state": {"kind": "vacuum"}}]}),
+        (cli.SAMPLE_SCHEMA, {"signal": {"nu": "12", "bandwidth": -1}}),
+        (cli.CALIBRATE_SCHEMA, {"lo_levels": [1e5], "pulses_per_level": 1}),
+        (cli.CALIBRATE_SCHEMA, []),
+    ])
+    def test_errors_match_jsonschema_validate(self, tmp_path, schema, doc):
+        path = write_config(tmp_path, "bad.json", doc)
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, schema)
+        where = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
+        with pytest.raises(ConfigError) as got:
+            cli.load_config(path, schema)
+        assert str(got.value) == f"{path}: at {where}: {want.value.message}"
+
+
 class TestCli:
     def test_simulate_reconstruct_moments_pipeline(self, tmp_path):
         cfg = write_config(tmp_path, "sim.json", {
@@ -400,6 +440,24 @@ class TestCli:
         (tmp_path / "a" / "dataset.jsonl").unlink()
         assert run_cli("simulate", "--config", cfg) == 0
         assert formats.sha256_file(tmp_path / "a" / "dataset.jsonl") == first
+
+    def test_squeezed_coherent_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the state comes from a scalar Fock recurrence, not from BLAS
+        # matrix products, so the thread count cannot reach its bits
+        cfg = write_config(tmp_path, "sc.json", {
+            "state": {"kind": "squeezed_coherent", "r": 0.4, "alpha": [1.0, 0.3]},
+            "schedule": {"kind": "swept_linear"}, "n_samples": 50_000, "seed": 3})
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "ohtlab.cli", "simulate", "--config", cfg,
+                            "--out", str(tmp_path / threads)],
+                           env=env, check=True, capture_output=True)
+            digests.add(formats.sha256_file(tmp_path / threads / "dataset.jsonl"))
+        assert len(digests) == 1
 
     def test_vacuum_variance_sanity(self, tmp_path):
         cfg = write_config(tmp_path, "vac.json", {
@@ -687,6 +745,18 @@ class TestCli:
         assert run_cli("sample", "--config", cfg) == 0
         rep = json.loads((tmp_path / "samp" / "sampling_report.json").read_text())
         assert rep["relative_rms_error"] <= 1e-3
+
+    def test_sample_needs_no_seed(self, tmp_path):
+        # the demo draws nothing at random; a seed is accepted and ignored
+        runs = {}
+        for name, extra in (("none", {}), ("seeded", {"seed": 3}),
+                            ("signal_seed", {"signal": {"nu": 12.0, "bandwidth": 2.0,
+                                                        "seed": 4}})):
+            doc = {"signal": {"nu": 12.0, "bandwidth": 2.0},
+                   "outputs": {"dir": str(tmp_path / name)}, **extra}
+            assert run_cli("sample", "--config", write_config(tmp_path, f"{name}.json", doc)) == 0
+            runs[name] = formats.sha256_file(tmp_path / name / "recovered.csv")
+        assert len(set(runs.values())) == 1
 
     def test_calibrate_command(self, tmp_path):
         cfg = write_config(tmp_path, "cal.json", {

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import eval_hermite
 
 from ohtlab import detection, moments, patterns, states
 from ohtlab.errors import CoverageError, NearVacuumError
@@ -10,6 +13,16 @@ DET = detection.DetectorModel()
 
 def _sample(rho, n, seed, sched=RAND, det=DET):
     return detection.sample_quadratures(rho, sched, det, n, seed)
+
+
+class TestHermite:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @given(x=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=200))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_scipy_bitwise(self, r, x):
+        # the same order of operations as scipy, so the same bits
+        x = np.array(x)
+        assert np.array_equal(moments._hermite(2 * r, x), eval_hermite(2 * r, x))
 
 
 class TestMeanPhoton:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from conftest import gaussian_quadrature_variance
 from ohtlab import detection, radon, states
@@ -52,7 +53,7 @@ def _reference_pair_bootstrap(ds, cfg, n_boot, seed):
 
 
 # the per-bin np.interp back-projection loop that the shared-phase
-# operators replace in the bootstrap, kept as a reference
+# gather replaces in the bootstrap, kept as a reference
 def _reference_backproject_loop(filtered, theta_proj, n_phase_bins):
     axis = states.default_grid_axis()
     Q, P = np.meshgrid(axis, axis, indexing="ij")
@@ -244,7 +245,7 @@ class TestBootstrap:
     @pytest.mark.parametrize("record", ["grid", "uniform_random", "mixed"])
     def test_blocks_match_backproject_loop(self, fock1, record):
         # 17 replicates cross a block boundary; grid bins are all locked and
-        # go through the shared operators, random ones through np.interp, and
+        # go through the shared-phase gather, random ones through np.interp, and
         # the mixed record holds both: its random phases on [0, π/2) reach
         # bins 0-16, which leaves 15 bins locked
         grid = _dataset(fock1, 12_000, seed=213)
@@ -268,6 +269,12 @@ class TestBootstrap:
         ref = _reference_table_bootstrap(ds, cfg, 17, seed=5)
         assert se.meta["n_boot"] == 17
         assert np.max(np.abs(se.values - ref)) <= 1e-12
+        # the pixels asked for give the full map's errors there, NaN elsewhere
+        pixels = [(100, 100), (0, 0), (100, 130), (200, 37)]
+        at = radon.bootstrap_backprojection(ds, cfg, n_boot=17, seed=5, pixels=pixels)
+        rows, cols = np.array(pixels).T
+        assert np.max(np.abs(at.values[rows, cols] - se.values[rows, cols])) <= 1e-12
+        assert np.isnan(at.values).sum() == at.values.size - len(pixels)
 
     @pytest.mark.parametrize("n_boot", [-1, 0, 1])
     def test_fewer_than_two_replicates_refused(self, vacuum, n_boot):
@@ -291,12 +298,32 @@ class TestBootstrap:
         assert peaks[64] <= 1.5 * peaks[16]
 
 
+def _csr_operator(x):
+    """Sparse (pixels × k·Q_BINS) linear interpolation at x (pixels, k), the
+    operator the shared-phase gather replaced, kept as a bitwise reference:
+    two weights per pixel and phase, in row order phase by phase."""
+    n_pix, k = x.shape
+    t = (x - radon._CENTERS[0]) / radon._DQ
+    j = np.clip(t, 0, radon.Q_BINS - 2).astype(np.int32)
+    data = np.empty((n_pix, k, 2))
+    f = np.subtract(t, j, out=data[..., 1])
+    np.subtract(1.0, f, out=data[..., 0])
+    data[(x < radon._CENTERS[0]) | (x > radon._CENTERS[-1])] = 0.0
+    indices = np.empty((n_pix, k, 2), np.int32)
+    np.add(j, np.arange(0, k * radon.Q_BINS, radon.Q_BINS, dtype=np.int32), out=indices[..., 0])
+    np.add(indices[..., 0], 1, out=indices[..., 1])
+    indptr = np.arange(0, 2 * k * n_pix + 1, 2 * k, dtype=np.int32)
+    return csr_array((data.reshape(-1), indices.reshape(-1), indptr),
+                     shape=(n_pix, k * radon.Q_BINS))
+
+
 class TestSharedPhaseOperator:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_operator_matches_interp(self, data):
         # x on the first and last centre, an ulp either side, on knots,
-        # between them and outside the projection grid
+        # between them and outside the projection grid; the gather gives
+        # the sparse operator's product bit for bit
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         c = radon._CENTERS
         special = [c[0], c[-1], np.nextafter(c[0], -9.0), np.nextafter(c[0], 0.0),
@@ -305,16 +332,18 @@ class TestSharedPhaseOperator:
                                                   st.floats(-9.0, 9.0)),
                                         min_size=1, max_size=50), label="x"))
         k = data.draw(st.integers(1, 3), label="k")
+        n_rhs = data.draw(st.integers(1, 4), label="n_rhs")
         xs = np.stack([rng.permutation(x) for _ in range(k)], axis=1)
-        f = rng.normal(0.0, 1.0, (k, radon.Q_BINS))
-        got = radon._interp_operator(xs) @ f.reshape(-1)
-        want = sum(np.interp(xs[:, m], c, f[m], left=0.0, right=0.0) for m in range(k))
-        assert np.max(np.abs(got - want)) <= 1e-12
+        f = rng.normal(0.0, 1.0, (k, radon.Q_BINS, n_rhs))
+        got = radon._gather(xs, f.reshape(-1, n_rhs))
+        assert np.array_equal(got, _csr_operator(xs) @ f.reshape(-1, n_rhs))
+        want = sum(np.interp(xs[:, m], c, f[m, :, 0], left=0.0, right=0.0) for m in range(k))
+        assert np.max(np.abs(got[:, 0] - want)) <= 1e-12
 
     @given(st.data())
     @settings(max_examples=15, deadline=None)
     def test_shared_phases_match_interp_loop(self, data):
-        # every phase used by all replicates goes through the operator; the
+        # every phase used by all replicates goes through the gather; the
         # phases hold bin centres, random values and one that puts the grid
         # corners (±6, ±6) exactly on _CENTERS[0] and _CENTERS[-1]
         n_phase_bins = data.draw(st.sampled_from([2, 3, 32]), label="n_phase_bins")
@@ -327,10 +356,23 @@ class TestSharedPhaseOperator:
                                     label=f"theta{b}") for b in range(n_phase_bins)])
         n_rep = data.draw(st.integers(2, 4), label="n_rep")
         filtered = rng.normal(0.0, 1.0, (n_rep, n_phase_bins, radon.Q_BINS))
-        got = radon._backproject_stack(filtered, np.tile(theta, (n_rep, 1)), n_phase_bins)
+        got, total = radon._backproject_stack(filtered, np.tile(theta, (n_rep, 1)),
+                                              n_phase_bins)
         for r in range(n_rep):
             want = _reference_backproject_loop(filtered[r], theta, n_phase_bins)
             assert np.max(np.abs(got[r] - want.ravel())) <= 1e-12
+            # the grid sum from the cached column sums
+            assert abs(total[r] - want.sum()) <= 1e-12 * np.abs(want).sum()
+        pixels = rng.choice(got.shape[1], data.draw(st.integers(1, 5), label="n_pix"))
+        at, at_total = radon._backproject_stack(filtered, np.tile(theta, (n_rep, 1)),
+                                                n_phase_bins, pixels)
+        assert np.array_equal(at, got[:, pixels])
+        assert np.array_equal(at_total, total)
+
+    def test_column_sums_are_cached_read_only(self):
+        sums = radon._column_sums(0.25)
+        assert radon._column_sums(0.25) is sums
+        assert not sums.flags.writeable
 
 
 class TestRampFilterCache:

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from ohtlab import radon, states
 from ohtlab.errors import PurityError, ReferencePointError, TruncationError
@@ -38,6 +42,96 @@ class TestHermite:
         fine = np.linspace(-14, 14, 11201)   # resolves the n=60 oscillations
         psi = states.hermite_psi(n, fine)
         assert np.trapezoid(psi**2, fine) == pytest.approx(1.0, abs=1e-6)
+
+
+# the scipy forms the numpy recurrences replaced, kept as oracles
+def _reference_coherent(alpha, dim):
+    n = np.arange(dim)
+    logmag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+    return np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
+
+
+def _reference_squeezed_vacuum(r, phi, dim):
+    c = np.zeros(dim, complex)
+    k = np.arange((dim + 1) // 2)
+    logmag = 0.5 * gammaln(2 * k + 1) - k * math.log(2.0) - gammaln(k + 1) \
+        + k * math.log(math.tanh(abs(r))) - 0.5 * math.log(math.cosh(r))
+    c[2 * k] = np.exp(logmag) * (-np.exp(1j * phi) * np.sign(r)) ** k
+    return c
+
+
+def _reference_squeezed_coherent(alpha, r, phi, dim):
+    pad = max(2 * dim, dim + 40)
+    a = states._annihilation(pad)
+    ad = a.conj().T
+    zeta = r * np.exp(1j * phi)
+    vec = np.zeros(pad, complex)
+    vec[0] = 1.0
+    vec = expm(alpha * ad - np.conj(alpha) * a) @ (
+        expm(0.5 * (np.conj(zeta) * (a @ a) - zeta * (ad @ ad))) @ vec)
+    return vec[:dim]
+
+
+def _reference_kernel(n, m, Q, P):
+    if m < n:
+        return np.conj(_reference_kernel(m, n, Q, P))
+    r2 = Q**2 + P**2
+    pref = (-1.0) ** n / np.pi * math.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
+    cross = (np.sqrt(2.0) * (Q + 1j * P)) ** (m - n)
+    return pref * cross * np.exp(-r2) * eval_genlaguerre(n, m - n, 2.0 * r2)
+
+
+def _max_rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestSpecialFunctionOracles:
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(1, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_coherent_amplitudes(self, re, im, dim):
+        alpha = complex(re, im)
+        got = states._coherent_amplitudes(alpha, dim)
+        if alpha == 0:
+            assert np.array_equal(got, np.eye(dim)[0])
+        else:
+            assert _max_rel(got, _reference_coherent(alpha, dim)) <= 1e-14
+
+    @given(st.floats(-1.5, 1.5).filter(lambda r: r != 0), st.floats(-7.0, 7.0),
+           st.integers(1, 160))
+    @settings(max_examples=200, deadline=None)
+    def test_squeezed_vacuum_amplitudes(self, r, phi, dim):
+        got = states._squeezed_vacuum_amplitudes(r, phi, dim)
+        assert _max_rel(got, _reference_squeezed_vacuum(r, phi, dim)) <= 1e-14
+
+    @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-0.5, 0.5),
+           st.floats(-7.0, 7.0), st.integers(20, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_squeezed_coherent_matches_expm(self, re, im, r, phi, dim):
+        got = states._squeezed_coherent_vector(complex(re, im), r, phi, dim)
+        want = _reference_squeezed_coherent(complex(re, im), r, phi, dim)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_squeezed_coherent_padding_still_refused(self):
+        with pytest.raises(TruncationError):
+            states._squeezed_coherent_vector(2.0, 0.9, 0.0, 10)
+
+    @given(st.integers(0, 30), st.integers(0, 30),
+           st.lists(st.floats(0.0, 150.0), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_laguerre_recurrence(self, n, k, extra):
+        # relative to the largest value on [0, 150] in the kernel's e^{-x/2} weight
+        x = np.concatenate([np.linspace(0.0, 150.0, 301), extra])
+        weight = np.exp(-x / 2)
+        want = eval_genlaguerre(n, k, x) * weight
+        assert _max_rel(states._genlaguerre(n, k, x) * weight, want) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(0, 16, 3))
+    def test_kernel_factorial_prefactor(self, n):
+        # sqrt(n!/m!) from exact integers against the log-gamma form
+        Q, P = np.meshgrid(np.linspace(-6, 6, 61), np.linspace(-6, 6, 61), indexing="ij")
+        for m in range(16):
+            got = states.wigner_kernel_laguerre(n, m, Q, P)
+            assert _max_rel(got, _reference_kernel(n, m, Q, P)) <= 1e-14
 
 
 class TestMakeState:
