@@ -47,7 +47,7 @@ _DQ = _EDGES[1] - _EDGES[0]
 #: bootstrap replicates drawn, filtered and back-projected together
 _BLOCK = 16
 #: pixels per slab of a shared-phase gather, which bounds its temporaries
-_SLAB = 4096
+_SLAB = 2048
 #: ramp-integral lags evaluated together, which bounds the cos temporaries
 _LAG_CHUNK = 16
 
@@ -197,20 +197,24 @@ def _interp_weights(x):
     return j, w
 
 
-def _gather(x, rhs):
-    """Σ_m np.interp(x[:, m], _CENTERS, block m of rhs, left=0, right=0) for
-    each column of rhs (k·Q_BINS, R) stacked in k blocks of Q_BINS rows, as
-    (pixels, R), for x (pixels, k).
+def _gather(x, rows):
+    """Σ_m np.interp(x[:, m], _CENTERS, block m of a row, left=0, right=0)
+    for each of R rows (R, k·Q_BINS) holding k blocks of Q_BINS values, as
+    (R, pixels), for x (pixels, k).
 
     Terms are added phase by phase, weight 0 before weight 1, the row order
     of a CSR interpolation operator, so the bits equal its product.
     """
     j, w = _interp_weights(x)
     j += np.arange(0, x.shape[1] * Q_BINS, Q_BINS)
-    out = np.zeros((len(x), rhs.shape[1]))
+    j, w = np.ascontiguousarray(j.T), np.ascontiguousarray(w.transpose(1, 2, 0))
+    out = np.zeros((len(rows), len(x)))
+    term = np.empty_like(out)
     for m in range(x.shape[1]):
-        out += w[:, m, 0, None] * rhs[j[:, m]]
-        out += w[:, m, 1, None] * rhs[j[:, m] + 1]
+        for e in (0, 1):
+            np.take(rows, j[m] + e, axis=1, out=term)
+            term *= w[m, e]
+            out += term
     return out
 
 
@@ -255,9 +259,10 @@ def _backproject_stack(filtered, theta_proj, n_phase_bins: int, pixels=None):
         rhs = np.concatenate(rhs)
         cos, sin = np.cos(phases), np.sin(phases)
         q, p = axis[pix // axis.size, None], axis[pix % axis.size, None]
+        rows = np.ascontiguousarray(rhs.T)
         for i in range(0, pix.size, _SLAB):
             x = q[i:i + _SLAB] * cos + p[i:i + _SLAB] * sin    # q cos θ + p sin θ
-            w[:, i:i + _SLAB] = _gather(x, rhs).T
+            w[:, i:i + _SLAB] = _gather(x, rows)
         w *= scale
         sums = np.concatenate([_column_sums(th) for th in phases])
         total += (sums[:, None] * rhs).sum(axis=0) * scale
@@ -339,8 +344,8 @@ def bootstrap_backprojection(ds: QuadratureDataset | CountTable,
     table = _table(ds, cfg)
     cell, theta, counts = table.cell, table.theta, table.counts
     q_axis = default_grid_axis()
-    flat = None if pixels is None else \
-        np.ravel_multi_index(tuple(np.asarray(pixels).reshape(-1, 2).T), (q_axis.size,) * 2)
+    flat = (None if pixels is None
+            else np.ravel_multi_index(np.transpose(pixels), (q_axis.size,) * 2))
     n = int(counts.sum())
     acc = acc2 = 0.0
     for start in range(0, n_boot, _BLOCK):

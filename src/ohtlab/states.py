@@ -242,7 +242,8 @@ def _squeezed_coherent_vector(alpha: complex, r: float, phi: float, dim: int) ->
     t = np.exp(1j * phi) * math.tanh(r)
     gamma = alpha + t * np.conj(alpha)
     vec = np.zeros(pad, complex)
-    vec[0] = np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * np.conj(alpha) ** 2 * t) / math.sqrt(math.cosh(r))
+    vec[0] = (np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * np.conj(alpha) ** 2 * t)
+              / math.sqrt(math.cosh(r)))
     vec[1] = gamma * vec[0]
     for n in range(1, pad - 1):
         vec[n + 1] = (gamma * vec[n] - t * math.sqrt(n) * vec[n - 1]) / math.sqrt(n + 1)

@@ -87,7 +87,7 @@ def _max_rel(got, want):
 
 class TestSpecialFunctionOracles:
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(1, 60))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_coherent_amplitudes(self, re, im, dim):
         alpha = complex(re, im)
         got = states._coherent_amplitudes(alpha, dim)
@@ -98,14 +98,14 @@ class TestSpecialFunctionOracles:
 
     @given(st.floats(-1.5, 1.5).filter(lambda r: r != 0), st.floats(-7.0, 7.0),
            st.integers(1, 160))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_squeezed_vacuum_amplitudes(self, r, phi, dim):
         got = states._squeezed_vacuum_amplitudes(r, phi, dim)
         assert _max_rel(got, _reference_squeezed_vacuum(r, phi, dim)) <= 1e-14
 
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-0.5, 0.5),
-           st.floats(-7.0, 7.0), st.integers(20, 60))
-    @settings(max_examples=40, deadline=None)
+           st.floats(-7.0, 7.0), st.integers(20, 40))
+    @settings(max_examples=25, deadline=None)
     def test_squeezed_coherent_matches_expm(self, re, im, r, phi, dim):
         got = states._squeezed_coherent_vector(complex(re, im), r, phi, dim)
         want = _reference_squeezed_coherent(complex(re, im), r, phi, dim)
@@ -117,7 +117,7 @@ class TestSpecialFunctionOracles:
 
     @given(st.integers(0, 30), st.integers(0, 30),
            st.lists(st.floats(0.0, 150.0), min_size=1, max_size=20))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_laguerre_recurrence(self, n, k, extra):
         # relative to the largest value on [0, 150] in the kernel's e^{-x/2} weight
         x = np.concatenate([np.linspace(0.0, 150.0, 301), extra])
