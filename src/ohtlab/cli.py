@@ -240,7 +240,8 @@ def cmd_reconstruct(args) -> int:
               "eta_eff": ds.meta.detector.eta_eff}
     w = rho = None
     if args.method in ("radon", "both"):
-        folded = np.unique(detection.phase_keys(detection.fold_phases(ds.thetas, ds.qs)[0]))
+        folded = detection.distinct(
+            detection.phase_keys(detection.fold_phases(ds.thetas, ds.qs)[0]))
         if folded.size < 2:
             raise CoverageError(f"{args.input}: {folded.size} distinct phase(s) on [0, π); "
                                 "the radon reconstruction needs at least 2")
@@ -423,14 +424,6 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _json_object(path, text: str) -> dict:
-    """The JSON object in text; DataFormatError for any other JSON value."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: first JSON document is not an object")
-    return doc
-
-
 def cmd_validate(args) -> int:
     issues = []
     path = Path(args.input)
@@ -439,7 +432,7 @@ def cmd_validate(args) -> int:
             raise DataFormatError(f"{path}: no such file")
         if path.suffix == ".jsonl":
             with path.open() as f:
-                head = _json_object(path, f.readline())
+                head = formats.json_object(path, f.readline(), "header line")
             fmt = head.get("format")
             if fmt == formats.FORMAT_VERSION:
                 ds = formats.read_quadrature_dataset(path)
@@ -448,12 +441,10 @@ def cmd_validate(args) -> int:
                     issues.append(f"sample variance {var:.3g} outside sanity bounds")
             elif fmt == formats.ARRAY_FORMAT:
                 formats.read_array_frames(path)
-            elif fmt == formats.KREC_FORMAT:
-                formats.read_k_records(path)
             else:
                 raise DataFormatError(f"{path}: unknown format tag {json.dumps(fmt)}")
         elif path.suffix == ".json":
-            doc = _json_object(path, path.read_text())
+            doc = formats.json_object(path, path.read_text(), "document")
             if doc.get("format") == formats.MANIFEST_FORMAT:
                 if not isinstance(doc["files"], dict):
                     raise DataFormatError(f"{path}: manifest files is not a JSON object")

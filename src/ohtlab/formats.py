@@ -1,15 +1,19 @@
-"""File formats: JSON-Lines datasets, density-matrix JSON, long-format CSVs.
+"""File formats: JSON-Lines records, density-matrix and manifest JSON, CSVs.
 
-Every artifact's bytes are decided here: canonical JSON (sorted keys,
-compact separators) and CSVs with each float as its repr, so a rerun with
-the same seed produces byte-identical artifacts.  Readers refuse unknown
-format tags and bad header or record values with a DataFormatError.
+Each format has a CLI command that writes it: quadrature datasets
+(`simulate`, `twomode`), array frames (`array`), density matrices and the
+Wigner and photon-number CSVs (`reconstruct`), the signal CSVs (`sample`)
+and manifests (`simulate`).  Every artifact's bytes are decided here:
+canonical JSON (sorted keys, compact separators) and CSVs with each float
+as its repr, so a rerun with the same seed produces byte-identical
+artifacts.  Readers refuse unknown format tags and bad header or record
+values with a DataFormatError.
 
 Quadrature datasets and array frames are written in bulk: a block of
 records is formatted by one `repr` of the list of its values, which
 applies `float.__repr__`, the number format of `json.dumps`, so the lines
 are the bytes `dumps_canonical` writes for each record.  A phase column
-holds at most max(d, PHASE_SNAP) distinct values, and a grid CSV's axes
+holds at most max(d, PHASE_SNAP) distinct values, and a Wigner CSV's axes
 repeat, so each such value is formatted once.  `read_quadrature_dataset`
 reads the body in bounded chunks.  A chunk made only of canonical lines
 (sorted keys, no spaces, JSON numbers with a fraction or exponent, a final
@@ -36,7 +40,6 @@ from .states import DensityMatrix, WignerGrid
 from .twomode import DualQuadratureDataset
 
 ARRAY_FORMAT = "ohtlab-array-v1"
-KREC_FORMAT = "ohtlab-krec-v1"
 MANIFEST_FORMAT = "ohtlab-manifest-v1"
 
 #: values formatted per write, and characters read per parsed chunk; a
@@ -49,7 +52,6 @@ READ_CHUNK = 1 << 17
 _SINGLE_RECORD = ('{"q":%s,"theta":%s}\n', ("q", "theta"))
 _DUAL_RECORD = ('{"Q":%s,"theta":%s,"zeta":%s}\n', ("Q", "theta", "zeta"))
 _FRAME_RECORD = '{"d":[%s],"theta":%s}\n'
-_KREC_RECORD = '{"im":%s,"l":%s,"pulse":%s,"re":%s}\n'
 
 #: a JSON number with a fraction or an exponent, as every finite float repr
 #: has; [0-9], not \d, which also matches digits json.loads refuses.  Each
@@ -196,10 +198,11 @@ def _read_records(f, path, record) -> list[np.ndarray]:
     return [np.concatenate(part) for part in parts]
 
 
-def _json_object(path, line: str, what: str) -> dict:
-    """The JSON object on one line of path; DataFormatError for anything else."""
+def json_object(path, text: str, what: str) -> dict:
+    """The JSON object that text, read from path, holds; DataFormatError
+    naming what the text is for anything else."""
     try:
-        doc = json.loads(line)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: {what} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -212,7 +215,7 @@ def read_quadrature_dataset(path):
     DualQuadratureDataset according to the header."""
     path = Path(path)
     with open(path) as f:
-        header = _json_object(path, f.readline(), "header line")
+        header = json_object(path, f.readline(), "header line")
         if header.get("format") != FORMAT_VERSION:
             raise DataFormatError(
                 f"{path}: format {header.get('format')!r} is not {FORMAT_VERSION!r}"
@@ -263,51 +266,27 @@ def read_density_matrix(path):
     return rho, errors
 
 
-def _write_grid_csv(path, header: str, row_axis, col_axis, values) -> None:
-    """The header line, then one (row axis, column axis, value) row per grid
-    point, rows outer, as write_csv writes the repeated and tiled axes; each
-    axis value is formatted once."""
-    row_texts, col_texts = _field_texts(row_axis), _field_texts(col_axis)
-    values = values.reshape(len(row_texts), len(col_texts))
-    rows = max(1, WRITE_CHUNK // max(1, len(col_texts)))
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for start in range(0, len(row_texts), rows):
-            block = row_texts[start:start + rows]
-            _write_lines(f, "%s,%s,%s\n", [t for t in block for _ in col_texts],
-                         col_texts * len(block), _field_texts(values[start:start + rows].ravel()))
-
-
 def write_wigner_csv(path, w: WignerGrid) -> None:
-    _write_grid_csv(path, "q,p,w", w.q_axis, w.p_axis, w.values)
-
-
-def read_wigner_csv(path) -> WignerGrid:
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    if raw.dtype.names != ("q", "p", "w"):
-        raise DataFormatError(f"{path}: expected header q,p,w")
-    q_axis = np.unique(raw["q"])
-    p_axis = np.unique(raw["p"])
-    vals = raw["w"].reshape(q_axis.size, p_axis.size)
-    return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=vals)
+    """The header q,p,w, then one (q, p, W) row per grid point, q outer, as
+    write_csv writes the repeated and tiled axes; each axis value is
+    formatted once."""
+    q_texts, p_texts = _field_texts(w.q_axis), _field_texts(w.p_axis)
+    rows = max(1, WRITE_CHUNK // max(1, len(p_texts)))
+    with open(path, "w") as f:
+        f.write("q,p,w\n")
+        for start in range(0, len(q_texts), rows):
+            block = q_texts[start:start + rows]
+            _write_lines(f, "%s,%s,%s\n", [t for t in block for _ in p_texts],
+                         p_texts * len(block), _field_texts(w.values[start:start + rows].ravel()))
 
 
 def write_pn_csv(path, p: np.ndarray, stderr: np.ndarray) -> None:
     write_csv(path, "n,p,stderr", range(len(p)), p, stderr)
 
 
-def write_phase_csv(path, phi_axis, values) -> None:
-    write_csv(path, "phi,pr", phi_axis, values)
-
-
 def write_signal_csv(path, t_axis, values) -> None:
     values = np.asarray(values, complex)
     write_csv(path, "t,re,im", t_axis, values.real, values.imag)
-
-
-def write_map_csv(path, omega_axis, t_axis, values) -> None:
-    _write_grid_csv(path, "omega,t,value", np.asarray(omega_axis, float),
-                    np.asarray(t_axis, float), np.asarray(values, float))
 
 
 def write_array_frames(path, frames) -> None:
@@ -336,14 +315,14 @@ def read_array_frames(path):
     from .arrays import ArrayFrameSet, PixelGrid
 
     with open(path) as f:
-        header = _json_object(path, f.readline(), "header line")
+        header = json_object(path, f.readline(), "header line")
         if header.get("format") != ARRAY_FORMAT:
             raise DataFormatError(f"{path}: not an {ARRAY_FORMAT} file")
         thetas, rows = [], []
         for i, line in enumerate(f, 2):
             if not line.strip():
                 continue
-            rec = _json_object(path, line, f"line {i}")
+            rec = json_object(path, line, f"line {i}")
             thetas.append(rec["theta"])
             rows.append(rec["d"])
     grid = PixelGrid(n_pixels=header["n_pixels"], pixel_area=header["pixel_area"])
@@ -354,44 +333,6 @@ def read_array_frames(path):
                          grid=grid, detector=det,
                          schedule=PhaseSchedule.from_dict(header["schedule"]),
                          seed=header["seed"], planted=header.get("planted", []))
-
-
-def write_k_records(path, recs) -> None:
-    header = {
-        "format": KREC_FORMAT,
-        "l_values": [int(x) for x in recs.l_values],
-        "lo_photons": recs.lo_photons,
-        "eta_q": recs.eta_q,
-        "window": recs.window,
-        "j_lo": recs.j_lo,
-    }
-    pulses = np.arange(len(recs.K))
-    with open(path, "w") as f:
-        f.write(dumps_canonical(header) + "\n")
-        _write_lines(f, _KREC_RECORD, _json_floats(recs.K.imag.ravel()),
-                     _field_texts(np.tile(recs.l_values, pulses.size)),
-                     _field_texts(np.repeat(pulses, recs.l_values.size)),
-                     _json_floats(recs.K.real.ravel()))
-
-
-def read_k_records(path):
-    from .arrays import SpectralKRecords
-
-    with open(path) as f:
-        header = _json_object(path, f.readline(), "header line")
-        if header.get("format") != KREC_FORMAT:
-            raise DataFormatError(f"{path}: not an {KREC_FORMAT} file")
-        l_values = np.array(header["l_values"], int)
-        by_pulse = {}
-        for i, line in enumerate(f, 2):
-            if not line.strip():
-                continue
-            rec = _json_object(path, line, f"line {i}")
-            by_pulse.setdefault(rec["pulse"], {})[rec["l"]] = rec["re"] + 1j * rec["im"]
-    K = np.array([[by_pulse[p][l] for l in l_values] for p in sorted(by_pulse)], complex)
-    return SpectralKRecords(l_values=l_values, K=K, lo_photons=header["lo_photons"],
-                            eta_q=header["eta_q"], window=header["window"],
-                            j_lo=header["j_lo"])
 
 
 def write_manifest(path, seed: int, config: dict, files: dict) -> None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import QuadratureDataset, fold_phases, phase_keys
+from .detection import QuadratureDataset, distinct, fold_phases, phase_keys
 from .errors import AliasingError, CoverageError, GramConditionError
 from .states import DensityMatrix, hermite_psi_all
 
@@ -221,7 +221,7 @@ def pn_phase_averaged(ds: QuadratureDataset, pf: PatternFunctionTable):
     sched = ds.meta.schedule
     if sched.kind == "grid":
         theta_f, _ = fold_phases(ds.thetas, ds.qs)
-        d = np.unique(phase_keys(theta_f)).size
+        d = distinct(phase_keys(theta_f)).size
         if d < pf.dim:
             raise AliasingError(
                 f"grid of {d} folded phases aliases indices up to {pf.dim - 1}; "

@@ -12,19 +12,22 @@ occupied (distinct folded phase, q bin) cell, with Q_BINS bins over
 |q| ≤ Q_SPAN plus one cell each side for samples beyond.  Phase-bin
 histograms, counts and projection phases are sums over the table, and a
 bootstrap replicate is one multinomial draw of its counts; `count_table`
-builds it once for a run that needs both.  A bin whose
-cells all hold one phase (`detection.phase_keys`), as on a grid schedule,
-is locked: it projects at that phase in every draw; any other bin projects
-at its count-weighted mean phase.  The filter is a q_bins × q_bins matrix
-cached per (q_bins, dq, k_c, kernel) and shared read-only by every FBP.
-The bootstrap draws, filters and back-projects replicates in blocks and
-reports the pixels asked for.  A bin phase shared by at least two
-replicates of a block is one fixed linear map: each pixel asked for
-gathers two interpolation weights per such phase, and each replicate's
-grid integral, which normalizes it, is its projections' dot product with
-the phase's column sums of interpolation weights, cached per phase.  Every
-other projection goes through np.interp over the whole grid.  W is
-returned on the default ±6 phase-space grid.
+builds it once for a run that needs both.  A bin whose cells all hold one
+phase (`detection.phase_keys`), as on a grid schedule, is locked: it
+projects at that phase in every draw; any other bin projects at its
+count-weighted mean phase.  The filter is a q_bins × q_bins matrix cached
+per (q_bins, dq, k_c, kernel) and shared read-only by every FBP.  The
+bootstrap draws, filters and back-projects replicates in blocks, sums
+each pixel's deviations from the first block's mean, and reports the
+pixels asked for.  A bin phase shared by at least two replicates of a
+block is one fixed linear map: each pixel asked for gathers two
+interpolation weights per such phase, and each replicate's grid integral,
+which normalizes it, is its projections' dot product with the phase's
+column sums of interpolation weights, cached per phase.  Every other
+projection goes through np.interp over the whole grid.  W is returned on
+the default ±6 phase-space grid; `radon_forward` maps a W back to its
+marginals, and the W of a lossy record is the closed form of
+`states.apply_loss`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from ._rng import stream
-from .detection import QuadratureDataset, fold_phases, phase_keys
+from .detection import QuadratureDataset, distinct, fold_phases, phase_keys
 from .errors import ConfigError, CoverageError
 from .states import WignerGrid, default_grid_axis
 
@@ -252,7 +255,7 @@ def _backproject_stack(filtered, theta_proj, n_phase_bins: int, pixels=None):
     shared = (theta_proj[:, None] == theta_proj[None]).sum(axis=1) >= 2
     phases, rhs = [], []
     for b in np.nonzero(shared.any(axis=0))[0]:
-        for th in np.unique(theta_proj[shared[:, b], b]):
+        for th in distinct(theta_proj[shared[:, b], b]):
             phases.append(th)
             rhs.append(filtered[:, b].T * (theta_proj[:, b] == th))
     if phases:
@@ -307,18 +310,21 @@ def filtered_backprojection(ds: QuadratureDataset | CountTable,
                                       cfg.n_phase_bins), cfg)
 
 
-def _replicate_sums(cell, theta, draws, cfg: RadonConfig, pixels=None):
-    """Σ W and Σ W² at flat pixels of the default grid (all by default) over
-    a block of count-table draws (R, cells), each W normalized to unit grid
-    integral as FBP returns it.  Replicates are added in order, so a pixel's
-    sums do not depend on which other pixels are asked for.  The block's
-    arrays are freed on return, before the next block is drawn."""
+def _replicate_sums(cell, theta, draws, cfg: RadonConfig, pixels=None, centre=None):
+    """c, Σ (W − c) and Σ (W − c)² at flat pixels of the default grid (all by
+    default) over a block of count-table draws (R, cells), each W normalized
+    as FBP returns it; c is centre, or the block's mean if None.  Replicates
+    are added in order, so a pixel's sums do not depend on which others are
+    asked for.  The block's arrays are freed before the next block is drawn."""
     proj, _, theta_proj = _projections(cell, theta, draws, cfg.n_phase_bins)
     w, total = _backproject_stack(_filtered(proj, cfg), theta_proj, cfg.n_phase_bins, pixels)
     axis = default_grid_axis()
     w /= total[:, None] * (axis[1] - axis[0]) ** 2
     zero = np.zeros(w.shape[1])
-    return reduce(np.add, w, zero), reduce(np.add, np.square(w, out=w), zero)
+    if centre is None:
+        centre = reduce(np.add, w, zero) / len(w)
+    w -= centre
+    return centre, reduce(np.add, w, zero), reduce(np.add, np.square(w, out=w), zero)
 
 
 def bootstrap_backprojection(ds: QuadratureDataset | CountTable,
@@ -347,52 +353,19 @@ def bootstrap_backprojection(ds: QuadratureDataset | CountTable,
     flat = (None if pixels is None
             else np.ravel_multi_index(np.transpose(pixels), (q_axis.size,) * 2))
     n = int(counts.sum())
-    acc = acc2 = 0.0
+    centre, acc, acc2 = None, 0.0, 0.0
     for start in range(0, n_boot, _BLOCK):
         draws = np.array([rng.multinomial(n, counts / n)
                           for _ in range(min(_BLOCK, n_boot - start))])
-        s1, s2 = _replicate_sums(cell, theta, draws, cfg, flat)
+        centre, s1, s2 = _replicate_sums(cell, theta, draws, cfg, flat, centre)
         acc, acc2 = acc + s1, acc2 + s2
-    mean = acc / n_boot
-    var = np.clip(acc2 / n_boot - mean**2, 0.0, None) * n_boot / (n_boot - 1)
+    # deviations from the first block's mean keep the digits Σ W² − n·mean² cancels
+    var = np.clip(acc2 - acc**2 / n_boot, 0.0, None) / (n_boot - 1)
     values = np.full(q_axis.size**2, np.nan)
     values[slice(None) if flat is None else flat] = np.sqrt(var)
     return WignerGrid(q_axis=q_axis, p_axis=q_axis.copy(),
                       values=values.reshape(q_axis.size, q_axis.size),
                       meta={"n_boot": n_boot})
-
-
-def gaussian_kernel_grid(q_axis, p_axis, var: float):
-    """Sampled centered 2D Gaussian, normalized so Σ K dq dp = 1."""
-    dq = q_axis[1] - q_axis[0]
-    dp = p_axis[1] - p_axis[0]
-    half_q = int(np.ceil(8.0 * np.sqrt(var) / dq))
-    half_p = int(np.ceil(8.0 * np.sqrt(var) / dp))
-    gq = np.arange(-half_q, half_q + 1) * dq
-    gp = np.arange(-half_p, half_p + 1) * dp
-    K = np.exp(-gq[:, None] ** 2 / (2 * var) - gp[None, :] ** 2 / (2 * var))
-    K /= K.sum() * dq * dp
-    return K
-
-
-def loss_smoothing(w: WignerGrid, eta: float) -> WignerGrid:
-    """Gaussian smoothing equivalent to detection efficiency η < 1.
-
-    Convolves with the per-axis variance ε² = (1/η − 1)/2 kernel and
-    renormalizes; this is the forward model an η-limited reconstruction
-    should be compared against.
-    """
-    from scipy.signal import fftconvolve
-
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must be in (0, 1)")
-    var = (1.0 / eta - 1.0) / 2.0
-    K = gaussian_kernel_grid(w.q_axis, w.p_axis, var)
-    vals = fftconvolve(w.values, K, mode="same") * w.dq * w.dp
-    out = WignerGrid(q_axis=w.q_axis.copy(), p_axis=w.p_axis.copy(), values=vals,
-                     meta={"eta": eta})
-    out.values /= out.integral()
-    return out
 
 
 def radon_forward(w: WignerGrid, theta: float, q_axis=None) -> np.ndarray:

@@ -318,6 +318,22 @@ def make_state(spec: StateSpec) -> DensityMatrix:
     return dm
 
 
+def apply_loss(rho: DensityMatrix, eta: float) -> DensityMatrix:
+    """The state after a beam splitter of transmission η, the binomial loss
+    channel: ρ'_mn = Σ_k √(C(m+k,k) C(n+k,k)) η^((m+n)/2) (1−η)^k ρ_(m+k,n+k).
+
+    η ∈ (0, 1]; η = 1 is the identity.  Any other η is a ConfigError.
+    """
+    if not 0.0 < eta <= 1.0:
+        raise ConfigError(f"loss transmission eta must be in (0, 1], got {eta}")
+    out = np.zeros_like(rho.elements)
+    for k in range(rho.dim):
+        m = np.arange(rho.dim - k)
+        b = np.sqrt([math.comb(j + k, k) for j in m]) * eta ** (m / 2) * (1.0 - eta) ** (k / 2)
+        out[:rho.dim - k, :rho.dim - k] += b[:, None] * rho.elements[k:, k:] * b
+    return DensityMatrix(dim=rho.dim, elements=out, normalized=rho.normalized)
+
+
 def quadrature_pdf(rho: DensityMatrix, theta: float, q_axis) -> np.ndarray:
     """Pr(q, θ) = Σ_{μν} ρ_{μν} ψ_μ(q) ψ_ν(q) e^{i(ν−μ)θ}."""
     q = np.asarray(q_axis, float)

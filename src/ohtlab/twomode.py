@@ -17,7 +17,7 @@ import numpy as np
 from ._rng import stream
 from .detection import (DatasetMeta, DetectorModel, PhaseSchedule, QuadratureDataset,
                         add_detection_noise, check_sampling_detector, draw_fock_quadratures,
-                        draw_state_quadratures, phase_coverage_kind)
+                        draw_state_quadratures)
 from .errors import ConfigError, UnsupportedStateError
 from .states import DensityMatrix
 
@@ -237,7 +237,7 @@ def two_time_g2(run0: DualQuadratureDataset, run45: DualQuadratureDataset,
     for ds, want in ((run0, 0.0), (run45, np.pi / 4), (run90, np.pi / 2)):
         if abs(ds.alpha - want) > 1e-9:
             raise ValueError(f"expected runs at α = 0, π/4, π/2; got α = {ds.alpha}")
-        if phase_coverage_kind(ds) != "full":
+        if ds.meta.schedule.kind == "grid":
             raise ValueError("two-time g² needs phase-randomized records")
     if not (len(run0) == len(run45) == len(run90)):
         raise ValueError("mismatched sample counts between the three runs")

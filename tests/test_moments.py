@@ -179,6 +179,8 @@ class TestPhaseDistribution:
         pd = moments.phase_distribution(vacuum)
         assert np.allclose(pd.values, 1 / (2 * np.pi))
         assert pd.integral() == pytest.approx(1.0, abs=1e-6)
+        doc = pd.to_dict()
+        assert doc["s"] == pd.s and len(doc["pr"]) == pd.values.size
 
     def test_coherent_peak_location(self):
         # numeric maximum-location oracle

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
-from conftest import gaussian_quadrature_variance
+from conftest import gaussian_quadrature_variance, lossy_wigner
 from ohtlab import detection, radon, states
 from ohtlab._rng import stream
 from ohtlab.errors import ConfigError, CoverageError
@@ -93,12 +93,12 @@ class TestFilteredBackprojection:
         assert w.integral() == pytest.approx(1.0, abs=1e-3)
 
     def test_consistency_loop_smoothed_fock1(self, fock1):
-        # sample(ρ, η) -> FBP ≈ loss_smoothing(wigner(ρ), η)
+        # sample(ρ, η) -> FBP ≈ the closed-form W of the detected record
         eta = 0.55
         ds = _dataset(fock1, 500_000, seed=202,
                       det=detection.DetectorModel(eta_q=eta))
         rec = radon.filtered_backprojection(ds)
-        expect = radon.loss_smoothing(states.wigner_from_rho(fock1), eta)
+        expect = lossy_wigner(fock1, eta)
         assert np.max(np.abs(rec.values - expect.values)) <= 0.02
 
     def test_linearity(self, vacuum, fock1):
@@ -276,6 +276,21 @@ class TestBootstrap:
         assert np.max(np.abs(at.values[rows, cols] - se.values[rows, cols])) <= 1e-12
         assert np.isnan(at.values).sum() == at.values.size - len(pixels)
 
+    def test_origin_stderr_keeps_its_digits(self, fock1):
+        # at a Fock |1> origin |W|/σ is large, so Σ W² − n·mean² would cancel
+        # digits; the same replicates, the multinomial draws of the count
+        # table, through filtered_backprojection and a two-pass std
+        cfg = radon.RadonConfig()
+        table = radon.count_table(_dataset(fock1, 60_000, seed=217), cfg.n_phase_bins)
+        i = int(np.argmin(np.abs(states.default_grid_axis())))
+        se = radon.bootstrap_backprojection(table, cfg, n_boot=20, seed=6, pixels=[(i, i)])
+        rng = stream(6, "bootstrap")
+        n = int(table.counts.sum())
+        origins = [radon.filtered_backprojection(
+            radon.CountTable(table.cell, table.theta, rng.multinomial(n, table.counts / n),
+                             cfg.n_phase_bins), cfg).values[i, i] for _ in range(20)]
+        assert se.values[i, i] == pytest.approx(np.std(origins, ddof=1), rel=1e-13, abs=0)
+
     @pytest.mark.parametrize("n_boot", [-1, 0, 1])
     def test_fewer_than_two_replicates_refused(self, vacuum, n_boot):
         ds = _dataset(vacuum, 5_000, seed=215)
@@ -442,25 +457,28 @@ class TestRampFilterCache:
 
 
 class TestLossSmoothing:
+    """The W of a record taken at efficiency η, from the closed-form loss
+    channel (conftest.lossy_wigner): W convolved with a Gaussian of per-axis
+    variance (1/η − 1)/2."""
+
     def test_near_unity_eta_is_identity(self, fock1):
         w = states.wigner_from_rho(fock1)
-        out = radon.loss_smoothing(w, 0.999)
+        out = lossy_wigner(fock1, 0.999)
         assert np.max(np.abs(out.values - w.values)) <= 1e-3
 
     def test_vacuum_broadens_to_known_gaussian(self, vacuum):
         eta = 0.6
-        w = states.wigner_from_rho(vacuum)
-        out = radon.loss_smoothing(w, eta)
+        out = lossy_wigner(vacuum, eta)
         var = (1.0 / eta - 1.0) / 2.0 + 0.5
         Q, P = np.meshgrid(out.q_axis, out.p_axis, indexing="ij")
         expect = np.exp(-(Q**2 + P**2) / (2 * var)) / (2 * np.pi * var)
-        assert np.max(np.abs(out.values - expect)) < 1e-6
+        assert np.max(np.abs(out.values - expect)) < 1e-15
 
     def test_fock1_origin_matches_direct_convolution(self, fock1):
-        # brute-force convolution oracle at the origin, same sampled kernel
+        # brute-force convolution oracle at the origin, sampled kernel
         eta = 0.55
         w = states.wigner_from_rho(fock1)
-        out = radon.loss_smoothing(w, eta)
+        out = lossy_wigner(fock1, eta)
         var = (1.0 / eta - 1.0) / 2.0
         Q, P = np.meshgrid(w.q_axis, w.p_axis, indexing="ij")
         kern = np.exp(-(Q**2 + P**2) / (2 * var))
@@ -469,13 +487,13 @@ class TestLossSmoothing:
         i = np.argmin(np.abs(out.q_axis))
         assert out.values[i, i] == pytest.approx(direct, abs=1e-6)
         # analytic cross-check: smoothed Fock-1 origin value is −η(2η−1)/π
-        assert out.values[i, i] == pytest.approx(-eta * (2 * eta - 1) / np.pi, abs=1e-4)
+        assert out.values[i, i] == pytest.approx(-eta * (2 * eta - 1) / np.pi, abs=1e-15)
 
-    def test_eta_bounds(self, vacuum):
-        w = states.wigner_from_rho(vacuum)
-        for eta in (0.0, 1.0, 1.3):
-            with pytest.raises(ValueError):
-                radon.loss_smoothing(w, eta)
+    def test_eta_bounds(self, vacuum, fock1):
+        for eta in (0.0, -0.2, 1.3, float("nan")):
+            with pytest.raises(ConfigError):
+                states.apply_loss(vacuum, eta)
+        assert np.array_equal(states.apply_loss(fock1, 1.0).elements, fock1.elements)
 
 
 class TestRadonForward:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
+from conftest import lossy_wigner
 from ohtlab import radon, states
 from ohtlab.errors import PurityError, ReferencePointError, TruncationError
 
@@ -200,6 +201,42 @@ class TestQuadraturePdf:
             assert np.trapezoid(pr, GRID) == pytest.approx(1.0, abs=1e-6)
 
 
+def _random_state(dim: int, seed: int) -> states.DensityMatrix:
+    """A random full-rank state on photon numbers below dim − 1, padded by one
+    empty level so the truncated q̂² of quadrature_moments is exact on it."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim - 1, dim - 1)) + 1j * rng.standard_normal((dim - 1, dim - 1))
+    rho = np.zeros((dim, dim), complex)
+    rho[:-1, :-1] = a @ a.conj().T
+    return states.DensityMatrix(dim=dim, elements=rho / np.trace(rho).real)
+
+
+class TestLossChannel:
+    ETAS = st.floats(0.01, 1.0)
+
+    @given(st.integers(2, 9), st.integers(0, 2**32 - 1), ETAS)
+    @settings(max_examples=60, deadline=None)
+    def test_keeps_trace_and_positivity(self, dim, seed, eta):
+        out = states.apply_loss(_random_state(dim, seed), eta)
+        assert out.trace == pytest.approx(1.0, abs=1e-13)
+        assert np.linalg.eigvalsh(out.elements).min() >= -1e-13
+
+    @given(st.integers(2, 9), st.integers(0, 2**32 - 1), ETAS, st.floats(0.0, 2 * np.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_quadrature_moments_mix_with_vacuum(self, dim, seed, eta, theta):
+        # q_θ → √η q_θ + √(1−η) q_vac: the mean scales by √η, the variance
+        # becomes η·Var + (1−η)/2
+        rho = _random_state(dim, seed)
+        mean, var = states.quadrature_moments(rho, theta)
+        mean_out, var_out = states.quadrature_moments(states.apply_loss(rho, eta), theta)
+        assert mean_out == pytest.approx(np.sqrt(eta) * mean, abs=1e-12)
+        assert var_out == pytest.approx(eta * var + (1 - eta) / 2, abs=1e-12)
+
+    def test_fock1_populations(self, fock1):
+        assert np.allclose(states.apply_loss(fock1, 0.6).populations()[:2], [0.4, 0.6],
+                           rtol=0, atol=1e-15)
+
+
 class TestWigner:
     def test_vacuum_analytic(self, vacuum):
         w = states.wigner_from_rho(vacuum)
@@ -283,8 +320,7 @@ class TestRhoFromWigner:
         # weights follow from ρ_nn = (−1)^n/2 ∫ u e^{−3u/2} L_n(2u) du:
         # 2/9, 10/27, 2/9 for n = 0, 1, 2 (hand-evaluated oracle).
         eta = 0.5
-        w = states.wigner_from_rho(fock1)
-        smoothed = radon.loss_smoothing(w, eta)
+        smoothed = lossy_wigner(fock1, eta)
         # the function carries weight beyond n = 2, so the trace-deficit
         # flag fires; the retained weights are still exact
         with pytest.warns(UserWarning):
