@@ -127,10 +127,11 @@ def simulate_array_frames(signal, det: DetectorModel, grid: PixelGrid,
 
     `signal` is a list of (ModeVector, StateSpec) pairs.  The LO is a
     plane-wave coherent state; per-pixel counts on the two arrays are
-    independent Poisson draws around the interference means
-    (`detection.photodiode_counts`), plus planted per-pixel balancing
-    offsets (up to IMBALANCE_SCALE of the LO level) and electronic noise.
-    A companion blocked-signal run of N_CALIBRATION pulses measures the
+    independent Poisson draws around the interference means, which field
+    and beat give a block of pulses at a time for
+    `detection.photodiode_counts`, plus planted per-pixel balancing offsets
+    (up to IMBALANCE_SCALE of the LO level) and electronic noise.  A
+    companion blocked-signal run of N_CALIBRATION pulses measures the
     vacuum offsets.
     """
     per_pixel_lo = det.lo_mean_photons / (2.0 * grid.n_pixels)
@@ -138,46 +139,45 @@ def simulate_array_frames(signal, det: DetectorModel, grid: PixelGrid,
         raise ConfigError(
             f"per-pixel LO count {per_pixel_lo:.0f} < 1e3; the strong-LO pixel model needs more"
         )
-    lo = det.lo_mean_photons
+    lo_photons = det.lo_mean_photons
     thetas = sched.phases(n_pulses, stream(seed, "array-theta"))
-    base = det.eta_q * lo / (2.0 * grid.n_pixels)
+    base = det.eta_q * lo_photons / (2.0 * grid.n_pixels)
+    beat_scale = det.eta_q * np.sqrt(lo_photons) * (grid.pixel_area / np.sqrt(grid.array_area)) * 2.0
     imb = IMBALANCE_SCALE * (2.0 * stream(seed, "pixel-imbalance").random(grid.n_pixels) - 1.0)
 
-    overlap_warned = []
     modes = []
     for mv, spec in signal:
         if mv.grid.n_pixels != grid.n_pixels:
             raise ValueError("mode vector does not match the pixel grid")
         modes.append((mv.w, spec))
-    for i in range(len(modes)):
-        for j in range(i + 1, len(modes)):
-            ov = grid.pixel_area * np.dot(modes[i][0], modes[j][0])
-            if abs(ov) > 1e-9:
-                overlap_warned.append((i, j, float(ov)))
+    overlaps = [(i, j, float(grid.pixel_area * np.dot(modes[i][0], modes[j][0])))
+                for i in range(len(modes)) for j in range(i + 1, len(modes))]
+    overlap_warned = [o for o in overlaps if abs(o[2]) > 1e-9]
     if overlap_warned:
         import warnings
         warnings.warn(f"planted modes not orthogonal: {overlap_warned}; projections will mix")
 
-    def run(n, tag, theta_arr, include_signal):
+    def run(n, tag, theta_arr, run_modes):
         rng = stream(seed, tag)
-        field_j = np.zeros((n, grid.n_pixels), complex)
-        if include_signal:
-            phases = (np.exp(2j * np.pi * stream(seed, tag + "-common").random(n))
-                      if common_random_phase else np.ones(n))
-            for k, (w, spec) in enumerate(modes):
-                amps = _amplitude_draws(spec, n, stream(seed, f"{tag}-amp-{k}"))
-                field_j += (phases * amps)[:, None] * w[None, :]
-        beat = det.eta_q * np.sqrt(lo) * (grid.pixel_area / np.sqrt(grid.array_area)) \
-            * 2.0 * np.real(field_j * np.exp(-1j * theta_arr)[:, None])
-        mu1 = base * (1.0 + imb)[None, :] + beat / 2.0
-        mu2 = base * np.ones(grid.n_pixels)[None, :] - beat / 2.0
-        n1, n2 = photodiode_counts(mu1, mu2, det.sigma_e, rng)
-        return n1 - n2
+        phases = (np.exp(2j * np.pi * stream(seed, tag + "-common").random(n))
+                  if common_random_phase and run_modes else np.ones(n))
+        amps = [(phases * _amplitude_draws(spec, n, stream(seed, f"{tag}-amp-{k}")), w)
+                for k, (w, spec) in enumerate(run_modes)]
+
+        def rates(lo, hi):
+            field_j = np.zeros((hi - lo, grid.n_pixels), complex)
+            for a, w in amps:
+                field_j += a[lo:hi, None] * w[None, :]
+            beat = beat_scale * np.real(field_j * np.exp(-1j * theta_arr[lo:hi])[:, None])
+            return (base * (1.0 + imb)[None, :] + beat / 2.0,
+                    base * np.ones(grid.n_pixels)[None, :] - beat / 2.0)
+
+        n1, n2 = photodiode_counts(rates, (n, grid.n_pixels), det.sigma_e, rng)
+        return np.subtract(n1, n2, out=n1)
 
     cal_thetas = PhaseSchedule("uniform_random").phases(N_CALIBRATION, stream(seed, "cal-theta"))
-    cal = run(N_CALIBRATION, "calibration", cal_thetas, include_signal=False)
-    offsets = cal.mean(axis=0)
-    frames = run(n_pulses, "frames", thetas, include_signal=True)
+    offsets = run(N_CALIBRATION, "calibration", cal_thetas, []).mean(axis=0)
+    frames = run(n_pulses, "frames", thetas, modes)
     planted = [({"kind": "mode", "values": mv.w.tolist()}, spec.to_dict()) for mv, spec in signal]
     return ArrayFrameSet(frames=frames, thetas=thetas, vacuum_offsets=offsets,
                          grid=grid, detector=det, schedule=sched, seed=seed,
@@ -210,7 +210,7 @@ def difference_correlation_matrix(frames: ArrayFrameSet) -> np.ndarray:
     sched = frames.schedule
     if sched.kind == "grid" and (sched.d or 1) < 4:
         raise CoverageError("correlation matrix needs uniform phase coverage over 2π")
-    c = frames.corrected().astype(float)
+    c = frames.corrected()
     return c.T @ c / c.shape[0]
 
 

@@ -6,7 +6,8 @@ Pr(q, θ), detection losses smear it with a Gaussian of variance
 σ_e·√2/(η_eff·√(2·N_LO)) in quadrature units (two channels combined).
 The count-space route (`detector_counts`) models the two photodiodes
 explicitly for classical (coherent mean-field) signals, where independent
-Poisson statistics are exact.
+Poisson statistics are exact; `photodiode_counts` draws them in blocks of
+rows, in whole-array stream order, so memory is flat in the pulses.
 
 Single-mode sampling, dual-LO two-mode records, array frames and both
 reconstructions share one implementation of each step: `fold_phases`,
@@ -19,13 +20,14 @@ flat in the phases), `add_detection_noise` and `photodiode_counts`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
 from ._rng import stream
 from .errors import ConfigError, CoverageError, UnsupportedStateError
-from .states import DensityMatrix, StateSpec, hermite_psi_all
+from .states import DensityMatrix, StateSpec, check_pdf_floor, hermite_psi_all
 
 FORMAT_VERSION = "ohtlab-quad-v1"
 
@@ -41,6 +43,10 @@ PHASE_SNAP = 1024
 #: distinct phases the sampler tabulates and integrates at a time; its pdf
 #: and CDF tables never exceed (PHASE_BLOCK + 1) × PDF_POINTS
 PHASE_BLOCK = 64
+
+#: counts photodiode_counts evaluates rates for and draws at a time, in
+#: whole rows: 256 pulses of a 64-pixel array, 16384 of a single diode pair
+COUNT_BLOCK = 16384
 
 #: folded phases that agree to this many decimals are one phase; the fold's
 #: θ − π leaves a grid phase an ulp from its partner, far below this
@@ -73,14 +79,7 @@ class DetectorModel:
         return self.eta_q * self.eta_ls
 
     def to_dict(self) -> dict:
-        return {
-            "eta_q": self.eta_q,
-            "eta_ls": self.eta_ls,
-            "lo_mean_photons": self.lo_mean_photons,
-            "sigma_e": self.sigma_e,
-            "gain": self.gain,
-            "balance_imbalance": self.balance_imbalance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -178,12 +177,14 @@ def pdf_table(rho: DensityMatrix, thetas: np.ndarray, q_grid: np.ndarray,
 
     Pr(q,θ) = c_0(q) + 2 Re Σ_{k≥1} e^{ikθ} c_k(q); cost is one
     harmonic_bands table (pass it as bands to tabulate phases block by
-    block) plus a (n_θ × bands) × (bands × n_q) product.
+    block) plus a (n_θ × bands) × (bands × n_q) product.  Negatives are
+    clipped to 0, or refused below states.PDF_FLOOR as quadrature_pdf does.
     """
     bands = harmonic_bands(rho, q_grid) if bands is None else bands
     phase = np.exp(1j * np.outer(thetas, np.arange(bands.shape[0])))
     table = 2.0 * np.real(phase[:, 1:] @ bands[1:])
     table += np.real(phase[:, :1] * bands[:1])   # addition commutes: c_0 second, same bits
+    check_pdf_floor(table)
     return np.clip(table, 0.0, None, out=table)
 
 
@@ -307,7 +308,7 @@ def sample_quadratures(rho: DensityMatrix, sched: PhaseSchedule, det: DetectorMo
 
 
 def detector_counts(q_ideal, theta, det: DetectorModel, rng: np.random.Generator):
-    """Raw photoelectron numbers (n1, n2) at the two diodes for one pulse.
+    """Raw photoelectron numbers (n1, n2) at the two diodes, one per pulse.
 
     Models a classical (mean-field) signal with quadrature displacement
     q_ideal: each diode sees the split LO plus the antisymmetric signal beat
@@ -318,26 +319,40 @@ def detector_counts(q_ideal, theta, det: DetectorModel, rng: np.random.Generator
     """
     q_ideal = np.asarray(q_ideal, float)
     lo_det = det.eta_q * det.lo_mean_photons
-    beat = det.eta_eff * np.sqrt(det.lo_mean_photons) * q_ideal / np.sqrt(2.0)
-    mu1 = lo_det * (1.0 + det.balance_imbalance) / 2.0 + beat
-    mu2 = lo_det * (1.0 - det.balance_imbalance) / 2.0 - beat
-    return photodiode_counts(mu1, mu2, det.sigma_e, rng)
+
+    def rates(lo, hi):   # per block, the whole-array arithmetic
+        beat = det.eta_eff * np.sqrt(det.lo_mean_photons) * q_ideal[lo:hi] / np.sqrt(2.0)
+        return (lo_det * (1.0 + det.balance_imbalance) / 2.0 + beat,
+                lo_det * (1.0 - det.balance_imbalance) / 2.0 - beat)
+
+    return photodiode_counts(rates, q_ideal.shape, det.sigma_e, rng)
 
 
-def photodiode_counts(mu1, mu2, sigma_e: float, rng: np.random.Generator):
-    """Photoelectron counts of two diodes with mean rates mu1, mu2.
+def photodiode_counts(rates, shape: tuple, sigma_e: float, rng: np.random.Generator):
+    """Photoelectron counts of two diodes, arrays of the given shape, where
+    rates(lo, hi) gives their mean rates (mu1, mu2) for rows lo … hi − 1.
 
-    Poisson draws for diode 1 then diode 2, then per-channel Gaussian
-    electronic noise of std sigma_e rounded to whole counts.
+    Rows go a block of about COUNT_BLOCK counts at a time. Every block's
+    rates are checked before any draw and staged in the memory their counts
+    then overwrite, so only the count arrays and one block of temporaries
+    live. Draws keep whole-array stream order (numpy draws element by
+    element): diode-1 Poisson, diode-2 Poisson, then rounded Gaussian
+    electronic noise of std sigma_e on diode 1, then on diode 2.
     """
-    if np.any(mu1 < 0) or np.any(mu2 < 0):
-        raise ValueError("negative mean photoelectron rate; LO too weak for this signal")
-    n1 = rng.poisson(mu1).astype(np.int64)
-    n2 = rng.poisson(mu2).astype(np.int64)
-    if sigma_e > 0:
-        n1 = n1 + np.rint(rng.normal(0.0, sigma_e, size=n1.shape)).astype(np.int64)
-        n2 = n2 + np.rint(rng.normal(0.0, sigma_e, size=n2.shape)).astype(np.int64)
-    return n1, n2
+    rows = max(1, COUNT_BLOCK // int(np.prod(shape[1:])))
+    blocks = [(lo, min(lo + rows, shape[0])) for lo in range(0, shape[0], rows)]
+    staged = [np.empty(shape), np.empty(shape)]
+    for lo, hi in blocks:
+        mu = rates(lo, hi)
+        if np.any(mu[0] < 0) or np.any(mu[1] < 0):
+            raise ValueError("negative mean photoelectron rate; LO too weak for this signal")
+        staged[0][lo:hi], staged[1][lo:hi] = mu
+    counts = [s.view(np.int64) for s in staged]
+    for (s, n), (lo, hi) in product(zip(staged, counts), blocks):
+        n[lo:hi] = rng.poisson(s[lo:hi])
+    for n, (lo, hi) in product(counts if sigma_e > 0 else [], blocks):
+        n[lo:hi] += np.rint(rng.normal(0.0, sigma_e, size=n[lo:hi].shape)).astype(np.int64)
+    return tuple(counts)
 
 
 def scaled_difference(n1, n2, det: DetectorModel):
@@ -359,17 +374,14 @@ def skellam_difference_pdf(signal_alpha, theta: float, det: DetectorModel,
     """
     from scipy.stats import skellam
 
+    alpha = signal_alpha
     if isinstance(signal_alpha, StateSpec):
-        if signal_alpha.kind == "vacuum":
-            alpha = 0.0 + 0.0j
-        elif signal_alpha.kind == "coherent":
-            alpha = complex(signal_alpha.alpha)
-        else:
+        if signal_alpha.kind not in ("vacuum", "coherent"):
             raise UnsupportedStateError(
                 f"exact difference-count law only implemented for coherent signals, not {signal_alpha.kind}"
             )
-    else:
-        alpha = complex(signal_alpha)
+        alpha = signal_alpha.alpha if signal_alpha.kind == "coherent" else 0.0
+    alpha = complex(alpha)
     lo = det.lo_mean_photons
     q_mean = np.sqrt(2.0) * np.real(alpha * np.exp(-1j * theta))
     beat = det.eta_q * np.sqrt(lo) * q_mean / np.sqrt(2.0)
@@ -381,8 +393,7 @@ def skellam_difference_pdf(signal_alpha, theta: float, det: DetectorModel,
     center = mu1 - mu2
     width = n_sigma * np.sqrt(mu1 + mu2) + 10
     n_values = np.arange(int(np.floor(center - width)), int(np.ceil(center + width)) + 1)
-    pmf = skellam.pmf(n_values, mu1, mu2)
-    return n_values, pmf, mu1, mu2
+    return n_values, skellam.pmf(n_values, mu1, mu2), mu1, mu2
 
 
 def mode_overlap(lo_mode, sig_mode, dx: float = 1.0) -> float:
@@ -427,14 +438,12 @@ def calibration_curve(det: DetectorModel, lo_levels, pulses_per_level: int,
     for i, energy in enumerate(levels):
         level_det = replace(det, lo_mean_photons=float(energy))
         n1, n2 = detector_counts(np.zeros(pulses_per_level), 0.0, level_det, rng)
-        v1 = n1 / det.gain
-        v2 = n2 / det.gain
+        v1, v2 = n1 / det.gain, n2 / det.gain
         mean_vp[i] = np.mean(v1 + v2)
         var_vm[i] = np.var(v1 - v2, ddof=1)
     # weighted least squares: Var(sample variance) ~ 2 Var²/(n−1), so the
     # high-energy points carry much larger absolute scatter
-    x = mean_vp
-    y = var_vm
+    x, y = mean_vp, var_vm
     sigma_y = y * np.sqrt(2.0 / (pulses_per_level - 1))
     A = np.vstack([x, np.ones_like(x)]).T / sigma_y[:, None]
     b = y / sigma_y
@@ -466,17 +475,19 @@ def gain_balancing_sim(n_tot: float, n_diff1: float, n_diff2: float) -> float:
     return (n_diff1 + n_diff2) / n_tot
 
 
-def require_full_coverage(ds: QuadratureDataset, min_harmonic: int = 4):
-    """Raise CoverageError unless phase averages up to the given trigonometric
-    order are unbiased for this dataset: random and swept schedules cover
-    the circle, a grid needs more than min_harmonic phases."""
+def require_full_coverage(ds: QuadratureDataset, *min_harmonics: int):
+    """Raise CoverageError unless phase averages up to each trigonometric
+    order given are unbiased for this dataset, checked in turn over one
+    count of the phases: random and swept schedules cover the circle, a
+    grid needs more phases than the order."""
     if ds.meta.schedule.kind != "grid":
         return
     d = distinct(ds.thetas).size
     if d == 1:
         raise CoverageError("fixed-phase dataset cannot be phase-averaged")
-    if d <= min_harmonic:
-        raise CoverageError(
-            f"grid of {d} phases aliases harmonics up to order {min_harmonic}; "
-            f"need more than {min_harmonic} equally spaced phases"
-        )
+    for min_harmonic in min_harmonics:
+        if d <= min_harmonic:
+            raise CoverageError(
+                f"grid of {d} phases aliases harmonics up to order {min_harmonic}; "
+                f"need more than {min_harmonic} equally spaced phases"
+            )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .detection import QuadratureDataset, require_full_coverage
 from .errors import NearVacuumError
-from .states import DensityMatrix
+from .states import DensityMatrix, check_pdf_floor
 
 
 @dataclass
@@ -52,11 +52,12 @@ def mean_photon(ds: QuadratureDataset):
     conservative upper estimate).  For η_eff < 1 this is the detected-mode
     mean; no loss correction is applied.
     """
-    require_full_coverage(ds, min_harmonic=2)
-    q = ds.qs
-    value = float(np.mean(q**2) - 0.5)
-    stderr = float(np.sqrt(np.mean(q**4) / q.size))
-    return value, stderr
+    require_full_coverage(ds, 2)
+    return _mean_photon(ds.qs)
+
+
+def _mean_photon(q):
+    return float(np.mean(q**2) - 0.5), float(np.sqrt(np.mean(q**4) / q.size))
 
 
 def n_min(mean_n: float, mean_n2: float) -> float:
@@ -85,14 +86,15 @@ def _hermite(n: int, x) -> np.ndarray:
 
 def factorial_moment(ds: QuadratureDataset, r: int):
     """Richter's formula: ⟨n^(r)⟩ = (r!)²/(2^r (2r)!) ⟨⟨H_2r(q)⟩⟩."""
+    require_full_coverage(ds, 2 * r)
+    return _factorial_moment(ds.qs, r)
+
+
+def _factorial_moment(q, r: int):
     if not 1 <= r <= 4:
         raise ValueError("r must be in 1..4")
-    require_full_coverage(ds, min_harmonic=2 * r)
-    pref = math.factorial(r) ** 2 / (2.0**r * math.factorial(2 * r))
-    summand = pref * _hermite(2 * r, ds.qs)
-    value = float(np.mean(summand))
-    stderr = float(np.std(summand) / np.sqrt(summand.size))
-    return value, stderr
+    summand = math.factorial(r) ** 2 / (2.0**r * math.factorial(2 * r)) * _hermite(2 * r, q)
+    return float(np.mean(summand)), float(np.std(summand) / np.sqrt(summand.size))
 
 
 def _g2_from_means(m2, m4):
@@ -108,11 +110,13 @@ def g2_single(ds: QuadratureDataset):
     near-vacuum records whose ⟨n⟩ is not resolved at 5 standard errors
     (the normalization diverges).
     """
-    require_full_coverage(ds, min_harmonic=4)
-    q = ds.qs
+    require_full_coverage(ds, 4)
+    return _g2_single(ds.qs)
+
+
+def _g2_single(q):
     n = q.size
-    a = q**2
-    b = q**4
+    a, b = q**2, q**4
     mean_n_val = float(a.mean() - 0.5)
     mean_n_err = float(np.sqrt(b.mean() / n))
     if mean_n_val < 5.0 * mean_n_err:
@@ -128,10 +132,12 @@ def g2_single(ds: QuadratureDataset):
 
 
 def moment_report(ds: QuadratureDataset, factorial_orders=(1, 2)) -> MomentReport:
-    mn, mn_se = mean_photon(ds)
-    fm = {r: factorial_moment(ds, r) for r in factorial_orders}
+    """The moments above (g² None near vacuum) over one phase-coverage check."""
+    require_full_coverage(ds, 2, *(2 * r for r in factorial_orders), 4)
+    mn, mn_se = _mean_photon(ds.qs)
+    fm = {r: _factorial_moment(ds.qs, r) for r in factorial_orders}
     try:
-        g2, g2_se = g2_single(ds)
+        g2, g2_se = _g2_single(ds.qs)
     except NearVacuumError:
         g2, g2_se = None, None
     return MomentReport(mean_n=mn, mean_n_stderr=mn_se, g2=g2, g2_stderr=g2_se,
@@ -172,8 +178,7 @@ def phase_distribution(rho: DensityMatrix, s: int | None = None,
     tr = float(np.real(np.trace(block)))
     e = np.exp(1j * np.outer(np.arange(s + 1), phi))
     vals = np.real(np.einsum("np,nm,mp->p", e.conj(), block, e, optimize=True)) / (2 * np.pi * tr)
-    if vals.min() < -1e-9:
-        raise FloatingPointError(f"phase distribution negative: {vals.min():.2e}")
+    check_pdf_floor(vals, "phase distribution")
     return PhaseDistribution(phi_axis=phi, values=np.clip(vals, 0.0, None), s=s)
 
 

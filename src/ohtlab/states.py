@@ -21,9 +21,18 @@ HERMITE_N_MAX = 200
 DEFAULT_DIM = 20
 MAX_DIM = 120
 
+#: pdf values below this are an error in the state, not rounding, and refused
+PDF_FLOOR = -1e-9
+
 #: default phase-space grid: 201 x 201 points over [-6, 6]^2 (vacuum units)
 DEFAULT_GRID_POINTS = 201
 DEFAULT_GRID_SPAN = 6.0
+
+
+def check_pdf_floor(values: np.ndarray, what: str = "quadrature pdf") -> None:
+    """Raise FloatingPointError if a probability lies below PDF_FLOOR."""
+    if values.min() < PDF_FLOOR:
+        raise FloatingPointError(f"{what} negative beyond floor: {values.min():.2e}")
 
 
 def default_grid_axis(points: int = DEFAULT_GRID_POINTS, span: float = DEFAULT_GRID_SPAN):
@@ -340,8 +349,7 @@ def quadrature_pdf(rho: DensityMatrix, theta: float, q_axis) -> np.ndarray:
     psi = hermite_psi_all(rho.dim - 1, q)
     u = psi * np.exp(1j * np.arange(rho.dim) * theta)[:, None]
     pr = np.real(np.einsum("nq,nm,mq->q", u.conj(), rho.elements, u, optimize=True))
-    if pr.min() < -1e-9:
-        raise FloatingPointError(f"quadrature pdf negative beyond floor: {pr.min():.2e}")
+    check_pdf_floor(pr)
     return np.clip(pr, 0.0, None)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,23 @@ class TestFrames:
         with pytest.raises(ValueError, match="negative mean photoelectron rate") as exc:
             arrays.simulate_array_frames(signal, det, grid, RAND, 10, seed=1)
         assert exc.traceback[-1].name == "photodiode_counts"
+
+    def test_peak_memory_below_three_frames(self):
+        # the counts are drawn a block of pulses at a time, so beyond the two
+        # count arrays (the frames and the diode-2 counts) only one block of
+        # field, beat and rates is alive; whole arrays of those took 1.5
+        # frames for the complex field alone
+        n_pulses, det = 12_000, detection.DetectorModel(eta_q=0.9, sigma_e=2.0)
+        signal = [(arrays.ramp_mode(GRID), states.StateSpec("coherent", alpha=2.0))]
+        frame_bytes = n_pulses * GRID.n_pixels * np.dtype(np.int64).itemsize
+        tracemalloc.start()
+        try:
+            fs = arrays.simulate_array_frames(signal, det, GRID, RAND, n_pulses, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fs.frames.shape == (n_pulses, GRID.n_pixels)
+        assert peak < 3 * frame_bytes
 
     def test_nonclassical_signal_rejected(self):
         mode = arrays.uniform_mode(GRID)

@@ -266,6 +266,91 @@ class TestDetectorCounts:
             detection.detector_counts(np.array([200.0]), 0.0, det, stream(16, "c"))
 
 
+def _whole_array_counts(mu1, mu2, sigma_e, rng):
+    """The whole-array draws that photodiode_counts does in row blocks: the
+    oracle of its values and of its stream order."""
+    n1 = rng.poisson(mu1).astype(np.int64)
+    n2 = rng.poisson(mu2).astype(np.int64)
+    if sigma_e > 0:
+        n1 = n1 + np.rint(rng.normal(0.0, sigma_e, size=n1.shape)).astype(np.int64)
+        n2 = n2 + np.rint(rng.normal(0.0, sigma_e, size=n2.shape)).astype(np.int64)
+    return n1, n2
+
+
+class TestPhotodiodeCounts:
+    @given(width=st.sampled_from([None, 1, 3, 64]),
+           extra=st.sampled_from([("rows", 1), ("block", -1), ("block", 0), ("block", 1),
+                                  ("two_blocks", 3)]),
+           sigma_e=st.sampled_from([0.0, 0.7, 300.0]),
+           scale=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_blocked_equals_whole_array(self, width, extra, sigma_e, scale, seed):
+        row = 1 if width is None else width
+        block = detection.COUNT_BLOCK // row
+        kind, k = extra
+        n_rows = {"rows": k, "block": block + k, "two_blocks": 2 * block + k}[kind]
+        shape = (n_rows,) if width is None else (n_rows, width)
+        gen = np.random.default_rng(seed)
+        mu1 = gen.uniform(0.0, 10.0**scale, shape)
+        mu2 = gen.uniform(0.0, 10.0**scale, shape)
+        mu1.flat[0] = 0.0
+        calls = []
+
+        def rates(lo, hi):
+            calls.append((lo, hi))
+            return mu1[lo:hi], mu2[lo:hi]
+
+        rng_blocked, rng_whole = stream(seed, "counts"), stream(seed, "counts")
+        n1, n2 = detection.photodiode_counts(rates, shape, sigma_e, rng_blocked)
+        o1, o2 = _whole_array_counts(mu1, mu2, sigma_e, rng_whole)
+        assert n1.dtype == n2.dtype == np.int64
+        assert np.array_equal(n1, o1) and np.array_equal(n2, o2)
+        # the same number of draws taken from the stream
+        assert rng_blocked.random() == rng_whole.random()
+        # each row's rates asked for once, in order, at most a block at a time
+        assert calls[0][0] == 0 and calls[-1][1] == n_rows
+        assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+        assert max(hi - lo for lo, hi in calls) <= block
+
+    def test_negative_rate_refused_before_any_draw(self):
+        # the bad rate sits in the last block, after blocks with valid rates
+        n_rows = 2 * detection.COUNT_BLOCK + 3
+        mu = np.full(n_rows, 50.0)
+        mu[-1] = -1.0
+        rng = stream(17, "c")
+        with pytest.raises(ValueError, match="negative mean photoelectron rate"):
+            detection.photodiode_counts(lambda lo, hi: (mu[lo:hi], mu[lo:hi]),
+                                        mu.shape, 1.0, rng)
+        assert rng.random() == stream(17, "c").random()
+
+
+class TestPdfFloor:
+    # ρ = diag(1.5, −0.5) is Hermitian with unit trace but not positive:
+    # Pr(q) = (1.5 − q²) ψ_0(q)², negative beyond |q| = 1.22
+    RHO = states.DensityMatrix(dim=2, elements=np.diag([1.5, -0.5]))
+
+    def test_both_routes_refuse_a_non_positive_state(self):
+        q = np.linspace(-detection.PDF_SPAN, detection.PDF_SPAN, detection.PDF_POINTS)
+        with pytest.raises(FloatingPointError, match="quadrature pdf negative beyond floor"):
+            states.quadrature_pdf(self.RHO, 0.3, q)
+        with pytest.raises(FloatingPointError, match="quadrature pdf negative beyond floor"):
+            detection.pdf_table(self.RHO, np.array([0.0, 0.3]), q)
+        with pytest.raises(FloatingPointError, match="quadrature pdf negative beyond floor"):
+            detection.draw_state_quadratures(self.RHO, np.zeros(10), stream(18, "q"))
+
+    def test_rounding_negatives_clip_to_zero(self, constructed_states):
+        # valid states dip below 0 by rounding only (to about −7e-16 for
+        # these); both routes clip that and agree
+        q = np.linspace(-detection.PDF_SPAN, detection.PDF_SPAN, detection.PDF_POINTS)
+        thetas = np.linspace(0.0, np.pi, 5)
+        wide = [states.make_state(states.StateSpec("coherent", alpha=5.0)),
+                states.make_state(states.StateSpec("squeezed_vacuum", r=1.0))]
+        for rho in [*constructed_states.values(), *wide]:
+            table = detection.pdf_table(rho, thetas, q)
+            assert table.min() >= 0.0
+            assert np.allclose(table[1], states.quadrature_pdf(rho, thetas[1], q), atol=1e-12)
+
+
 class TestSkellam:
     def test_symmetric_zero_probability(self):
         det = detection.DetectorModel(lo_mean_photons=100.0, eta_q=1.0)

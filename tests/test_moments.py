@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_hermite
 
-from ohtlab import detection, moments, patterns, states
+from ohtlab import cli, detection, formats, moments, patterns, states
 from ohtlab.errors import CoverageError, NearVacuumError
 
 RAND = detection.PhaseSchedule("uniform_random")
@@ -172,6 +172,51 @@ class TestMomentReport:
         n_rec = float(np.sum(np.arange(10) * rho.populations()))
         n_rec_se = float(np.sqrt(np.sum((np.arange(10) * np.diag(err)) ** 2)))
         assert abs(mn - n_rec) < 3 * np.hypot(se, n_rec_se)
+
+    def test_matches_the_single_functionals(self, coherent1):
+        ds = _sample(coherent1, 20_000, seed=517, sched=detection.PhaseSchedule("grid", d=16))
+        rep = moments.moment_report(ds, factorial_orders=(1, 2, 3))
+        assert (rep.mean_n, rep.mean_n_stderr) == moments.mean_photon(ds)
+        assert rep.factorial_moments == {r: moments.factorial_moment(ds, r) for r in (1, 2, 3)}
+        assert (rep.g2, rep.g2_stderr) == moments.g2_single(ds)
+
+    def test_phases_counted_once(self, coherent1, monkeypatch):
+        ds = _sample(coherent1, 20_000, seed=518, sched=detection.PhaseSchedule("grid", d=16))
+        counted = []
+        distinct = detection.distinct
+        monkeypatch.setattr(detection, "distinct", lambda v: counted.append(1) or distinct(v))
+        moments.moment_report(ds)
+        assert len(counted) == 1
+
+    # the refusals of the four checks the report made one by one before it
+    # counted the phases once: mean_photon (order 2), factorial orders 1 and
+    # 2 (orders 2 and 4), g2_single (order 4)
+    @pytest.mark.parametrize("d, orders, message", [
+        (1, (1, 2), "fixed-phase dataset cannot be phase-averaged"),
+        (2, (1, 2), "grid of 2 phases aliases harmonics up to order 2; "
+                    "need more than 2 equally spaced phases"),
+        (3, (1, 2), "grid of 3 phases aliases harmonics up to order 4; "
+                    "need more than 4 equally spaced phases"),
+        (4, (1, 2), "grid of 4 phases aliases harmonics up to order 4; "
+                    "need more than 4 equally spaced phases"),
+        (5, (1, 2, 3), "grid of 5 phases aliases harmonics up to order 6; "
+                       "need more than 6 equally spaced phases"),
+    ])
+    def test_coverage_refusals_unchanged(self, coherent1, tmp_path, capsys, d, orders, message):
+        ds = _sample(coherent1, 2_000, seed=519, sched=detection.PhaseSchedule("grid", d=d))
+        with pytest.raises(CoverageError) as exc:
+            moments.moment_report(ds, factorial_orders=orders)
+        assert str(exc.value) == message
+        if orders == (1, 2):   # the moments command's orders
+            path = tmp_path / "ds.jsonl"
+            formats.write_quadrature_dataset(path, ds)
+            assert cli.main(["moments", "--input", str(path), "--out", str(tmp_path / "o")]) == 3
+            assert capsys.readouterr().err == f"data error: {message}\n"
+            assert not (tmp_path / "o").exists()
+
+    def test_coverage_passes_at_five_phases(self, coherent1):
+        ds = _sample(coherent1, 20_000, seed=520, sched=detection.PhaseSchedule("grid", d=5))
+        assert moments.moment_report(ds).g2 is not None
 
 
 class TestPhaseDistribution:
