@@ -134,6 +134,8 @@ def simulate_array_frames(signal, det: DetectorModel, grid: PixelGrid,
     companion blocked-signal run of N_CALIBRATION pulses measures the
     vacuum offsets.
     """
+    if n_pulses < 1:
+        raise ConfigError("n_pulses must be >= 1")
     per_pixel_lo = det.lo_mean_photons / (2.0 * grid.n_pixels)
     if per_pixel_lo < 1e3:
         raise ConfigError(

@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.  Every run is reproducible: (config, seed) fixes all artifacts
-byte-for-byte.  Each subcommand takes only the flags it reads.
-Values the JSON schema cannot judge are refused with a ConfigError where
-they are used; `main` maps error types to exit codes.  Artifacts are
-written by `formats` into a directory made only once everything is
-computed, so a refused run writes nothing.  Importing this module loads
-no scipy module: the pipelines' special functions are numpy recurrences,
-and a scipy submodule is imported only inside a function that no
-pipeline command calls, so a command does not pay for loading it.
+byte-for-byte.  Each subcommand takes only the flags it reads.  A config
+is read into the dataclasses below: `_config` checks its keys and value
+types, and the classes and the functions that use the values refuse
+out-of-range ones with a ConfigError; `main` maps error types to exit
+codes.  Artifacts are written by `formats` into a directory made only
+once everything is computed, so a refused run writes nothing.
+Importing this module loads no scipy module: the pipelines' special
+functions are numpy recurrences, and a scipy submodule is imported only
+inside a function that no pipeline command calls, so a command does not
+pay for loading it.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import arrays, detection, formats, moments, patterns, radon, states, temporal, twomode
+from ._config import FromDict
 from .errors import (AliasingError, ConfigError, CoverageError, DataFormatError,
                      GramConditionError, NearVacuumError, OhtlabError, TruncationError)
 
@@ -33,193 +34,145 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_NUM = {"type": "number"}
-_INT = {"type": "integer"}
-_COUNT = {"type": "integer", "minimum": 1}
-_NONNEG = {"type": "number", "minimum": 0}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
-STATE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": list(states.StateSpec.KINDS)},
-        "n": _INT,
-        "alpha": {"oneOf": [_NUM, {"type": "array", "items": _NUM,
-                                   "minItems": 2, "maxItems": 2}]},
-        "nbar": _NUM,
-        "r": _NUM,
-        "phi": _NUM,
-        "truncation_dim": _INT,
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-DETECTOR_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "eta_q": _NUM, "eta_ls": _NUM, "lo_mean_photons": _NUM,
-        "sigma_e": _NUM, "gain": _NUM, "balance_imbalance": _NUM,
-    },
-    "additionalProperties": False,
-}
-
-SCHEDULE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": list(detection.PhaseSchedule.KINDS)},
-        "d": _INT,
-        "span": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-OUTPUTS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "dir": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-SIMULATE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "state": STATE_SCHEMA,
-        "detector": DETECTOR_SCHEMA,
-        "schedule": SCHEDULE_SCHEMA,
-        "n_samples": _COUNT,
-        "seed": _INT,
-        "outputs": OUTPUTS_SCHEMA,
-    },
-    "required": ["state", "schedule", "n_samples", "seed"],
-    "additionalProperties": False,
-}
-
-TWOMODE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "source": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["correlated_thermal", "independent_poisson", "hbt_split",
-                                  "anticorrelated_thermal"]},
-                "nbar": _NONNEG, "nbar2": _NONNEG, "corr": _NUM,
-            },
-            "required": ["kind", "nbar"],
-            "additionalProperties": False,
-        },
-        "detector": DETECTOR_SCHEMA,
-        "n_samples": _COUNT,
-        "seed": _INT,
-        "outputs": OUTPUTS_SCHEMA,
-    },
-    "required": ["source", "n_samples", "seed"],
-    "additionalProperties": False,
-}
-
-ARRAY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "detector": DETECTOR_SCHEMA,
-        "n_pixels": {"type": "integer", "minimum": 2},
-        "pixel_area": _POSITIVE,
-        "schedule": SCHEDULE_SCHEMA,
-        "n_pulses": _COUNT,
-        "seed": _INT,
-        "modes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "shape": {"oneOf": [{"enum": ["uniform", "ramp"]},
-                                        {"type": "array", "items": _NUM}]},
-                    "state": STATE_SCHEMA,
-                },
-                "required": ["shape", "state"],
-                "additionalProperties": False,
-            },
-        },
-        "outputs": OUTPUTS_SCHEMA,
-    },
-    "required": ["n_pulses", "seed"],
-    "additionalProperties": False,
-}
-
-#: the sampling demo draws nothing at random: `seed` and `signal.seed` are
-#: accepted for old configs and ignored
-SAMPLE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "signal": {
-            "type": "object",
-            "properties": {
-                "nu": _NUM, "bandwidth": _POSITIVE, "band_fill": _NUM,
-                "span": _POSITIVE, "points": {"type": "integer", "minimum": 2},
-                "chirp": _NUM, "seed": _INT,
-            },
-            "required": ["nu", "bandwidth"],
-            "additionalProperties": False,
-        },
-        "tau_span": _NUM,
-        "tau_step_grid_units": _INT,
-        "outputs": OUTPUTS_SCHEMA,
-        "seed": _INT,
-    },
-    "required": ["signal"],
-    "additionalProperties": False,
-}
-
-CALIBRATE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "detector": DETECTOR_SCHEMA,
-        "lo_levels": {"type": "array", "items": _POSITIVE, "minItems": 3},
-        "pulses_per_level": {"type": "integer", "minimum": 2},
-        "seed": _INT,
-        "outputs": OUTPUTS_SCHEMA,
-    },
-    "required": ["lo_levels", "pulses_per_level", "seed"],
-    "additionalProperties": False,
-}
+@dataclass(frozen=True)
+class Outputs(FromDict):
+    dir: str = ""
 
 
-def load_config(path, schema) -> dict:
+@dataclass(frozen=True, kw_only=True)
+class SeededConfig(FromDict):
+    """The fields of every config but `sample`'s, besides its own."""
+
+    seed: int
+    detector: detection.DetectorModel = detection.DetectorModel()
+    outputs: Outputs = Outputs()
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimulateConfig(SeededConfig):
+    state: states.StateSpec
+    schedule: detection.PhaseSchedule
+    n_samples: int
+
+
+@dataclass(frozen=True)
+class TwoModeSource(FromDict):
+    kind: str
+    nbar: float
+    nbar2: float | None = None      # default: nbar
+    corr: float = 0.0
+
+    KINDS = ("correlated_thermal", "independent_poisson", "hbt_split", "anticorrelated_thermal")
+
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ConfigError(f"unknown source kind {self.kind!r}")
+        if self.nbar < 0 or (self.nbar2 or 0.0) < 0:
+            raise ConfigError("nbar and nbar2 must be >= 0")
+
+    def state(self) -> twomode.TwoModeState:
+        if self.kind == "correlated_thermal":
+            return twomode.TwoModeState("correlated_thermal", nbar=self.nbar, corr=self.corr)
+        if self.kind == "hbt_split":
+            law = twomode.hbt_split_law(self.nbar)
+        elif self.kind == "anticorrelated_thermal":
+            law = twomode.anticorrelated_thermal_law(self.nbar)
+        else:
+            law = twomode.independent_poisson_law(
+                self.nbar, self.nbar if self.nbar2 is None else self.nbar2)
+        return twomode.TwoModeState("planted", law=law)
+
+
+@dataclass(frozen=True, kw_only=True)
+class TwoModeConfig(SeededConfig):
+    source: TwoModeSource
+    n_samples: int
+
+
+@dataclass(frozen=True)
+class ArrayMode(FromDict):
+    shape: str | list[float]
+    state: states.StateSpec
+
+    SHAPES = {"uniform": arrays.uniform_mode, "ramp": arrays.ramp_mode}
+
+    def __post_init__(self):
+        if isinstance(self.shape, str) and self.shape not in self.SHAPES:
+            raise ConfigError(f"unknown mode shape {self.shape!r}")
+
+    def vector(self, grid: arrays.PixelGrid) -> arrays.ModeVector:
+        if isinstance(self.shape, str):
+            return self.SHAPES[self.shape](grid)
+        return arrays.ModeVector.normalized(self.shape, grid)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ArrayConfig(SeededConfig):
+    n_pulses: int
+    n_pixels: int = 64
+    pixel_area: float | None = None     # default: 1 / n_pixels
+    schedule: detection.PhaseSchedule = detection.PhaseSchedule("uniform_random")
+    modes: list[ArrayMode] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class SampleSignal(FromDict):
+    nu: float
+    bandwidth: float
+    band_fill: float = 0.9
+    span: float = 160.0
+    points: int = 16384
+    chirp: float = 8.0
+    seed: int | None = None     # ignored: the demo draws nothing at random
+
+
+@dataclass(frozen=True)
+class SampleConfig(FromDict):
+    signal: SampleSignal
+    tau_span: float | None = None       # default: signal.span / 5
+    tau_step_grid_units: int = 16
+    seed: int | None = None     # ignored, as signal.seed is
+    outputs: Outputs = Outputs()
+
+
+@dataclass(frozen=True, kw_only=True)
+class CalibrateConfig(SeededConfig):
+    lo_levels: list[float]
+    pulses_per_level: int
+
+
+def load_config(path, cls):
+    """The config file at path, as its raw JSON document and as cls."""
     try:
-        cfg = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    # the error jsonschema.validate would raise, without its check of the
-    # schema itself against the metaschema, which tests make instead
-    error = best_match(validator_for(schema)(schema).iter_errors(cfg))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: at {where}: {error.message}")
-    return cfg
+    try:
+        return doc, cls.from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def _outdir(args, cfg: dict | None = None) -> Path:
+def _outdir(args, outputs: Outputs = Outputs()) -> Path:
     """The output directory, made once a command has computed everything."""
-    path = Path(args.out or ((cfg or {}).get("outputs") or {}).get("dir") or ".")
+    path = Path(args.out or outputs.dir or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, SIMULATE_SCHEMA)
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    det = detection.DetectorModel(**cfg.get("detector", {}))
-    sched = detection.PhaseSchedule.from_dict(cfg["schedule"])
-    rho = states.make_state(states.StateSpec.from_dict(cfg["state"]))
-    ds = detection.sample_quadratures(rho, sched, det, cfg["n_samples"], seed)
-    out = _outdir(args, cfg)
+    doc, cfg = load_config(args.config, SimulateConfig)
+    seed = args.seed if args.seed is not None else cfg.seed
+    rho = states.make_state(cfg.state)
+    ds = detection.sample_quadratures(rho, cfg.schedule, cfg.detector, cfg.n_samples, seed)
+    out = _outdir(args, cfg.outputs)
     ds_path = out / "dataset.jsonl"
     formats.write_quadrature_dataset(ds_path, ds)
-    formats.write_manifest(out / "manifest.json", seed, cfg, {"dataset.jsonl": ds_path})
-    print(f"wrote {ds_path} ({cfg['n_samples']} samples)")
+    formats.write_manifest(out / "manifest.json", seed, doc, {"dataset.jsonl": ds_path})
+    print(f"wrote {ds_path} ({cfg.n_samples} samples)")
     return EXIT_OK
 
 
@@ -304,34 +257,18 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def _twomode_state_from_config(src: dict) -> twomode.TwoModeState:
-    kind = src["kind"]
-    if kind == "correlated_thermal":
-        return twomode.TwoModeState("correlated_thermal", nbar=src["nbar"],
-                                    corr=src.get("corr", 0.0))
-    if kind == "hbt_split":
-        law = twomode.hbt_split_law(src["nbar"])
-    elif kind == "anticorrelated_thermal":
-        law = twomode.anticorrelated_thermal_law(src["nbar"])
-    else:
-        law = twomode.independent_poisson_law(src["nbar"], src.get("nbar2", src["nbar"]))
-    return twomode.TwoModeState("planted", law=law)
-
-
 def cmd_twomode(args) -> int:
-    cfg = load_config(args.config, TWOMODE_SCHEMA)
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    det = detection.DetectorModel(**cfg.get("detector", {}))
-    src = cfg["source"]
-    st = _twomode_state_from_config(src)
+    doc, cfg = load_config(args.config, TwoModeConfig)
+    seed = args.seed if args.seed is not None else cfg.seed
+    st = cfg.source.state()
     rand = detection.PhaseSchedule("uniform_random")
     runs = [twomode.combined_quadrature_samples(
-                st, twomode.LOSuperposition(alpha=alpha), det, cfg["n_samples"],
+                st, twomode.LOSuperposition(alpha=alpha), cfg.detector, cfg.n_samples,
                 seed + i, theta_schedule=rand, zeta_schedule=rand)
             for i, alpha in enumerate((0.0, np.pi / 4, np.pi / 2))]
     g2, se = twomode.two_time_g2(*runs)
-    report = {"g2": g2, "g2_stderr": se, "source": src, "n_samples": cfg["n_samples"]}
-    out = _outdir(args, cfg)
+    report = {"g2": g2, "g2_stderr": se, "source": doc["source"], "n_samples": cfg.n_samples}
+    out = _outdir(args, cfg.outputs)
     for i, ds in enumerate(runs):
         formats.write_quadrature_dataset(out / f"dual_alpha{i}.jsonl", ds)
     formats.write_json(out / "twomode_report.json", report)
@@ -340,27 +277,17 @@ def cmd_twomode(args) -> int:
 
 
 def cmd_array(args) -> int:
-    cfg = load_config(args.config, ARRAY_SCHEMA)
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    det = detection.DetectorModel(**cfg.get("detector", {}))
-    grid = arrays.PixelGrid(n_pixels=cfg.get("n_pixels", 64),
-                            pixel_area=cfg.get("pixel_area", 1.0 / cfg.get("n_pixels", 64)))
-    sched = detection.PhaseSchedule.from_dict(cfg.get("schedule", {"kind": "uniform_random"}))
-    planted = []
-    for m in cfg.get("modes", []):
-        if m["shape"] == "uniform":
-            mv = arrays.uniform_mode(grid)
-        elif m["shape"] == "ramp":
-            mv = arrays.ramp_mode(grid)
-        else:
-            mv = arrays.ModeVector.normalized(m["shape"], grid)
-        planted.append((mv, states.StateSpec.from_dict(m["state"])))
-    frames = arrays.simulate_array_frames(planted, det, grid, sched, cfg["n_pulses"], seed)
+    _, cfg = load_config(args.config, ArrayConfig)
+    seed = args.seed if args.seed is not None else cfg.seed
+    area = cfg.pixel_area if cfg.pixel_area is not None else 1.0 / cfg.n_pixels
+    grid = arrays.PixelGrid(n_pixels=cfg.n_pixels, pixel_area=area)
+    planted = [(m.vector(grid), m.state) for m in cfg.modes]
+    frames = arrays.simulate_array_frames(planted, cfg.detector, grid, cfg.schedule,
+                                          cfg.n_pulses, seed)
     M = arrays.difference_correlation_matrix(frames)
-    w_opt, n_est = arrays.optimal_mode(M, det, grid)
-    report = {"photon_estimate": n_est, "n_pulses": cfg["n_pulses"],
-              "n_pixels": grid.n_pixels}
-    out = _outdir(args, cfg)
+    w_opt, n_est = arrays.optimal_mode(M, cfg.detector, grid)
+    report = {"photon_estimate": n_est, "n_pulses": cfg.n_pulses, "n_pixels": grid.n_pixels}
+    out = _outdir(args, cfg.outputs)
     formats.write_array_frames(out / "frames.jsonl", frames)
     formats.write_csv(out / "optimal_mode.csv", "pixel,x,w", range(grid.n_pixels),
                       grid.coordinates, w_opt.w)
@@ -370,17 +297,17 @@ def cmd_array(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg = load_config(args.config, SAMPLE_SCHEMA)
-    sc = cfg["signal"]
-    nu, B = sc["nu"], sc["bandwidth"]
-    span = sc.get("span", 160.0)
-    n = sc.get("points", 16384)
-    fill = sc.get("band_fill", 0.9)
+    _, cfg = load_config(args.config, SampleConfig)
+    sc = cfg.signal
+    nu, B, span, n, fill, chirp = sc.nu, sc.bandwidth, sc.span, sc.points, sc.band_fill, sc.chirp
+    if min(B, span) <= 0 or n < 2:
+        raise ConfigError("signal bandwidth and span must be positive and points at least 2")
     t = np.linspace(-span, span, n, endpoint=False)
     dt = t[1] - t[0]
     omega = 2 * np.pi * np.fft.fftfreq(n, d=dt)
     inside = np.abs(omega - nu) <= fill * B / 2.0
-    chirp = sc.get("chirp", 8.0)
+    if not inside.any():
+        raise ConfigError(f"signal.band_fill {fill} leaves no grid frequency in the band")
     phi = np.zeros(n, complex)
     for k in np.nonzero(inside)[0]:
         w = omega[k]
@@ -388,14 +315,15 @@ def cmd_sample(args) -> int:
         phi += amp * np.exp(-1j * w * t)
     phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * dt)
     sig = temporal.TemporalSignal(t, phi, nu, B)
-    tau_span = cfg.get("tau_span", span / 5)
-    step = cfg.get("tau_step_grid_units", 16)
-    tau = t[(t > -tau_span) & (t < tau_span)][::step]
+    tau_span = cfg.tau_span if cfg.tau_span is not None else span / 5
+    if cfg.tau_step_grid_units < 1 or not np.any(np.abs(t) < tau_span):
+        raise ConfigError("tau_step_grid_units must be at least 1 and tau_span hold a delay")
+    tau = t[(t > -tau_span) & (t < tau_span)][::cfg.tau_step_grid_units]
     rec = temporal.bandlimited_exact_recovery(sig, B, nu, tau)
     truth = np.interp(tau, t, phi.real) + 1j * np.interp(tau, t, phi.imag)
     rel_rms = float(np.sqrt(np.mean(np.abs(rec - truth) ** 2) / np.mean(np.abs(truth) ** 2)))
     report = {"relative_rms_error": rel_rms, "bandwidth": B, "band_fill": fill}
-    out = _outdir(args, cfg)
+    out = _outdir(args, cfg.outputs)
     formats.write_signal_csv(out / "signal.csv", t, phi)
     formats.write_signal_csv(out / "recovered.csv", tau, rec)
     formats.write_json(out / "sampling_report.json", report)
@@ -404,10 +332,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = load_config(args.config, CALIBRATE_SCHEMA)
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    det = detection.DetectorModel(**cfg.get("detector", {}))
-    cal = detection.calibration_curve(det, cfg["lo_levels"], cfg["pulses_per_level"], seed)
+    _, cfg = load_config(args.config, CalibrateConfig)
+    seed = args.seed if args.seed is not None else cfg.seed
+    cal = detection.calibration_curve(cfg.detector, cfg.lo_levels, cfg.pulses_per_level, seed)
     report = {
         "gain_estimate": cal.gain_estimate,
         "sigma_e_estimate": cal.sigma_e_estimate,
@@ -418,7 +345,7 @@ def cmd_calibrate(args) -> int:
         "table": {"mean_v_plus": cal.mean_v_plus.tolist(),
                   "var_v_minus": cal.var_v_minus.tolist()},
     }
-    out = _outdir(args, cfg)
+    out = _outdir(args, cfg.outputs)
     formats.write_json(out / "calibration.json", report)
     print(formats.dumps_canonical(report))
     return EXIT_OK

@@ -25,6 +25,7 @@ from itertools import product
 
 import numpy as np
 
+from ._config import FromDict
 from ._rng import stream
 from .errors import ConfigError, CoverageError, UnsupportedStateError
 from .states import DensityMatrix, StateSpec, check_pdf_floor, hermite_psi_all
@@ -54,7 +55,7 @@ PHASE_DECIMALS = 10
 
 
 @dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(FromDict):
     """Balanced-homodyne detector parameters."""
 
     eta_q: float = 1.0
@@ -83,12 +84,12 @@ class DetectorModel:
 
 
 @dataclass(frozen=True)
-class PhaseSchedule:
+class PhaseSchedule(FromDict):
     """LO phase program: equally spaced grid, uniform random, or linear sweep."""
 
-    kind: str = "grid"
+    kind: str
     d: int | None = None
-    span: tuple = (0.0, 2.0 * np.pi)
+    span: tuple[float, float] = (0.0, 2.0 * np.pi)
 
     KINDS = ("grid", "uniform_random", "swept_linear")
 
@@ -98,10 +99,13 @@ class PhaseSchedule:
         if self.kind == "grid":
             if self.d is None or self.d < 1:
                 raise ConfigError("grid schedule needs d >= 1")
+            ends = self.grid_phases(np.array([0, self.d - 1]))
+            if ends.min() < 0 or ends.max() >= 2.0 * np.pi:
+                raise ConfigError(f"grid span {list(self.span)} puts phases outside [0, 2π)")
 
-    def grid_phases(self) -> np.ndarray:
+    def grid_phases(self, k=None) -> np.ndarray:
         lo, hi = self.span
-        return lo + (hi - lo) * np.arange(self.d) / self.d
+        return lo + (hi - lo) * (np.arange(self.d) if k is None else k) / self.d
 
     def phases(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Per-sample θ values in [0, 2π), deterministic given the generator."""
@@ -121,13 +125,6 @@ class PhaseSchedule:
         if tuple(self.span) != (0.0, 2.0 * np.pi):
             d["span"] = list(self.span)
         return d
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhaseSchedule":
-        kw = dict(data)
-        if "span" in kw:
-            kw["span"] = tuple(kw["span"])
-        return cls(**kw)
 
 
 @dataclass
@@ -278,8 +275,10 @@ def add_detection_noise(qs: np.ndarray, det: DetectorModel, seed: int) -> np.nda
     return qs
 
 
-def check_sampling_detector(det: DetectorModel) -> None:
-    """Raise ConfigError unless quadrature sampling can model this detector."""
+def check_sampling(det: DetectorModel, n_samples: int) -> None:
+    """Raise ConfigError unless quadrature sampling can draw n_samples with det."""
+    if n_samples < 1:
+        raise ConfigError("n_samples must be >= 1")
     if det.eta_eff <= 0:
         raise ConfigError("eta_eff must be positive")
     if det.lo_mean_photons <= 0:
@@ -289,9 +288,7 @@ def check_sampling_detector(det: DetectorModel) -> None:
 def sample_quadratures(rho: DensityMatrix, sched: PhaseSchedule, det: DetectorModel,
                        n_samples: int, seed: int) -> QuadratureDataset:
     """Synthesize a balanced-homodyne measurement record from a state."""
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
-    check_sampling_detector(det)
+    check_sampling(det, n_samples)
     if det.lo_mean_photons < 1e4:
         warnings.warn("lo_mean_photons < 1e4: strong-LO Gaussian model is marginal")
     thetas = sched.phases(n_samples, stream(seed, "theta"))
@@ -307,7 +304,7 @@ def sample_quadratures(rho: DensityMatrix, sched: PhaseSchedule, det: DetectorMo
     return QuadratureDataset(thetas=thetas, qs=qs, meta=meta)
 
 
-def detector_counts(q_ideal, theta, det: DetectorModel, rng: np.random.Generator):
+def detector_counts(q_ideal, det: DetectorModel, rng: np.random.Generator):
     """Raw photoelectron numbers (n1, n2) at the two diodes, one per pulse.
 
     Models a classical (mean-field) signal with quadrature displacement
@@ -345,7 +342,7 @@ def photodiode_counts(rates, shape: tuple, sigma_e: float, rng: np.random.Genera
     for lo, hi in blocks:
         mu = rates(lo, hi)
         if np.any(mu[0] < 0) or np.any(mu[1] < 0):
-            raise ValueError("negative mean photoelectron rate; LO too weak for this signal")
+            raise ConfigError("negative mean photoelectron rate; LO too weak for this signal")
         staged[0][lo:hi], staged[1][lo:hi] = mu
     counts = [s.view(np.int64) for s in staged]
     for (s, n), (lo, hi) in product(zip(staged, counts), blocks):
@@ -430,14 +427,14 @@ def calibration_curve(det: DetectorModel, lo_levels, pulses_per_level: int,
     shot-noise-limited response.
     """
     levels = np.asarray(lo_levels, float)
-    if distinct(levels).size < 3:
-        raise ConfigError("need at least 3 distinct LO levels")
+    if distinct(levels).size < 3 or levels.min() <= 0 or pulses_per_level < 2:
+        raise ConfigError("need at least 3 distinct positive LO levels and 2 pulses per level")
     rng = stream(seed, "calibration")
     mean_vp = np.empty(levels.size)
     var_vm = np.empty(levels.size)
     for i, energy in enumerate(levels):
         level_det = replace(det, lo_mean_photons=float(energy))
-        n1, n2 = detector_counts(np.zeros(pulses_per_level), 0.0, level_det, rng)
+        n1, n2 = detector_counts(np.zeros(pulses_per_level), level_det, rng)
         v1, v2 = n1 / det.gain, n2 / det.gain
         mean_vp[i] = np.mean(v1 + v2)
         var_vm[i] = np.var(v1 - v2, ddof=1)

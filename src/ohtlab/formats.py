@@ -7,7 +7,8 @@ and manifests (`simulate`).  Every artifact's bytes are decided here:
 canonical JSON (sorted keys, compact separators) and CSVs with each float
 as its repr, so a rerun with the same seed produces byte-identical
 artifacts.  Readers refuse unknown format tags and bad header or record
-values with a DataFormatError.
+values with a DataFormatError; a header's detector and schedule are read
+by their classes' `from_dict`, under the rules configs follow.
 
 Quadrature datasets and array frames are written in bulk: a block of
 records is formatted by one `repr` of the list of its values, which
@@ -226,8 +227,8 @@ def read_quadrature_dataset(path):
         else:
             qs, thetas = _read_records(f, path, _SINGLE_RECORD)
     try:
-        det = DetectorModel(**{k: header[k] for k in DetectorModel().to_dict()
-                               if k in header or k not in _LATER_DETECTOR_KEYS})
+        det = DetectorModel.from_dict({k: header[k] for k in DetectorModel().to_dict()
+                                       if k in header or k not in _LATER_DETECTOR_KEYS})
         meta = DatasetMeta(detector=det, schedule=PhaseSchedule.from_dict(header["schedule"]),
                            seed=header["seed"], source=header.get("source"))
         if dual:
@@ -326,8 +327,8 @@ def read_array_frames(path):
             thetas.append(rec["theta"])
             rows.append(rec["d"])
     grid = PixelGrid(n_pixels=header["n_pixels"], pixel_area=header["pixel_area"])
-    det = DetectorModel(eta_q=header["eta_q"], lo_mean_photons=header["lo_mean_photons"],
-                        sigma_e=header["sigma_e"])
+    det = DetectorModel.from_dict({k: header[k] for k in ("eta_q", "lo_mean_photons",
+                                                          "sigma_e")})
     return ArrayFrameSet(frames=np.array(rows, np.int64), thetas=np.array(thetas),
                          vacuum_offsets=np.array(header["vacuum_offsets"]),
                          grid=grid, detector=det,

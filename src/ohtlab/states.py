@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._config import FromDict
 from .errors import (ConfigError, PurityError, ReferencePointError, TruncationError,
                      UnsupportedStateError)
 
@@ -149,11 +150,13 @@ class WavefunctionSamples:
 
 
 @dataclass
-class StateSpec:
+class StateSpec(FromDict):
     """Constructor recipe for an analytically known state.
 
     kind is one of vacuum | fock | coherent | thermal | squeezed_vacuum |
-    squeezed_coherent.  Unused parameters stay at None.
+    squeezed_coherent.  Unused parameters stay at None.  `from_dict` is the
+    inverse of to_dict; α may be a [re, im] pair or a real scalar, which is
+    kept as given.
     """
 
     kind: str
@@ -192,15 +195,6 @@ class StateSpec:
             d["r"] = self.r
             d["phi"] = self.phi
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StateSpec":
-        """Inverse of to_dict; α may be a [re, im] pair or a real scalar,
-        which is kept as given."""
-        kw = dict(d)
-        if isinstance(kw.get("alpha"), list):
-            kw["alpha"] = complex(kw["alpha"][0], kw["alpha"][1])
-        return cls(**kw)
 
 
 LEAK_TOL = 1e-6

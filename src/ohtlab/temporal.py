@@ -62,7 +62,7 @@ class TemporalSignal:
     def assert_band_limited(self, tol: float = 1e-10):
         frac = self.band_energy_fraction_outside()
         if frac > tol:
-            raise ValueError(f"signal not band-limited: {frac:.2e} of its energy is out of band")
+            raise ConfigError(f"signal not band-limited: {frac:.2e} of its energy is out of band")
 
 
 @dataclass
@@ -176,7 +176,7 @@ def bandlimited_exact_recovery(sig: TemporalSignal, B: float, nu: float,
     gate_extent = SINC_TRUNCATION_LOBES * 2.0 * np.pi / B
     if (np.max(tau_grid) + gate_extent > sig.t_axis[-1]
             or np.min(tau_grid) - gate_extent < sig.t_axis[0]):
-        raise ValueError(
+        raise ConfigError(
             "time grid too short: the truncated sinc gate extends "
             f"±{gate_extent:.1f} around each delay and would be clipped"
         )

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._rng import stream
 from .detection import (DatasetMeta, DetectorModel, PhaseSchedule, QuadratureDataset,
-                        add_detection_noise, check_sampling_detector, draw_fock_quadratures,
+                        add_detection_noise, check_sampling, draw_fock_quadratures,
                         draw_state_quadratures)
 from .errors import ConfigError, UnsupportedStateError
 from .states import DensityMatrix
@@ -178,7 +178,7 @@ def combined_quadrature_samples(st: TwoModeState, lo: LOSuperposition, det: Dete
             "sampling from a general entangled joint Fock state is not implemented; "
             "use product / correlated_thermal / planted representations"
         )
-    check_sampling_detector(det)
+    check_sampling(det, n_samples)
     thetas = (theta_schedule.phases(n_samples, stream(seed, "theta"))
               if theta_schedule else np.full(n_samples, lo.theta))
     zetas = (zeta_schedule.phases(n_samples, stream(seed, "zeta"))

@@ -224,21 +224,21 @@ class TestBlockedDraw:
 class TestDetectorCounts:
     def test_vacuum_difference_variance(self):
         det = detection.DetectorModel(eta_q=0.8, lo_mean_photons=1e6, sigma_e=200.0)
-        n1, n2 = detection.detector_counts(np.zeros(150_000), 0.0, det, stream(11, "c"))
+        n1, n2 = detection.detector_counts(np.zeros(150_000), det, stream(11, "c"))
         var = (n1 - n2).astype(float).var()
         expect = 0.8e6 + 2 * 200.0**2
         assert abs(var - expect) < 3 * variance_stderr(expect, 150_000)
 
     def test_displaced_mean(self):
         det = detection.DetectorModel(eta_q=0.8, eta_ls=0.9, lo_mean_photons=1e6)
-        n1, n2 = detection.detector_counts(np.full(100_000, 3.0), 0.0, det, stream(12, "c"))
+        n1, n2 = detection.detector_counts(np.full(100_000, 3.0), det, stream(12, "c"))
         nm = (n1 - n2).astype(float)
         expect = np.sqrt(2.0) * det.eta_eff * 1e3 * 3.0
         assert nm.mean() == pytest.approx(expect, abs=3 * nm.std() / np.sqrt(nm.size))
 
     def test_lo_blocked(self):
         det = detection.DetectorModel(lo_mean_photons=0.0, sigma_e=0.0)
-        n1, n2 = detection.detector_counts(np.zeros(100), 0.0, det, stream(13, "c"))
+        n1, n2 = detection.detector_counts(np.zeros(100), det, stream(13, "c"))
         assert not n1.any() and not n2.any()
 
     def test_count_path_matches_quadrature_path(self, coherent1):
@@ -249,7 +249,7 @@ class TestDetectorCounts:
         theta = 0.4
         n = 120_000
         q_mean = np.sqrt(2.0) * np.cos(theta)  # mean quadrature of alpha=1
-        n1, n2 = detection.detector_counts(np.full(n, q_mean), theta, det, stream(14, "c"))
+        n1, n2 = detection.detector_counts(np.full(n, q_mean), det, stream(14, "c"))
         q_counts = detection.scaled_difference(n1, n2, det)
         ds = detection.sample_quadratures(
             coherent1, detection.PhaseSchedule("grid", d=1, span=(theta, theta + 0.1)),
@@ -263,7 +263,7 @@ class TestDetectorCounts:
     def test_negative_rate_rejected(self):
         det = detection.DetectorModel(lo_mean_photons=100.0)
         with pytest.raises(ValueError):
-            detection.detector_counts(np.array([200.0]), 0.0, det, stream(16, "c"))
+            detection.detector_counts(np.array([200.0]), det, stream(16, "c"))
 
 
 def _whole_array_counts(mu1, mu2, sigma_e, rng):

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -8,12 +10,10 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
-import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from jsonschema.validators import validator_for
 
 from ohtlab import arrays, cli, detection, formats, states, twomode
 from ohtlab.errors import ConfigError, DataFormatError
@@ -297,6 +297,19 @@ class TestOtherArtifacts:
         assert np.array_equal(back.frames, fs.frames)
         assert np.allclose(back.vacuum_offsets, fs.vacuum_offsets)
 
+    def test_array_frames_header_follows_config_rules(self, tmp_path, capsys):
+        grid = arrays.PixelGrid(n_pixels=4, pixel_area=1 / 4)
+        det = detection.DetectorModel(lo_mean_photons=1e5)
+        fs = arrays.simulate_array_frames([], det, grid,
+                                          detection.PhaseSchedule("uniform_random"),
+                                          10, seed=904)
+        path = tmp_path / "frames.jsonl"
+        formats.write_array_frames(path, fs)
+        head, body = path.read_text().split("\n", 1)
+        path.write_text(json.dumps({**json.loads(head), "eta_q": True}) + "\n" + body)
+        assert cli.main(["validate", "--input", str(path)]) == 3
+        assert "at eta_q: expected a finite number, got true" in capsys.readouterr().err
+
     @given(st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=30))
     @settings(max_examples=40, deadline=None)
     def test_csv_lines_match_per_row_reference(self, tmp_path_factory, rows):
@@ -332,38 +345,243 @@ def write_config(tmp_path, name, doc):
     return str(path)
 
 
-SCHEMAS = {name: getattr(cli, name) for name in dir(cli) if name.endswith("_SCHEMA")}
+#: one config per command, small enough to run in a few tens of milliseconds,
+#: holding every field its command reads
+DETECTOR = {"eta_q": 0.9, "eta_ls": 1.0, "lo_mean_photons": 1e6, "sigma_e": 10.0,
+            "gain": 1e6, "balance_imbalance": 0.0}
+CONFIGS = {
+    "simulate": {"state": {"kind": "squeezed_coherent", "alpha": [1.0, 0.5], "r": 0.3,
+                           "phi": 0.2, "truncation_dim": 24},
+                 "detector": DETECTOR, "schedule": {"kind": "grid", "d": 4, "span": [0.0, 3.0]},
+                 "n_samples": 200, "seed": 1, "outputs": {"dir": "unused"}},
+    "twomode": {"source": {"kind": "independent_poisson", "nbar": 1.0, "nbar2": 0.5,
+                           "corr": 0.5},
+                "detector": DETECTOR, "n_samples": 200, "seed": 1, "outputs": {"dir": "unused"}},
+    "array": {"detector": DETECTOR, "n_pixels": 4, "pixel_area": 0.25,
+              "schedule": {"kind": "uniform_random"}, "n_pulses": 60, "seed": 1,
+              "modes": [{"shape": "ramp", "state": {"kind": "coherent", "alpha": 1.0}},
+                        {"shape": [1.0, 0.0, 0.0, 0.0], "state": {"kind": "vacuum"}}],
+              "outputs": {"dir": "unused"}},
+    "sample": {"signal": {"nu": 12.0, "bandwidth": 2.0, "band_fill": 0.9, "span": 160.0,
+                          "points": 16384, "chirp": 8.0, "seed": 1},
+               "tau_span": 32.0, "tau_step_grid_units": 64, "seed": 1,
+               "outputs": {"dir": "unused"}},
+    "calibrate": {"detector": DETECTOR, "lo_levels": [1e5, 3e5, 6e5], "pulses_per_level": 200,
+                  "seed": 1, "outputs": {"dir": "unused"}},
+}
+#: marks a key to delete, and a value written as the JSON literal 1e400
+DELETE, BIG = object(), "<1e400>"
+#: the values a one-field mutation sets
+MUTATIONS = [None, True, "x", [], {}, 2.0, 0, -1, 1.5, BIG, math.nan, [1.0], [1.0, "a"], DELETE]
 
 
-class TestConfigSchemas:
-    @pytest.mark.parametrize("name", sorted(SCHEMAS))
-    def test_schema_is_valid(self, name):
-        # load_config skips the metaschema check, so it is made here
-        schema = SCHEMAS[name]
-        validator_for(schema).check_schema(schema)
+def _paths(doc, prefix=()):
+    """Every key and index path into a config document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
 
-    @pytest.mark.parametrize("schema, doc", [
-        (cli.SIMULATE_SCHEMA, {"state": {"kind": "vacuum"}, "schedule": {"kind": "grid"},
-                               "n_samples": 10, "seed": 1, "surprise": True}),
-        (cli.SIMULATE_SCHEMA, {"state": {"kind": "nope"}, "schedule": {"kind": "grid"},
-                               "n_samples": 10, "seed": 1}),
-        (cli.SIMULATE_SCHEMA, {"state": {"kind": "coherent", "alpha": [1.0]},
-                               "schedule": {"kind": "grid"}, "n_samples": 0}),
-        (cli.TWOMODE_SCHEMA, {"source": {"kind": "hbt_split"}, "n_samples": 10, "seed": 1}),
-        (cli.ARRAY_SCHEMA, {"n_pulses": 10, "seed": 1.5,
-                            "modes": [{"shape": "wave", "state": {"kind": "vacuum"}}]}),
-        (cli.SAMPLE_SCHEMA, {"signal": {"nu": "12", "bandwidth": -1}}),
-        (cli.CALIBRATE_SCHEMA, {"lo_levels": [1e5], "pulses_per_level": 1}),
-        (cli.CALIBRATE_SCHEMA, []),
-    ])
-    def test_errors_match_jsonschema_validate(self, tmp_path, schema, doc):
-        path = write_config(tmp_path, "bad.json", doc)
-        with pytest.raises(jsonschema.ValidationError) as want:
-            jsonschema.validate(doc, schema)
-        where = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
-        with pytest.raises(ConfigError) as got:
-            cli.load_config(path, schema)
-        assert str(got.value) == f"{path}: at {where}: {want.value.message}"
+
+def _mutated(doc, path, value) -> str:
+    """The JSON text of doc with the value at path set (or deleted)."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc).replace(json.dumps(BIG), "1e400")
+
+
+def _keys(path: str) -> tuple:
+    return tuple(int(k) if k.isdigit() else k for k in path.split("/"))
+
+
+def _run_text(workdir, command, text):
+    """Exit code, stderr and output directory of command on a config text."""
+    (workdir / "cfg.json").write_text(text)
+    out, err = workdir / "out", io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(workdir / "cfg.json"), "--out", str(out)])
+    return code, err.getvalue(), out
+
+
+#: one-field mutations of CONFIGS with the reader's message for each
+MUTATION_REFUSALS = [
+    ("simulate", "state/kind", 5, "at state/kind: expected a string, got 5"),
+    ("simulate", "state/truncation_dim", 24.0,
+     "at state/truncation_dim: expected an integer, got 24.0"),
+    ("simulate", "schedule/d", 4.0, "at schedule/d: expected an integer, got 4.0"),
+    ("simulate", "seed", 2.0, "at seed: expected an integer, got 2.0"),
+    ("simulate", "n_samples", True, "at n_samples: expected an integer, got true"),
+    ("simulate", "detector/eta_q", True,
+     "at detector/eta_q: expected a finite number, got true"),
+    ("simulate", "detector/lo_mean_photons", BIG,
+     "at detector/lo_mean_photons: expected a finite number, got Infinity"),
+    ("simulate", "detector/sigma_e", math.nan,
+     "at detector/sigma_e: expected a finite number, got NaN"),
+    ("simulate", "state/alpha", [1.0, "a"],
+     'at state/alpha/1: expected a finite number, got "a"'),
+    ("simulate", "schedule/span", [1.0],
+     "at schedule/span: expected an array of 2 values, got [1.0]"),
+    ("simulate", "state", None, "at state: expected an object, got null"),
+    ("simulate", "outputs/dir", 3, "at outputs/dir: expected a string, got 3"),
+    ("simulate", "detector/surprise", 1, "at detector/surprise: unknown key"),
+    ("simulate", "n_samples", DELETE, "at n_samples: missing required key"),
+    ("simulate", "schedule/kind", DELETE, "at schedule/kind: missing required key"),
+    ("twomode", "source/nbar", BIG, "at source/nbar: expected a finite number, got Infinity"),
+    ("twomode", "source/corr", None, "at source/corr: expected a finite number, got null"),
+    ("twomode", "n_samples", 2.0, "at n_samples: expected an integer, got 2.0"),
+    ("twomode", "source/kind", DELETE, "at source/kind: missing required key"),
+    ("twomode", "source/surprise", 1, "at source/surprise: unknown key"),
+    ("array", "n_pixels", 4.0, "at n_pixels: expected an integer, got 4.0"),
+    ("array", "pixel_area", True, "at pixel_area: expected a finite number, got true"),
+    ("array", "modes", {}, "at modes: expected an array, got {}"),
+    ("array", "modes/1/shape/0", math.nan,
+     "at modes/1/shape/0: expected a finite number, got NaN"),
+    ("array", "modes/0/state/alpha", [1.0],
+     "at modes/0/state/alpha: expected an array of 2 values, got [1.0]"),
+    ("array", "modes/0/state", DELETE, "at modes/0/state: missing required key"),
+    ("sample", "signal/points", 16384.0, "at signal/points: expected an integer, got 16384.0"),
+    ("sample", "tau_step_grid_units", 2.0,
+     "at tau_step_grid_units: expected an integer, got 2.0"),
+    ("sample", "signal/bandwidth", BIG,
+     "at signal/bandwidth: expected a finite number, got Infinity"),
+    ("sample", "tau_span", math.nan, "at tau_span: expected a finite number, got NaN"),
+    ("sample", "signal/seed", True, "at signal/seed: expected an integer, got true"),
+    ("sample", "signal/bandwidth", DELETE, "at signal/bandwidth: missing required key"),
+    ("sample", "signal/surprise", 1, "at signal/surprise: unknown key"),
+    ("calibrate", "lo_levels/0", True, "at lo_levels/0: expected a finite number, got true"),
+    ("calibrate", "lo_levels/1", BIG,
+     "at lo_levels/1: expected a finite number, got Infinity"),
+    ("calibrate", "pulses_per_level", 200.0,
+     "at pulses_per_level: expected an integer, got 200.0"),
+    ("calibrate", "detector/gain", math.nan,
+     "at detector/gain: expected a finite number, got NaN"),
+    ("calibrate", "seed", None, "at seed: expected an integer, got null"),
+    ("calibrate", "lo_levels", DELETE, "at lo_levels: missing required key"),
+    ("calibrate", "surprise", 1, "at surprise: unknown key"),
+]
+#: one-field mutations that crashed with a traceback (exit 1), wrote NaN or
+#: Infinity into artifacts, or ran as if a float were an integer (exit 0)
+OLD_FAILURES = [
+    # values that crashed with a traceback (exit 1)
+    ("sample", "tau_step_grid_units", 0),
+    ("sample", "signal/bandwidth", 1.5),      # sinc gate overruns the time grid
+    ("sample", "signal/span", 1.5),
+    ("sample", "signal/band_fill", 2.0),      # content outside the band
+    ("sample", "tau_span", 0),                # no delay to sample
+    ("simulate", "schedule/span", [-1, 1]),   # grid phases below 0
+    ("simulate", "n_samples", 2.0),
+    ("twomode", "source/nbar", BIG),
+    ("array", "pixel_area", BIG),
+    ("calibrate", "detector/balance_imbalance", 1.5),   # a negative diode rate
+    ("calibrate", "detector/gain", BIG),
+    # values that wrote NaN or Infinity into artifacts (exit 0)
+    ("sample", "signal/band_fill", -1),
+    ("sample", "signal/chirp", BIG),
+    ("simulate", "detector/lo_mean_photons", BIG),
+    # values that ran as if they were integers (exit 0)
+    ("simulate", "schedule/d", 4.0),
+    ("simulate", "seed", 2.0),
+]
+
+
+def _case_id(command, path, value) -> str:
+    label = ("delete" if value is DELETE else "1e400" if value is BIG
+             else json.dumps(value, separators=(",", ":")))
+    return f"{command}-{path}-{label}"
+
+
+class TestConfigReader:
+    @pytest.mark.parametrize("command, doc, message", [
+        ("simulate", {"state": {"kind": "vacuum"}, "schedule": {"kind": "grid"},
+                      "n_samples": 10, "seed": 1, "surprise": True}, "at surprise: unknown key"),
+        ("simulate", {"state": {"kind": "nope"}, "schedule": {"kind": "grid"},
+                      "n_samples": 10, "seed": 1}, "at state: unknown state kind 'nope'"),
+        ("simulate", {"state": {"kind": "coherent", "alpha": [1.0]},
+                      "schedule": {"kind": "grid"}, "n_samples": 0},
+         "at seed: missing required key"),
+        ("twomode", {"source": {"kind": "hbt_split"}, "n_samples": 10, "seed": 1},
+         "at source/nbar: missing required key"),
+        ("array", {"n_pulses": 10, "seed": 1.5,
+                   "modes": [{"shape": "wave", "state": {"kind": "vacuum"}}]},
+         "at seed: expected an integer, got 1.5"),
+        ("sample", {"signal": {"nu": "12", "bandwidth": -1}},
+         'at signal/nu: expected a finite number, got "12"'),
+        ("calibrate", {"lo_levels": [1e5], "pulses_per_level": 1},
+         "at seed: missing required key"),
+        ("calibrate", [], "at <root>: expected an object, got []"),
+    ], ids=["simulate-unknown-key", "simulate-unknown-kind", "simulate-missing-seed",
+            "twomode-missing-nbar", "array-float-seed", "sample-string-nu",
+            "calibrate-missing-seed", "calibrate-non-object"])
+    def test_refused_documents(self, tmp_path, command, doc, message):
+        # the documents the JSON schemas were checked on, refused by the reader
+        code, err, out = _run_text(tmp_path, command, json.dumps(doc))
+        assert (code, err) == (2, f"config error: {tmp_path / 'cfg.json'}: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, path, value, message", MUTATION_REFUSALS,
+                             ids=[_case_id(*case[:3]) for case in MUTATION_REFUSALS])
+    def test_one_field_mutation_exit_2(self, tmp_path, command, path, value, message):
+        code, err, out = _run_text(tmp_path, command,
+                                   _mutated(CONFIGS[command], _keys(path), value))
+        assert (code, err) == (2, f"config error: {tmp_path / 'cfg.json'}: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_non_object_document_exit_2(self, tmp_path, command):
+        code, err, out = _run_text(tmp_path, command, json.dumps([CONFIGS[command]]))
+        assert code == 2 and "at <root>: expected an object, got [{" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, path, value", OLD_FAILURES,
+                             ids=[_case_id(*case) for case in OLD_FAILURES])
+    def test_old_failures_exit_2(self, tmp_path, command, path, value):
+        code, err, out = _run_text(tmp_path, command,
+                                   _mutated(CONFIGS[command], _keys(path), value))
+        assert code == 2 and err.startswith("config error: ")
+        assert not out.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_one_field_mutation_exits_with_a_documented_code(self, tmp_path_factory, data):
+        # never 1 (a traceback); a refused run writes nothing, and a run
+        # that succeeds writes only finite numbers
+        command = data.draw(st.sampled_from(sorted(CONFIGS)))
+        path = data.draw(st.sampled_from(list(_paths(CONFIGS[command]))))
+        value = data.draw(st.sampled_from(MUTATIONS))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, err, out = _run_text(tmp_path_factory.mktemp("mut"), command,
+                                       _mutated(CONFIGS[command], path, value))
+        assert code in (0, 2, 3, 4), err
+        if code:
+            assert not out.exists()
+        else:
+            assert not any(b"NaN" in f.read_bytes() or b"Infinity" in f.read_bytes()
+                           for f in out.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_base_configs_run(self, tmp_path, command):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, err, _ = _run_text(tmp_path, command, json.dumps(CONFIGS[command]))
+        assert code == 0, err
+
+    def test_numbers_are_kept_as_given(self):
+        # an int stays an int, so a dataset header writes it back unchanged
+        det = detection.DetectorModel.from_dict({"lo_mean_photons": 1000000, "eta_q": 0.5})
+        assert type(det.lo_mean_photons) is int and det.to_dict()["lo_mean_photons"] == 1000000
+        spec = states.StateSpec.from_dict({"kind": "coherent", "alpha": 2})
+        assert type(spec.alpha) is int
+        assert states.StateSpec.from_dict(spec.to_dict()).alpha == 2 + 0j
+        sched = detection.PhaseSchedule.from_dict({"kind": "grid", "d": 3, "span": [0, 3]})
+        assert sched.span == (0, 3) and sched.to_dict()["span"] == [0, 3]
 
 
 class TestCli:
@@ -577,6 +795,12 @@ class TestCli:
         ({"sigma_e": None}, '{"q":0.5,"theta":0.25}', "bad header"),  # None drops the key
         ({"eta_q": 2.0}, '{"q":0.5,"theta":0.25}', "bad header"),
         ({}, '{"q":0.5,"theta":7.0}', "phases must lie in"),
+        # header values follow the config rules
+        ({"eta_q": True}, '{"q":0.5,"theta":0.25}', "bad header"),
+        ({"sigma_e": math.nan}, '{"q":0.5,"theta":0.25}', "bad header"),
+        ({"schedule": {"kind": "grid", "d": 1.0}}, '{"q":0.5,"theta":0.25}', "bad header"),
+        ({"schedule": {"kind": "grid", "d": 1, "span": [-1.0, 1.0]}},
+         '{"q":0.5,"theta":0.25}', "bad header"),
     ])
     def test_bad_file_value_exit_3(self, tmp_path, capsys, header, record, message):
         # a value a file carries is a data error, even where a config with
