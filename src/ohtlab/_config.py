@@ -27,24 +27,25 @@ _SCALARS = {int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an 
             str: (lambda v: isinstance(v, str), "a string")}
 
 
-def _fit(hint, value, where: str):
-    """value as a field annotated hint holds it."""
+def fit(hint, value, where: str):
+    """value as a field annotated hint holds it; a ConfigError naming where
+    if it does not fit."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if dataclasses.is_dataclass(hint):
         return read(hint, value, where)
     if origin in (typing.Union, types.UnionType):
         for alt in (a for a in args if a is not type(None)):
             try:
-                return _fit(alt, value, where)
+                return fit(alt, value, where)
             except ConfigError as exc:
                 error = exc
         raise error
     if hint is complex and isinstance(value, list):
-        return complex(*_fit(tuple[float, float], value, where))
+        return complex(*fit(tuple[float, float], value, where))
     if origin in (list, tuple):
         what = "an array" if origin is list else f"an array of {len(args)} values"
         if isinstance(value, list) and (origin is list or len(value) == len(args)):
-            return origin(_fit(args[0], v, f"{where}/{i}") for i, v in enumerate(value))
+            return origin(fit(args[0], v, f"{where}/{i}") for i, v in enumerate(value))
     else:
         fits, what = _SCALARS[hint]
         if fits(value):
@@ -65,7 +66,7 @@ def read(cls, doc, where: str = "<root>"):
         if name not in doc and f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"at {at}{name}: missing required key")
     hints = typing.get_type_hints(cls)
-    kwargs = {key: _fit(hints[key], value, at + key) for key, value in doc.items()}
+    kwargs = {key: fit(hints[key], value, at + key) for key, value in doc.items()}
     try:
         return cls(**kwargs)
     except ConfigError as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._config import FromDict
 from ._rng import stream
 from .detection import (DatasetMeta, DetectorModel, PhaseSchedule, QuadratureDataset,
                         photodiode_counts)
@@ -28,7 +29,7 @@ N_CALIBRATION = 4000
 
 
 @dataclass(frozen=True)
-class PixelGrid:
+class PixelGrid(FromDict):
     """Uniform 1D pixel array; 2D sensors are handled flattened."""
 
     n_pixels: int = 64

@@ -60,8 +60,8 @@ class SimulateConfig(SeededConfig):
 class TwoModeSource(FromDict):
     kind: str
     nbar: float
-    nbar2: float | None = None      # default: nbar
-    corr: float = 0.0
+    nbar2: float | None = None      # independent_poisson only; default: nbar
+    corr: float | None = None       # correlated_thermal only; default: 0
 
     KINDS = ("correlated_thermal", "independent_poisson", "hbt_split", "anticorrelated_thermal")
 
@@ -70,10 +70,14 @@ class TwoModeSource(FromDict):
             raise ConfigError(f"unknown source kind {self.kind!r}")
         if self.nbar < 0 or (self.nbar2 or 0.0) < 0:
             raise ConfigError("nbar and nbar2 must be >= 0")
+        for key, kind in (("corr", "correlated_thermal"), ("nbar2", "independent_poisson")):
+            if getattr(self, key) is not None and self.kind != kind:
+                raise ConfigError(f"{key} applies to {kind} sources only, not {self.kind}")
 
     def state(self) -> twomode.TwoModeState:
         if self.kind == "correlated_thermal":
-            return twomode.TwoModeState("correlated_thermal", nbar=self.nbar, corr=self.corr)
+            return twomode.TwoModeState("correlated_thermal", nbar=self.nbar,
+                                        corr=self.corr or 0.0)
         if self.kind == "hbt_split":
             law = twomode.hbt_split_law(self.nbar)
         elif self.kind == "anticorrelated_thermal":

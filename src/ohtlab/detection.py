@@ -192,13 +192,16 @@ def _inverse_cdf_draw(pdf_rows, q_grid: np.ndarray, group_idx: np.ndarray,
     pdf_rows is the row table or a function (lo, hi) -> rows lo … hi − 1.
     Rows are taken PHASE_BLOCK at a time, so one block's pdf and CDF tables
     are alive at once. One stable sort lines the samples up group by group,
-    so each group is a contiguous slice of the order.
+    so each group is a contiguous slice of the order; the group indices are
+    sorted in the smallest type that holds them, where numpy's stable sort
+    is a radix sort up to 65,536 groups.
     """
     rows_of = pdf_rows if callable(pdf_rows) else lambda lo, hi: pdf_rows[lo:hi]
     dq = q_grid[1] - q_grid[0]
     out = np.empty(u.size, float)
     counts = np.bincount(group_idx)
-    slices = np.split(np.argsort(group_idx, kind="stable"), np.cumsum(counts)[:-1])
+    keys = group_idx.astype(np.min_scalar_type(counts.size - 1))
+    slices = np.split(np.argsort(keys, kind="stable"), np.cumsum(counts)[:-1])
     # a lone last row joins the block before it: a one-row table goes through
     # BLAS matrix-vector code, which rounds differently from the full product
     edges = [*range(0, max(counts.size - 1, 1), PHASE_BLOCK), counts.size]

@@ -7,13 +7,16 @@ and manifests (`simulate`).  Every artifact's bytes are decided here:
 canonical JSON (sorted keys, compact separators) and CSVs with each float
 as its repr, so a rerun with the same seed produces byte-identical
 artifacts.  Readers refuse unknown format tags and bad header or record
-values with a DataFormatError; a header's detector and schedule are read
-by their classes' `from_dict`, under the rules configs follow.
+values with a DataFormatError; a header's detector, schedule, pixel grid
+and seed are read under the rules configs follow (`from_dict`, `fit`).
 
-Quadrature datasets and array frames are written in bulk: a block of
-records is formatted by one `repr` of the list of its values, which
-applies `float.__repr__`, the number format of `json.dumps`, so the lines
-are the bytes `dumps_canonical` writes for each record.  A phase column
+Quadrature datasets are written in bulk: a block of records is formatted
+by one `repr` of the list of its values, which applies `float.__repr__`,
+the number format of `json.dumps`, so the lines are the bytes
+`dumps_canonical` writes for each record.  Array frames hold integer
+counts, and a frame set has few distinct ones: the text of each is
+formatted once into a table (`str`, the digits `repr` writes), and a
+frame's counts are one join of table entries.  A phase column
 holds at most max(d, PHASE_SNAP) distinct values, and a Wigner CSV's axes
 repeat, so each such value is formatted once.  `read_quadrature_dataset`
 reads the body in bounded chunks.  A chunk made only of canonical lines
@@ -34,8 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._config import fit
 from .detection import (FORMAT_VERSION, DatasetMeta, DetectorModel, PhaseSchedule,
-                        QuadratureDataset)
+                        QuadratureDataset, distinct)
 from .errors import DataFormatError
 from .states import DensityMatrix, WignerGrid
 from .twomode import DualQuadratureDataset
@@ -230,7 +234,7 @@ def read_quadrature_dataset(path):
         det = DetectorModel.from_dict({k: header[k] for k in DetectorModel().to_dict()
                                        if k in header or k not in _LATER_DETECTOR_KEYS})
         meta = DatasetMeta(detector=det, schedule=PhaseSchedule.from_dict(header["schedule"]),
-                           seed=header["seed"], source=header.get("source"))
+                           seed=fit(int, header["seed"], "seed"), source=header.get("source"))
         if dual:
             meta.extra = {"mode": "dual", "alpha": header["alpha"],
                           "zeta_schedule": header.get("zeta_schedule")}
@@ -290,6 +294,21 @@ def write_signal_csv(path, t_axis, values) -> None:
     write_csv(path, "t,re,im", t_axis, values.real, values.imag)
 
 
+def _count_table(counts: np.ndarray):
+    """The text of each distinct integer count, formatted once, and a function
+    from a block of counts to the indices of their texts.  The index is the
+    offset from the smallest count when the counts span no more values than
+    there are counts, else the position among the distinct counts; the span
+    is taken in Python ints, so int64 extremes do not overflow, and the table
+    never holds more texts than there are counts."""
+    lo, hi = (int(counts.min()), int(counts.max())) if counts.size else (0, -1)
+    if hi - lo < counts.size:
+        return np.array(list(map(str, range(lo, hi + 1))), object), lambda block: block - lo
+    keys = distinct(counts)
+    return (np.array(list(map(str, keys.tolist())), object),
+            lambda block: np.searchsorted(keys, block))
+
+
 def write_array_frames(path, frames) -> None:
     header = {
         "format": ARRAY_FORMAT,
@@ -303,12 +322,13 @@ def write_array_frames(path, frames) -> None:
         "vacuum_offsets": [float(x) for x in frames.vacuum_offsets],
         "planted": frames.planted,
     }
+    texts, index = _count_table(frames.frames)
     rows = max(1, WRITE_CHUNK // (frames.grid.n_pixels + 1))
     with open(path, "w") as f:
         f.write(dumps_canonical(header) + "\n")
         for start in range(0, len(frames.thetas), rows):
-            counts = repr(frames.frames[start:start + rows].tolist())
-            _write_lines(f, _FRAME_RECORD, counts.replace(" ", "")[2:-2].split("],["),
+            cells = texts[index(frames.frames[start:start + rows])].tolist()
+            _write_lines(f, _FRAME_RECORD, list(map(",".join, cells)),
                          _json_floats(frames.thetas[start:start + rows]))
 
 
@@ -326,14 +346,18 @@ def read_array_frames(path):
             rec = json_object(path, line, f"line {i}")
             thetas.append(rec["theta"])
             rows.append(rec["d"])
-    grid = PixelGrid(n_pixels=header["n_pixels"], pixel_area=header["pixel_area"])
-    det = DetectorModel.from_dict({k: header[k] for k in ("eta_q", "lo_mean_photons",
-                                                          "sigma_e")})
+    try:
+        grid = PixelGrid.from_dict({k: header[k] for k in ("n_pixels", "pixel_area")})
+        det = DetectorModel.from_dict({k: header[k] for k in ("eta_q", "lo_mean_photons",
+                                                              "sigma_e")})
+        schedule = PhaseSchedule.from_dict(header["schedule"])
+        seed = fit(int, header["seed"], "seed")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad header: {type(exc).__name__}: {exc}") from exc
     return ArrayFrameSet(frames=np.array(rows, np.int64), thetas=np.array(thetas),
                          vacuum_offsets=np.array(header["vacuum_offsets"]),
-                         grid=grid, detector=det,
-                         schedule=PhaseSchedule.from_dict(header["schedule"]),
-                         seed=header["seed"], planted=header.get("planted", []))
+                         grid=grid, detector=det, schedule=schedule, seed=seed,
+                         planted=header.get("planted", []))
 
 
 def write_manifest(path, seed: int, config: dict, files: dict) -> None:

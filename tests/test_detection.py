@@ -141,6 +141,18 @@ class TestInverseCdfDraw:
         got = detection._inverse_cdf_draw(rows, q_grid, group, u)
         assert np.array_equal(got, _reference_inverse_cdf_draw(rows, q_grid, group, u))
 
+    @pytest.mark.parametrize("n_rows", [256, 257, 65_536, 65_537])
+    def test_many_groups_match_masked_reference(self, n_rows):
+        # 256 and 65,536 groups are the most whose indices sort as uint8 and
+        # uint16 keys; one group more takes the next wider key type
+        rng = stream(n_rows, "draw-groups")
+        q_grid = np.linspace(-detection.PDF_SPAN, detection.PDF_SPAN, 9)
+        rows = rng.random((n_rows, q_grid.size)) + 1e-3
+        group = rng.permutation(np.append(rng.integers(0, n_rows, 3_000), n_rows - 1))
+        u = rng.random(group.size)
+        got = detection._inverse_cdf_draw(rows, q_grid, group, u)
+        assert np.array_equal(got, _reference_inverse_cdf_draw(rows, q_grid, group, u))
+
     def test_state_draw_on_snapped_random_phases_matches_reference(self, coherent1):
         thetas = detection.PhaseSchedule("uniform_random").phases(20_000, stream(3, "t"))
         distinct, group = np.unique(thetas, return_inverse=True)

@@ -41,6 +41,30 @@ def _reference_write_frame_lines(path, frames):
                     + "\n")
 
 
+def _check_frame_lines(d, thetas, counts):
+    """write_array_frames writes the reference's body at every chunk size,
+    from a count table no longer than the frame array."""
+    frames = arrays.ArrayFrameSet(
+        frames=np.array(counts, np.int64).reshape(len(counts), 3),
+        thetas=np.array(thetas, float), vacuum_offsets=np.zeros(3),
+        grid=arrays.PixelGrid(n_pixels=3, pixel_area=1 / 3), detector=DET,
+        schedule=detection.PhaseSchedule("uniform_random"), seed=0)
+    _reference_write_frame_lines(d / "ref.jsonl", frames)
+    tables, real_count_table = [], formats._count_table
+
+    def count_table(c):
+        tables.append(real_count_table(c))
+        return tables[-1]
+
+    for write_chunk, _ in CHUNKS:
+        with mock.patch.object(formats, "WRITE_CHUNK", write_chunk), \
+                mock.patch.object(formats, "_count_table", count_table):
+            formats.write_array_frames(d / "new.jsonl", frames)
+        body = (d / "new.jsonl").read_bytes().split(b"\n", 1)[1]
+        assert body == (d / "ref.jsonl").read_bytes()
+    assert all(len(texts) <= frames.frames.size for texts, _ in tables)
+
+
 def _reference_write_csv(path, header, rows):
     with open(path, "w") as f:
         f.write(header + "\n")
@@ -196,18 +220,35 @@ class TestQuadratureFiles:
                                               min_size=3, max_size=3)), max_size=20))
     @settings(max_examples=40, deadline=None)
     def test_frame_lines_match_per_record_reference(self, tmp_path_factory, rows):
-        d = tmp_path_factory.mktemp("frames")
-        frames = arrays.ArrayFrameSet(
-            frames=np.array([r for _, r in rows], np.int64).reshape(len(rows), 3),
-            thetas=np.array([t for t, _ in rows], float), vacuum_offsets=np.zeros(3),
-            grid=arrays.PixelGrid(n_pixels=3, pixel_area=1 / 3), detector=DET,
-            schedule=detection.PhaseSchedule("uniform_random"), seed=0)
-        _reference_write_frame_lines(d / "ref.jsonl", frames)
-        for write_chunk, _ in CHUNKS:
-            with mock.patch.object(formats, "WRITE_CHUNK", write_chunk):
-                formats.write_array_frames(d / "new.jsonl", frames)
-            body = (d / "new.jsonl").read_bytes().split(b"\n", 1)[1]
-            assert body == (d / "ref.jsonl").read_bytes()
+        _check_frame_lines(tmp_path_factory.mktemp("frames"),
+                           [t for t, _ in rows], [r for _, r in rows])
+
+    @given(st.data(), st.integers(0, 12), st.sampled_from(["small", "int64"]))
+    @settings(max_examples=60, deadline=None)
+    def test_frame_count_spans_match_per_record_reference(self, tmp_path_factory, data,
+                                                          n_rows, span):
+        # small spans take the table by offset from the minimum, spans over
+        # all of int64 the table of distinct counts; both at every chunk size
+        if span == "small":
+            lo = data.draw(st.integers(-2**63, 2**63 - 1 - 3 * n_rows))
+            counts = st.integers(lo, lo + 3 * n_rows)
+        else:
+            counts = st.one_of(st.integers(-2**63, 2**63 - 1),
+                               st.sampled_from([-2**63, -1, 0, 1, 2**63 - 1]))
+        rows = data.draw(st.lists(st.lists(counts, min_size=3, max_size=3),
+                                  min_size=n_rows, max_size=n_rows))
+        _check_frame_lines(tmp_path_factory.mktemp("spans"), [0.5] * n_rows, rows)
+
+    def test_wide_two_row_frame_builds_no_span_sized_table(self, tmp_path):
+        counts = [[0, 2**62, 0], [2**62, 0, 2**62]]
+
+        def short_range(*args):
+            # a table of every value in the span would take 2**62 entries
+            assert len(range(*args)) <= 6, "a range as long as the count span"
+            return range(*args)
+
+        with mock.patch.object(formats, "range", short_range, create=True):
+            _check_frame_lines(tmp_path, [0.25, 1.0], counts)
 
     def test_written_file_skips_the_line_parser(self, small_dataset, tmp_path):
         path = tmp_path / "ds.jsonl"
@@ -346,7 +387,8 @@ def write_config(tmp_path, name, doc):
 
 
 #: one config per command, small enough to run in a few tens of milliseconds,
-#: holding every field its command reads
+#: holding every field its command reads (but twomode's source/corr, which
+#: only a correlated_thermal source reads)
 DETECTOR = {"eta_q": 0.9, "eta_ls": 1.0, "lo_mean_photons": 1e6, "sigma_e": 10.0,
             "gain": 1e6, "balance_imbalance": 0.0}
 CONFIGS = {
@@ -354,8 +396,7 @@ CONFIGS = {
                            "phi": 0.2, "truncation_dim": 24},
                  "detector": DETECTOR, "schedule": {"kind": "grid", "d": 4, "span": [0.0, 3.0]},
                  "n_samples": 200, "seed": 1, "outputs": {"dir": "unused"}},
-    "twomode": {"source": {"kind": "independent_poisson", "nbar": 1.0, "nbar2": 0.5,
-                           "corr": 0.5},
+    "twomode": {"source": {"kind": "independent_poisson", "nbar": 1.0, "nbar2": 0.5},
                 "detector": DETECTOR, "n_samples": 200, "seed": 1, "outputs": {"dir": "unused"}},
     "array": {"detector": DETECTOR, "n_pixels": 4, "pixel_area": 0.25,
               "schedule": {"kind": "uniform_random"}, "n_pulses": 60, "seed": 1,
@@ -813,6 +854,39 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind, key, value, message", [
+        ("quad", "seed", "x", 'at seed: expected an integer, got "x"'),
+        ("quad", "seed", 7.0, "at seed: expected an integer, got 7.0"),
+        ("quad", "seed", True, "at seed: expected an integer, got true"),
+        ("frames", "n_pixels", 4.0, "at n_pixels: expected an integer, got 4.0"),
+        ("frames", "n_pixels", True, "at n_pixels: expected an integer, got true"),
+        ("frames", "pixel_area", 0.0, "need at least 2 pixels of positive area"),
+        ("frames", "pixel_area", -0.25, "need at least 2 pixels of positive area"),
+        ("frames", "pixel_area", True, "at pixel_area: expected a finite number, got true"),
+        ("frames", "seed", "x", 'at seed: expected an integer, got "x"'),
+        ("frames", "seed", 7.0, "at seed: expected an integer, got 7.0"),
+        ("frames", "seed", None, "at seed: expected an integer, got null"),
+    ])
+    def test_mutated_header_field_exit_3(self, small_dataset, tmp_path, capsys, kind, key,
+                                         value, message):
+        # header fields follow the config rules, as the detector's do
+        path = tmp_path / f"{kind}.jsonl"
+        if kind == "quad":
+            formats.write_quadrature_dataset(path, small_dataset)
+            reader = formats.read_quadrature_dataset
+        else:
+            formats.write_array_frames(path, arrays.simulate_array_frames(
+                [], detection.DetectorModel(lo_mean_photons=1e5),
+                arrays.PixelGrid(n_pixels=4, pixel_area=1 / 4),
+                detection.PhaseSchedule("uniform_random"), 10, seed=905))
+            reader = formats.read_array_frames
+        head, body = path.read_text().split("\n", 1)
+        path.write_text(json.dumps({**json.loads(head), key: value}) + "\n" + body)
+        with pytest.raises(DataFormatError, match="bad header"):
+            reader(path)
+        assert run_cli("validate", "--input", str(path)) == 3
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("header", ["[1]", "1.5", '"ohtlab-quad-v1"', "null"])
     def test_header_not_an_object_exit_3(self, tmp_path, capsys, header):
         path = tmp_path / "ds.jsonl"
@@ -898,6 +972,30 @@ class TestCli:
             f.write('{"theta":0.0,"q":0.0}\n')
         assert run_cli("validate", "--input", manifest) == 3
         assert run_cli("validate", "--input", manifest, "--report") == 0
+
+    @pytest.mark.parametrize("source, message", [
+        ({"kind": "hbt_split", "nbar": 1.0, "corr": 0.9},
+         "corr applies to correlated_thermal sources only, not hbt_split"),
+        ({"kind": "independent_poisson", "nbar": 1.0, "corr": 0.0},
+         "corr applies to correlated_thermal sources only, not independent_poisson"),
+        ({"kind": "anticorrelated_thermal", "nbar": 1.0, "corr": 1.5},
+         "corr applies to correlated_thermal sources only, not anticorrelated_thermal"),
+        ({"kind": "correlated_thermal", "nbar": 1.0, "nbar2": 2.0},
+         "nbar2 applies to independent_poisson sources only, not correlated_thermal"),
+        ({"kind": "hbt_split", "nbar": 1.0, "nbar2": 1.0},
+         "nbar2 applies to independent_poisson sources only, not hbt_split"),
+        ({"kind": "correlated_thermal", "nbar": 1.0, "corr": -0.1},
+         "number correlation coefficient must be in [0, 1]"),
+        ({"kind": "correlated_thermal", "nbar": 1.0, "corr": 1.5},
+         "number correlation coefficient must be in [0, 1]"),
+    ])
+    def test_twomode_source_field_not_read_exit_2(self, tmp_path, capsys, source, message):
+        # a field the source kind does not read is refused, not ignored
+        cfg = write_config(tmp_path, "two.json", {"source": source, "n_samples": 10,
+                                                  "seed": 1})
+        assert run_cli("twomode", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_twomode_command(self, tmp_path):
         cfg = write_config(tmp_path, "two.json", {
