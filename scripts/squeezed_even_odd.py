@@ -7,15 +7,16 @@ distribution next to the analytic pair-production law.
 """
 
 import argparse
+import math
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from ohtlab import detection, formats, patterns, states
 
 
 def analytic_pn(r, n_max):
+    gammaln = np.vectorize(math.lgamma, otypes=[float])
     p = np.zeros(n_max + 1)
     k = np.arange((n_max // 2) + 1)
     logp = gammaln(2 * k + 1) - 2 * (k * np.log(2.0) + gammaln(k + 1)) \

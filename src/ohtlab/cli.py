@@ -8,10 +8,6 @@ types, and the classes and the functions that use the values refuse
 out-of-range ones with a ConfigError; `main` maps error types to exit
 codes.  Artifacts are written by `formats` into a directory made only
 once everything is computed, so a refused run writes nothing.
-Importing this module loads no scipy module: the pipelines' special
-functions are numpy recurrences, and a scipy submodule is imported only
-inside a function that no pipeline command calls, so a command does not
-pay for loading it.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ import numpy as np
 
 from ._config import FromDict
 from ._rng import stream
-from .errors import ConfigError, CoverageError, UnsupportedStateError
-from .states import DensityMatrix, StateSpec, check_pdf_floor, hermite_psi_all
+from .errors import ConfigError, CoverageError
+from .states import DensityMatrix, check_pdf_floor, hermite_psi_all
 
 FORMAT_VERSION = "ohtlab-quad-v1"
 
@@ -353,47 +353,6 @@ def photodiode_counts(rates, shape: tuple, sigma_e: float, rng: np.random.Genera
     for n, (lo, hi) in product(counts if sigma_e > 0 else [], blocks):
         n[lo:hi] += np.rint(rng.normal(0.0, sigma_e, size=n[lo:hi].shape)).astype(np.int64)
     return tuple(counts)
-
-
-def scaled_difference(n1, n2, det: DetectorModel):
-    """Quadrature value recovered from a count pair."""
-    return (np.asarray(n1) - np.asarray(n2)) / (np.sqrt(2.0) * det.eta_eff * np.sqrt(det.lo_mean_photons))
-
-
-def skellam_difference_pdf(signal_alpha, theta: float, det: DetectorModel,
-                           n_sigma: float = 8.0):
-    """Exact difference-count law for a coherent signal: the Skellam pmf.
-
-    With coherent signal and LO, the two diodes are independent Poisson
-    sources with the beam-splitter output means, so n_− follows the
-    modified-Bessel (Skellam) distribution, the closed evaluation of the
-    general counting formula in this regime, and the exactness oracle for
-    the strong-LO Gaussian model.
-
-    Returns (n_values, pmf, mu1, mu2).
-    """
-    from scipy.stats import skellam
-
-    alpha = signal_alpha
-    if isinstance(signal_alpha, StateSpec):
-        if signal_alpha.kind not in ("vacuum", "coherent"):
-            raise UnsupportedStateError(
-                f"exact difference-count law only implemented for coherent signals, not {signal_alpha.kind}"
-            )
-        alpha = signal_alpha.alpha if signal_alpha.kind == "coherent" else 0.0
-    alpha = complex(alpha)
-    lo = det.lo_mean_photons
-    q_mean = np.sqrt(2.0) * np.real(alpha * np.exp(-1j * theta))
-    beat = det.eta_q * np.sqrt(lo) * q_mean / np.sqrt(2.0)
-    base = det.eta_q * (lo + abs(alpha) ** 2) / 2.0
-    mu1 = base * (1.0 + det.balance_imbalance) + beat
-    mu2 = base * (1.0 - det.balance_imbalance) - beat
-    if mu1 < 0 or mu2 < 0:
-        raise ValueError("negative mean rate")
-    center = mu1 - mu2
-    width = n_sigma * np.sqrt(mu1 + mu2) + 10
-    n_values = np.arange(int(np.floor(center - width)), int(np.ceil(center + width)) + 1)
-    return n_values, skellam.pmf(n_values, mu1, mu2), mu1, mu2
 
 
 def mode_overlap(lo_mode, sig_mode, dx: float = 1.0) -> float:

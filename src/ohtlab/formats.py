@@ -339,25 +339,33 @@ def read_array_frames(path):
         header = json_object(path, f.readline(), "header line")
         if header.get("format") != ARRAY_FORMAT:
             raise DataFormatError(f"{path}: not an {ARRAY_FORMAT} file")
-        thetas, rows = [], []
-        for i, line in enumerate(f, 2):
-            if not line.strip():
-                continue
-            rec = json_object(path, line, f"line {i}")
-            thetas.append(rec["theta"])
-            rows.append(rec["d"])
+        records = [(i, json_object(path, line, f"line {i}"))
+                   for i, line in enumerate(f, 2) if line.strip()]
     try:
         grid = PixelGrid.from_dict({k: header[k] for k in ("n_pixels", "pixel_area")})
         det = DetectorModel.from_dict({k: header[k] for k in ("eta_q", "lo_mean_photons",
                                                               "sigma_e")})
         schedule = PhaseSchedule.from_dict(header["schedule"])
         seed = fit(int, header["seed"], "seed")
+        offsets = fit(list[float], header["vacuum_offsets"], "vacuum_offsets")
+        if len(offsets) != grid.n_pixels:
+            raise ValueError(f"{len(offsets)} vacuum_offsets for {grid.n_pixels} pixels")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad header: {type(exc).__name__}: {exc}") from exc
-    return ArrayFrameSet(frames=np.array(rows, np.int64), thetas=np.array(thetas),
-                         vacuum_offsets=np.array(header["vacuum_offsets"]),
-                         grid=grid, detector=det, schedule=schedule, seed=seed,
-                         planted=header.get("planted", []))
+    for i, rec in records:
+        row, theta = rec.get("d"), rec.get("theta")
+        if not (type(theta) in (int, float) and isinstance(row, list)
+                and len(row) == grid.n_pixels and all(type(v) is int for v in row)):
+            raise DataFormatError(f"{path}:{i}: bad record: expected a number theta and "
+                                  f"d of {grid.n_pixels} integer counts")
+    try:
+        frames = np.array([rec["d"] for _, rec in records], np.int64)
+    except OverflowError as exc:
+        raise DataFormatError(f"{path}: a count does not fit in 64 bits") from exc
+    return ArrayFrameSet(frames=frames,
+                         thetas=np.array([rec["theta"] for _, rec in records], float),
+                         vacuum_offsets=np.array(offsets), grid=grid, detector=det,
+                         schedule=schedule, seed=seed, planted=header.get("planted", []))
 
 
 def write_manifest(path, seed: int, config: dict, files: dict) -> None:

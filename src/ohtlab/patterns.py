@@ -7,7 +7,7 @@ condition per index-difference band D = m − n:
     ∫ M_{n+D,n}(q) ψ_{ν+D}(q) ψ_ν(q) dq = δ_nν,
 
 solved here by a Gram-matrix inversion over the damped Hermite basis
-φ_ν(q) = (2ν+1)^L ψ_{m(ν)}(q) e^{−q²/2} with the parity of m(ν) matched to
+φ_ν(q) = (2ν+1) ψ_{m(ν)}(q) e^{−q²/2} with the parity of m(ν) matched to
 the band.  The per-band Gram residual is driven to ~1e-10 with extended
 precision iterative refinement, so band overlaps are self-certifying.
 
@@ -58,7 +58,6 @@ class PatternFunctionTable:
     dim: int
     q_axis: np.ndarray
     band_values: dict
-    L: float
     condition_numbers: dict
     biorth_residuals: dict = field(default_factory=dict)
 
@@ -72,19 +71,16 @@ class PatternFunctionTable:
                          left=0.0, right=0.0)
 
 
-def build_pattern_functions(dim: int, q_axis=None, L: float = 1.0) -> PatternFunctionTable:
-    """Construct the dual-basis table for indices < dim.
+def build_pattern_functions(dim: int) -> PatternFunctionTable:
+    """Construct the dual-basis table for indices < dim on GRID_POINTS points
+    over ±GRID_SPAN.
 
     dim is capped at MAX_DIM, and construction refuses bands whose
     condition number exceeds 1e12.
     """
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"dim must be in 1..{MAX_DIM} (Gram conditioning bound)")
-    if q_axis is None:
-        q_axis = np.linspace(-GRID_SPAN, GRID_SPAN, GRID_POINTS)
-    q_axis = np.asarray(q_axis, float)
-    if q_axis[0] > -GRID_SPAN + 1e-9 or q_axis[-1] < GRID_SPAN - 1e-9:
-        raise ValueError("q_axis must span at least [-8, 8]")
+    q_axis = np.linspace(-GRID_SPAN, GRID_SPAN, GRID_POINTS)
     ql = q_axis.astype(np.longdouble)
     wts = _simpson_weights(q_axis.size, float(q_axis[1] - q_axis[0]))
 
@@ -99,8 +95,7 @@ def build_pattern_functions(dim: int, q_axis=None, L: float = 1.0) -> PatternFun
         nu = np.arange(n_funcs)
         chi = psi[nu + band] * psi[nu]                       # χ_{ν+band, ν}
         m_of = 2 * nu + (band % 2)                           # parity-matched basis index
-        phi = ((2 * nu + 1).astype(np.longdouble) ** np.longdouble(L))[:, None] \
-            * psi[m_of] * gauss[None, :]
+        phi = (2 * nu + 1).astype(np.longdouble)[:, None] * psi[m_of] * gauss[None, :]
         gram = (phi * wts[None, :]) @ chi.T                  # ℘_μν = ∫ φ_μ χ_ν
         gram64 = gram.astype(float)
         cond = float(np.linalg.cond(gram64))
@@ -108,8 +103,7 @@ def build_pattern_functions(dim: int, q_axis=None, L: float = 1.0) -> PatternFun
         if cond > COND_LIMIT:
             raise GramConditionError(
                 f"band {band}: Gram condition number {cond:.2e} exceeds {COND_LIMIT:.0e}; "
-                f"reduce dim or adjust L (current L={L})"
-            )
+                "reduce dim")
         C = np.linalg.inv(gram64).astype(np.longdouble)
         C0 = C.copy()
         eye = np.eye(n_funcs, dtype=np.longdouble)
@@ -120,7 +114,7 @@ def build_pattern_functions(dim: int, q_axis=None, L: float = 1.0) -> PatternFun
         residuals[band] = resid
         band_values[band] = np.asarray(C @ phi, dtype=float)
     return PatternFunctionTable(dim=dim, q_axis=q_axis, band_values=band_values,
-                                L=L, condition_numbers=conds, biorth_residuals=residuals)
+                                condition_numbers=conds, biorth_residuals=residuals)
 
 
 def _grid_phase_bins(thetas: np.ndarray, d_expected: int | None):

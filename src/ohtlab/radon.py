@@ -25,9 +25,8 @@ interpolation weights per such phase, and each replicate's grid integral,
 which normalizes it, is its projections' dot product with the phase's
 column sums of interpolation weights, cached per phase.  Every other
 projection goes through np.interp over the whole grid.  W is returned on
-the default ±6 phase-space grid; `radon_forward` maps a W back to its
-marginals, and the W of a lossy record is the closed form of
-`states.apply_loss`.
+the default ±6 phase-space grid; the W of a lossy record is the closed
+form of `states.apply_loss`.
 """
 
 from __future__ import annotations
@@ -366,19 +365,3 @@ def bootstrap_backprojection(ds: QuadratureDataset | CountTable,
     return WignerGrid(q_axis=q_axis, p_axis=q_axis.copy(),
                       values=values.reshape(q_axis.size, q_axis.size),
                       meta={"n_boot": n_boot})
-
-
-def radon_forward(w: WignerGrid, theta: float, q_axis=None) -> np.ndarray:
-    """Marginal Pr(q_θ): line integrals of W along the axis rotated by θ."""
-    from scipy.interpolate import RegularGridInterpolator
-
-    q_axis = w.q_axis if q_axis is None else np.asarray(q_axis, float)
-    interp = RegularGridInterpolator((w.q_axis, w.p_axis), w.values, method="cubic",
-                                     bounds_error=False, fill_value=0.0)
-    span = max(w.q_axis[-1], w.p_axis[-1])
-    t = np.linspace(-span * np.sqrt(2.0), span * np.sqrt(2.0), 2 * w.q_axis.size)
-    c, s = np.cos(theta), np.sin(theta)
-    qq = q_axis[:, None] * c - t[None, :] * s
-    pp = q_axis[:, None] * s + t[None, :] * c
-    vals = interp(np.stack([qq.ravel(), pp.ravel()], axis=-1)).reshape(qq.shape)
-    return np.trapezoid(vals, t, axis=1)

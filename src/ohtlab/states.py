@@ -65,11 +65,6 @@ def hermite_psi_all(n_max: int, q_axis) -> np.ndarray:
     return out
 
 
-def hermite_psi(n: int, q_axis) -> np.ndarray:
-    """Oscillator eigenfunction ψ_n(q)."""
-    return hermite_psi_all(n, q_axis)[n]
-
-
 @dataclass
 class DensityMatrix:
     """Truncated Fock-basis density matrix, entry (n, m) = <n|rho|m>."""
@@ -345,12 +340,6 @@ def quadrature_pdf(rho: DensityMatrix, theta: float, q_axis) -> np.ndarray:
     pr = np.real(np.einsum("nq,nm,mq->q", u.conj(), rho.elements, u, optimize=True))
     check_pdf_floor(pr)
     return np.clip(pr, 0.0, None)
-
-
-def rotate_quadrature(q: float, p: float, theta: float):
-    """Rotated quadrature pair (q_θ, p_θ) = R(θ) (q, p)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return q * c + p * s, -q * s + p * c
 
 
 def wigner_kernel_laguerre(n: int, m: int, Q: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ the gate duration.  Frequencies are angular throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,13 +121,9 @@ def _check_resolution(sig: TemporalSignal, extra_bandwidth: float = 0.0):
         )
 
 
-def linear_optical_sampling(sig: TemporalSignal, gate: GateFunction, tau_grid,
-                            method: str = "time") -> np.ndarray:
-    """Windowed inner product S(τ) = ∫ f_L*(t − τ) φ_S(t) dt per delay.
-
-    `method` selects the evaluation path: "time" (direct shifted sum) or
-    "frequency" (spectral product); both compute the same discrete integral
-    and agree to ~1e-12.  Delays must sit on the signal's time raster.
+def linear_optical_sampling(sig: TemporalSignal, gate: GateFunction, tau_grid) -> np.ndarray:
+    """Windowed inner product S(τ) = ∫ f_L*(t − τ) φ_S(t) dt per delay, as a
+    direct shifted sum.  Delays must sit on the signal's time raster.
     """
     _check_resolution(sig, extra_bandwidth=abs(gate.omega_L - sig.nu))
     tau_grid = np.asarray(tau_grid, float)
@@ -139,26 +135,14 @@ def linear_optical_sampling(sig: TemporalSignal, gate: GateFunction, tau_grid,
         raise ValueError("tau values must be multiples of the grid spacing")
     shifts = np.rint(shifts).astype(int)
 
-    base_gate = GateFunction(kind=gate.kind, omega_L=gate.omega_L, delay=0.0,
-                             sigma=gate.sigma, bandwidth=gate.bandwidth, gamma=gate.gamma)
-    g0 = base_gate.sampled(t)
-    if method == "time":
-        out = np.empty(tau_grid.size, complex)
-        for i, s in enumerate(shifts):
-            if s >= 0:
-                out[i] = np.dot(np.conj(g0[: n - s]), sig.phi[s:]) * dt
-            else:
-                out[i] = np.dot(np.conj(g0[-s:]), sig.phi[: n + s]) * dt
-        return out
-    if method == "frequency":
-        # zero-pad to avoid circular wrap, multiply spectra, inverse transform
-        pad = 2 * n
-        G = np.fft.fft(np.conj(g0[::-1]), pad)   # correlation as convolution
-        Phi = np.fft.fft(sig.phi, pad)
-        corr = np.fft.ifft(G * Phi) * dt
-        # corr[k] = Σ_j conj(g[j − (k − (n−1))]) φ[j] dt
-        return corr[(n - 1) + shifts]
-    raise ValueError("method must be 'time' or 'frequency'")
+    g0 = replace(gate, delay=0.0).sampled(t)
+    out = np.empty(tau_grid.size, complex)
+    for i, s in enumerate(shifts):
+        if s >= 0:
+            out[i] = np.dot(np.conj(g0[: n - s]), sig.phi[s:]) * dt
+        else:
+            out[i] = np.dot(np.conj(g0[-s:]), sig.phi[: n + s]) * dt
+    return out
 
 
 def bandlimited_exact_recovery(sig: TemporalSignal, B: float, nu: float,
@@ -180,7 +164,7 @@ def bandlimited_exact_recovery(sig: TemporalSignal, B: float, nu: float,
             "time grid too short: the truncated sinc gate extends "
             f"±{gate_extent:.1f} around each delay and would be clipped"
         )
-    raw = linear_optical_sampling(sig, gate, tau_grid, method="time")
+    raw = linear_optical_sampling(sig, gate, tau_grid)
     t = sig.t_axis
     g = gate.sampled(t)
     spec_at_nu = np.sum(g * np.exp(1j * nu * t)) * sig.dt

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ohtlab import arrays, cli, detection, formats, states, twomode
@@ -109,6 +109,39 @@ THETAS = st.one_of(st.floats(0.0, 2 * np.pi, exclude_max=True),
 #: the smallest subnormal, NaN and a NaN with another payload
 REPEATED_PHASES = [0.0, -0.0, 5e-324, 1.5, math.nan,
                    float(np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0])]
+#: every DetectorModel field over its valid range
+DETECTORS = st.builds(
+    detection.DetectorModel,
+    eta_q=st.floats(0.0, 1.0, exclude_min=True), eta_ls=st.floats(0.0, 1.0),
+    lo_mean_photons=st.floats(0.0, 1e12), sigma_e=st.floats(0.0, 1e6),
+    gain=st.floats(1e-6, 1e12), balance_imbalance=st.floats(-1.0, 1.0))
+
+
+@st.composite
+def _schedules(draw):
+    """Every schedule kind; a grid with its own span, within [0, 2π), or the default."""
+    kind = draw(st.sampled_from(detection.PhaseSchedule.KINDS))
+    d = draw(st.integers(1, 1024) if kind == "grid" else st.none() | st.integers(1, 1024))
+    if kind != "grid" or draw(st.booleans()):
+        return detection.PhaseSchedule(kind, d=d)
+    lo = draw(st.floats(0.0, np.pi))
+    hi = draw(st.floats(lo, 2 * np.pi))
+    try:
+        return detection.PhaseSchedule(kind, d=d, span=(lo, hi))
+    except ConfigError:
+        assume(False)
+
+
+#: the state specs make_state records as a dataset's source, and none
+SOURCES = st.none() | st.builds(
+    lambda kind, x, n: states.StateSpec(
+        kind, n=n if kind == "fock" else None,
+        alpha=complex(x, -x) if "coherent" in kind else None,
+        nbar=abs(x) if kind == "thermal" else None,
+        r=x if "squeezed" in kind else None, phi=x / 2).to_dict(),
+    st.sampled_from(states.StateSpec.KINDS), st.floats(-2.0, 2.0), st.integers(0, 20))
+DATASET_METAS = st.builds(detection.DatasetMeta, detector=DETECTORS, schedule=_schedules(),
+                          seed=st.integers(0, 2**64), source=SOURCES)
 #: chunk sizes: the defaults, and small ones that put many chunk edges in a file
 CHUNKS = [(formats.WRITE_CHUNK, formats.READ_CHUNK), (8, 40)]
 HEADER = ('{"eta_ls":1.0,"eta_q":1.0,"format":"ohtlab-quad-v1","lo_mean_photons":1000000.0,'
@@ -154,6 +187,21 @@ class TestQuadratureFiles:
         assert np.array_equal(back.qs, ds.qs)
         assert np.array_equal(back.zetas, ds.zetas)
         assert back.alpha == ds.alpha
+
+    @given(meta=DATASET_METAS, dual=st.booleans(), alpha=st.floats(-4.0, 4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_keeps_every_meta_field(self, tmp_path_factory, meta, dual, alpha):
+        path = tmp_path_factory.mktemp("meta") / "ds.jsonl"
+        thetas, qs = np.array([0.0, 1.0]), np.array([0.5, -0.5])
+        if dual:
+            meta.extra = {"mode": "dual", "alpha": alpha,
+                          "zeta_schedule": meta.schedule.to_dict()}
+            ds = twomode.DualQuadratureDataset(thetas=thetas, zetas=thetas, qs=qs,
+                                               alpha=alpha, meta=meta)
+        else:
+            ds = detection.QuadratureDataset(thetas=thetas, qs=qs, meta=meta)
+        formats.write_quadrature_dataset(path, ds)
+        assert formats.read_quadrature_dataset(path).meta == meta
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -307,6 +355,32 @@ class TestQuadratureFiles:
         assert det == detection.DetectorModel()
 
 
+def _first_counts(counts):
+    """An edit of a frames file that sets the first record's counts."""
+    return lambda head, recs: (head, [{**recs[0], "d": counts(recs[0]["d"])}, *recs[1:]])
+
+
+#: edits of a 4-pixel frames file that no header fits: (header, records) -> both
+FRAME_EDITS = {
+    "rows_shorter_than_n_pixels": lambda head, recs: (
+        head, [{**rec, "d": rec["d"][:3]} for rec in recs]),
+    "ragged_rows": _first_counts(lambda d: d[:3]),
+    "row_longer_than_n_pixels": _first_counts(lambda d: d + [1]),
+    "fractional_count": _first_counts(lambda d: [1.5, *d[1:]]),
+    "count_true": _first_counts(lambda d: [True, *d[1:]]),
+    "count_with_fraction_zero": _first_counts(lambda d: [2.0, *d[1:]]),
+    "count_string": _first_counts(lambda d: ["3", *d[1:]]),
+    "count_beyond_int64": _first_counts(lambda d: [2**63, *d[1:]]),
+    "counts_not_an_array": _first_counts(lambda d: 7),
+    "offsets_shorter_than_n_pixels": lambda head, recs: (
+        {**head, "vacuum_offsets": head["vacuum_offsets"][:3]}, recs),
+    "offsets_longer_than_n_pixels": lambda head, recs: (
+        {**head, "vacuum_offsets": head["vacuum_offsets"] + [0.0]}, recs),
+    "no_counts": lambda head, recs: (head, [{"theta": recs[0]["theta"]}, *recs[1:]]),
+    "theta_string": lambda head, recs: (head, [{**recs[0], "theta": "0.5"}, *recs[1:]]),
+}
+
+
 class TestOtherArtifacts:
     def test_density_matrix_round_trip(self, squeezed05, tmp_path):
         err = np.full((squeezed05.dim, squeezed05.dim), 0.01)
@@ -350,6 +424,22 @@ class TestOtherArtifacts:
         path.write_text(json.dumps({**json.loads(head), "eta_q": True}) + "\n" + body)
         assert cli.main(["validate", "--input", str(path)]) == 3
         assert "at eta_q: expected a finite number, got true" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", FRAME_EDITS.values(), ids=FRAME_EDITS.keys())
+    def test_array_frames_refuse_records_that_miss_the_header(self, tmp_path, capsys, edit):
+        fs = arrays.simulate_array_frames([], detection.DetectorModel(lo_mean_photons=1e5),
+                                          arrays.PixelGrid(n_pixels=4, pixel_area=1 / 4),
+                                          detection.PhaseSchedule("uniform_random"), 5,
+                                          seed=906)
+        path = tmp_path / "frames.jsonl"
+        formats.write_array_frames(path, fs)
+        head, *lines = path.read_text().splitlines()
+        head, records = edit(json.loads(head), [json.loads(line) for line in lines])
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in [head, *records]))
+        with pytest.raises(DataFormatError):
+            formats.read_array_frames(path)
+        assert cli.main(["validate", "--input", str(path)]) == 3
+        assert "data error" in capsys.readouterr().err
 
     @given(st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=30))
     @settings(max_examples=40, deadline=None)

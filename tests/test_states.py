@@ -8,7 +8,8 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from conftest import lossy_wigner
-from ohtlab import radon, states
+from oracles import radon_forward
+from ohtlab import states
 from ohtlab.errors import PurityError, ReferencePointError, TruncationError
 
 GRID = np.linspace(-8, 8, 1601)
@@ -17,14 +18,14 @@ DQ = GRID[1] - GRID[0]
 
 class TestHermite:
     def test_ground_state_value(self):
-        assert states.hermite_psi(0, np.array([0.0]))[0] == pytest.approx(np.pi**-0.25)
+        assert states.hermite_psi_all(0, np.array([0.0]))[0, 0] == pytest.approx(np.pi**-0.25)
 
     def test_odd_parity_at_origin(self):
-        assert states.hermite_psi(1, np.array([0.0]))[0] == 0.0
+        assert states.hermite_psi_all(1, np.array([0.0]))[1, 0] == 0.0
 
     def test_n10_normalization(self):
         # independent quadrature oracle: trapezoid norm on a wide grid
-        psi = states.hermite_psi(10, GRID)
+        psi = states.hermite_psi_all(10, GRID)[10]
         assert np.trapezoid(psi**2, GRID) == pytest.approx(1.0, abs=1e-6)
 
     def test_orthogonality(self):
@@ -33,15 +34,15 @@ class TestHermite:
         assert np.max(np.abs(gram - np.eye(13))) < 1e-6
 
     def test_stability_bound(self):
-        states.hermite_psi(200, np.linspace(-3, 3, 11))
+        states.hermite_psi_all(200, np.linspace(-3, 3, 11))
         with pytest.raises(ValueError):
-            states.hermite_psi(201, GRID)
+            states.hermite_psi_all(201, GRID)
 
     @given(st.integers(min_value=0, max_value=60))
     @settings(max_examples=20, deadline=None)
     def test_norm_property(self, n):
         fine = np.linspace(-14, 14, 11201)   # resolves the n=60 oscillations
-        psi = states.hermite_psi(n, fine)
+        psi = states.hermite_psi_all(n, fine)[n]
         assert np.trapezoid(psi**2, fine) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -284,7 +285,7 @@ class TestWigner:
         for rho in constructed_states.values():
             w = states.wigner_from_rho(rho)
             for theta in (0.0, np.pi / 7, np.pi / 2):
-                marg = radon.radon_forward(w, theta)
+                marg = radon_forward(w, theta)
                 direct = states.quadrature_pdf(rho, theta, w.q_axis)
                 assert np.max(np.abs(marg - direct)) < 1e-4
 
@@ -362,24 +363,6 @@ class TestQFunction:
     def test_nonnegative(self, constructed_states):
         for rho in constructed_states.values():
             assert states.q_function(rho).values.min() >= 0.0
-
-
-class TestRotate:
-    def test_identity(self):
-        assert states.rotate_quadrature(1.0, 0.0, 0.0) == (1.0, 0.0)
-
-    def test_quarter_turn(self):
-        q, p = states.rotate_quadrature(1.0, 0.0, np.pi / 2)
-        assert q == pytest.approx(0.0, abs=1e-15)
-        assert p == pytest.approx(-1.0)
-
-    @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-7, 7))
-    @settings(max_examples=50, deadline=None)
-    def test_inverse(self, q, p, theta):
-        q1, p1 = states.rotate_quadrature(q, p, theta)
-        q2, p2 = states.rotate_quadrature(q1, p1, -theta)
-        assert q2 == pytest.approx(q, abs=1e-12)
-        assert p2 == pytest.approx(p, abs=1e-12)
 
 
 class TestWavefunction:
