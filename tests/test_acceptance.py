@@ -166,7 +166,7 @@ def test_acceptance_08_skellam_vs_gaussian():
 
 def test_acceptance_09_detector_calibration():
     det = detection.DetectorModel(gain=1e6, sigma_e=300.0)
-    cal = detection.calibration_curve(det, [1e5, 3e5, 6e5, 1e6, 2e6], 10_000, seed=1)
+    cal = detection.calibration_curve(det, [1e5, 3e5, 6e5, 1e6, 2e6], 250_000, seed=1)
     g_err = abs(cal.gain_estimate / 1e6 - 1)
     s_err = abs(cal.sigma_e_estimate / 300.0 - 1)
     assert g_err <= 0.01 and s_err <= 0.05

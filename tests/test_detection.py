@@ -433,7 +433,7 @@ class TestCalibration:
 
     def test_planted_recovery(self):
         det = detection.DetectorModel(gain=1e6, sigma_e=300.0)
-        cal = detection.calibration_curve(det, self.LEVELS, 10_000, seed=1)
+        cal = detection.calibration_curve(det, self.LEVELS, 250_000, seed=1)
         assert cal.gain_estimate == pytest.approx(1e6, rel=0.01)
         assert cal.sigma_e_estimate == pytest.approx(300.0, rel=0.05)
         assert not cal.nonlinearity_flag
