@@ -17,8 +17,8 @@ import numpy as np
 
 from ._config import FromDict
 from ._rng import stream
-from .detection import (DatasetMeta, DetectorModel, PhaseSchedule, QuadratureDataset,
-                        photodiode_counts)
+from .detection import (COUNT_BLOCK, DatasetMeta, DetectorModel, PhaseSchedule,
+                        QuadratureDataset, photodiode_counts)
 from .errors import ConfigError, CoverageError, UnsupportedStateError
 from .states import StateSpec
 
@@ -209,12 +209,18 @@ def project_mode_quadrature(frames: ArrayFrameSet, mode: ModeVector) -> Quadratu
 
 def difference_correlation_matrix(frames: ArrayFrameSet) -> np.ndarray:
     """Phase-averaged pixel correlation matrix M_ij = ⟨ΔN_i ΔN_j⟩ of the
-    corrected difference counts."""
+    corrected difference counts, summed over blocks of about COUNT_BLOCK
+    counts, so no corrected copy of the whole frame set is made."""
     sched = frames.schedule
     if sched.kind == "grid" and (sched.d or 1) < 4:
         raise CoverageError("correlation matrix needs uniform phase coverage over 2π")
-    c = frames.corrected()
-    return c.T @ c / c.shape[0]
+    n, n_pixels = frames.frames.shape
+    rows = max(1, COUNT_BLOCK // n_pixels)
+    M = np.zeros((n_pixels, n_pixels))
+    for lo in range(0, n, rows):
+        c = frames.frames[lo:lo + rows] - frames.vacuum_offsets[None, :]
+        M += c.T @ c
+    return M / n
 
 
 def optimal_mode(M: np.ndarray, det: DetectorModel, grid: PixelGrid):

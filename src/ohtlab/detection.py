@@ -7,7 +7,9 @@ Pr(q, θ), detection losses smear it with a Gaussian of variance
 The count-space route (`detector_counts`) models the two photodiodes
 explicitly for classical (coherent mean-field) signals, where independent
 Poisson statistics are exact; `photodiode_counts` draws them in blocks of
-rows, in whole-array stream order, so memory is flat in the pulses.
+rows, each block from its own stream and the blocks spread over the
+process's CPUs, so memory is flat in the pulses and the counts do not
+depend on the number of CPUs.
 
 Single-mode sampling, dual-LO two-mode records, array frames and both
 reconstructions share one implementation of each step: `fold_phases`,
@@ -19,9 +21,10 @@ flat in the phases), `add_detection_noise` and `photodiode_counts`.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from itertools import product
 
 import numpy as np
 
@@ -334,10 +337,13 @@ def photodiode_counts(rates, shape: tuple, sigma_e: float, rng: np.random.Genera
 
     Rows go a block of about COUNT_BLOCK counts at a time. Every block's
     rates are checked before any draw and staged in the memory their counts
-    then overwrite, so only the count arrays and one block of temporaries
-    live. Draws keep whole-array stream order (numpy draws element by
-    element): diode-1 Poisson, diode-2 Poisson, then rounded Gaussian
-    electronic noise of std sigma_e on diode 1, then on diode 2.
+    then overwrite. Block k draws from its own stream,
+    `Philox(key).jumped(k)`, where key is one draw of two uint64 from rng:
+    diode-1 Poisson, diode-2 Poisson, then rounded Gaussian electronic noise
+    of std sigma_e on diode 1, then on diode 2. The blocks are spread over
+    the CPUs the process may run on, so beyond the count arrays only one
+    block of temporaries per worker lives, and the counts do not depend on
+    the number of workers.
     """
     rows = max(1, COUNT_BLOCK // int(np.prod(shape[1:])))
     blocks = [(lo, min(lo + rows, shape[0])) for lo in range(0, shape[0], rows)]
@@ -348,11 +354,45 @@ def photodiode_counts(rates, shape: tuple, sigma_e: float, rng: np.random.Genera
             raise ConfigError("negative mean photoelectron rate; LO too weak for this signal")
         staged[0][lo:hi], staged[1][lo:hi] = mu
     counts = [s.view(np.int64) for s in staged]
-    for (s, n), (lo, hi) in product(zip(staged, counts), blocks):
-        n[lo:hi] = rng.poisson(s[lo:hi])
-    for n, (lo, hi) in product(counts if sigma_e > 0 else [], blocks):
-        n[lo:hi] += np.rint(rng.normal(0.0, sigma_e, size=n[lo:hi].shape)).astype(np.int64)
+    key = rng.integers(0, 2**64, size=2, dtype=np.uint64)
+    n_workers = max(1, min(_worker_count(), len(blocks)))
+
+    errors = []
+
+    def draw(first: int) -> None:
+        try:
+            noise = np.empty((rows, *shape[1:])) if sigma_e > 0 else None
+            for k in range(first, len(blocks), n_workers):
+                lo, hi = blocks[k]
+                # Philox(key).jumped(k), built directly: jumped() would first
+                # seed a throwaway generator from OS entropy
+                gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, k, 0]))
+                for s, n in zip(staged, counts):
+                    n[lo:hi] = gen.poisson(s[lo:hi])
+                for n in counts if sigma_e > 0 else []:
+                    e = gen.standard_normal(out=noise[:hi - lo])
+                    np.rint(np.multiply(e, sigma_e, out=e), out=e)
+                    np.add(n[lo:hi], e, out=n[lo:hi], casting="unsafe")
+        except Exception as exc:    # raised in the caller once every worker ends
+            errors.append(exc)
+
+    threads = [threading.Thread(target=draw, args=(w,)) for w in range(1, n_workers)]
+    for t in threads:
+        t.start()
+    draw(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
     return tuple(counts)
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 def mode_overlap(lo_mode, sig_mode, dx: float = 1.0) -> float:

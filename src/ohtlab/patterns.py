@@ -34,8 +34,9 @@ from .states import DensityMatrix, hermite_psi_all
 GRID_POINTS = 4097
 GRID_SPAN = 8.0
 COND_LIMIT = 1e12
-#: largest table size; the Gram matrices become numerically singular beyond it
-MAX_DIM = 30
+#: largest table size; from 28 on, band 0's Gram condition number exceeds
+#: COND_LIMIT
+MAX_DIM = 27
 
 
 def _simpson_weights(n: int, dx: float) -> np.ndarray:

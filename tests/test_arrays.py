@@ -105,11 +105,15 @@ class TestFrames:
         fs = arrays.simulate_array_frames(
             [(mode, spec)], DET, GRID, detection.PhaseSchedule("grid", d=1),
             20_000, seed=803)
-        q_sum = fs.corrected().sum(axis=1) / (np.sqrt(2.0) * DET.eta_q * np.sqrt(DET.lo_mean_photons))
+        scale = np.sqrt(2.0) * DET.eta_q * np.sqrt(DET.lo_mean_photons)
+        q_sum = fs.corrected().sum(axis=1) / scale
         rho = states.make_state(spec)
         ref = detection.sample_quadratures(
             rho, detection.PhaseSchedule("grid", d=1), DET, 20_000, seed=804)
-        se_mean = np.hypot(q_sum.std() / np.sqrt(q_sum.size), ref.qs.std() / np.sqrt(len(ref)))
+        # the vacuum offsets, from N_CALIBRATION shot-noise pulses, shift
+        # every corrected frame alike
+        offsets_var = DET.eta_q * DET.lo_mean_photons / scale**2 / arrays.N_CALIBRATION
+        se_mean = np.sqrt(q_sum.var() / q_sum.size + ref.qs.var() / len(ref) + offsets_var)
         assert abs(q_sum.mean() - ref.qs.mean()) < 3 * se_mean
         se_var = np.hypot(variance_stderr(q_sum.var(), q_sum.size),
                           variance_stderr(ref.qs.var(), len(ref)))
@@ -169,6 +173,14 @@ class TestCorrelationMatrix:
         overlap = GRID.pixel_area * np.dot(
             evecs[:, -1] / np.sqrt(GRID.pixel_area), arrays.ramp_mode(GRID).w)
         assert abs(overlap) > 0.99
+
+    def test_block_sums_match_the_whole_array_product(self, ramp_coherent_frames):
+        # M is summed over row blocks; only the rounding may differ from the
+        # product of the whole corrected frame set
+        c = ramp_coherent_frames.corrected()
+        ref = c.T @ c / c.shape[0]
+        M = arrays.difference_correlation_matrix(ramp_coherent_frames)
+        assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_symmetry_exact(self, ramp_coherent_frames):
         M = arrays.difference_correlation_matrix(ramp_coherent_frames)

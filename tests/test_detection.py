@@ -1,5 +1,8 @@
+import contextlib
 import functools
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -279,15 +282,34 @@ class TestDetectorCounts:
             detection.detector_counts(np.array([200.0]), det, stream(16, "c"))
 
 
-def _whole_array_counts(mu1, mu2, sigma_e, rng):
-    """The whole-array draws that photodiode_counts does in row blocks: the
-    oracle of its values and of its stream order."""
-    n1 = rng.poisson(mu1).astype(np.int64)
-    n2 = rng.poisson(mu2).astype(np.int64)
-    if sigma_e > 0:
-        n1 = n1 + np.rint(rng.normal(0.0, sigma_e, size=n1.shape)).astype(np.int64)
-        n2 = n2 + np.rint(rng.normal(0.0, sigma_e, size=n2.shape)).astype(np.int64)
+def _per_block_counts(mu1, mu2, sigma_e, rng):
+    """The serial oracle of photodiode_counts, built from the same streams:
+    block k of whole rows, about COUNT_BLOCK counts, draws from
+    Philox(key).jumped(k), where key is rng's one draw of two uint64."""
+    rows = max(1, detection.COUNT_BLOCK // int(np.prod(mu1.shape[1:])))
+    root = np.random.Philox(key=rng.integers(0, 2**64, size=2, dtype=np.uint64))
+    n1, n2 = np.empty(mu1.shape, np.int64), np.empty(mu2.shape, np.int64)
+    for k, lo in enumerate(range(0, mu1.shape[0], rows)):
+        gen, b = np.random.Generator(root.jumped(k)), slice(lo, lo + rows)
+        n1[b] = gen.poisson(mu1[b])
+        n2[b] = gen.poisson(mu2[b])
+        if sigma_e > 0:
+            n1[b] += np.rint(gen.normal(0.0, sigma_e, size=n1[b].shape)).astype(np.int64)
+            n2[b] += np.rint(gen.normal(0.0, sigma_e, size=n2[b].shape)).astype(np.int64)
     return n1, n2
+
+
+@contextlib.contextmanager
+def _workers(n):
+    """photodiode_counts as if the process could run on n CPUs, with short
+    thread switch intervals so the workers interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(detection, "_worker_count", lambda: n):
+            yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestPhotodiodeCounts:
@@ -297,7 +319,7 @@ class TestPhotodiodeCounts:
            sigma_e=st.sampled_from([0.0, 0.7, 300.0]),
            scale=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_blocked_equals_whole_array(self, width, extra, sigma_e, scale, seed):
+    def test_equals_serial_per_block_draws(self, width, extra, sigma_e, scale, seed):
         row = 1 if width is None else width
         block = detection.COUNT_BLOCK // row
         kind, k = extra
@@ -307,23 +329,39 @@ class TestPhotodiodeCounts:
         mu1 = gen.uniform(0.0, 10.0**scale, shape)
         mu2 = gen.uniform(0.0, 10.0**scale, shape)
         mu1.flat[0] = 0.0
-        calls = []
+        o1, o2 = _per_block_counts(mu1, mu2, sigma_e, stream(seed, "counts"))
+        # the default worker count, one worker, and more workers than blocks
+        # or than this host's CPUs
+        for workers in (contextlib.nullcontext(), _workers(1), _workers(3)):
+            calls = []
 
-        def rates(lo, hi):
-            calls.append((lo, hi))
-            return mu1[lo:hi], mu2[lo:hi]
+            def rates(lo, hi):
+                calls.append((lo, hi))
+                return mu1[lo:hi], mu2[lo:hi]
 
-        rng_blocked, rng_whole = stream(seed, "counts"), stream(seed, "counts")
-        n1, n2 = detection.photodiode_counts(rates, shape, sigma_e, rng_blocked)
-        o1, o2 = _whole_array_counts(mu1, mu2, sigma_e, rng_whole)
-        assert n1.dtype == n2.dtype == np.int64
-        assert np.array_equal(n1, o1) and np.array_equal(n2, o2)
-        # the same number of draws taken from the stream
-        assert rng_blocked.random() == rng_whole.random()
-        # each row's rates asked for once, in order, at most a block at a time
-        assert calls[0][0] == 0 and calls[-1][1] == n_rows
-        assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
-        assert max(hi - lo for lo, hi in calls) <= block
+            rng = stream(seed, "counts")
+            with workers:
+                n1, n2 = detection.photodiode_counts(rates, shape, sigma_e, rng)
+            assert n1.dtype == n2.dtype == np.int64
+            assert np.array_equal(n1, o1) and np.array_equal(n2, o2)
+            # the caller's generator gives up the key draw and nothing else
+            after_key = stream(seed, "counts")
+            after_key.integers(0, 2**64, size=2, dtype=np.uint64)
+            assert rng.random() == after_key.random()
+            # each row's rates asked for once, in order, at most a block at a time
+            assert calls[0][0] == 0 and calls[-1][1] == n_rows
+            assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+            assert max(hi - lo for lo, hi in calls) <= block
+
+    def test_worker_exception_reaches_the_caller(self):
+        # three blocks on three workers: the calling thread draws block 0,
+        # and only blocks 1 and 2, drawn by worker threads, hold a rate too
+        # large for numpy's Poisson draw
+        mu = np.full(2 * detection.COUNT_BLOCK + 3, 50.0)
+        mu[detection.COUNT_BLOCK:] = 1e20
+        with _workers(3), pytest.raises(ValueError, match="lam value too large"):
+            detection.photodiode_counts(lambda lo, hi: (mu[lo:hi], mu[lo:hi]),
+                                        mu.shape, 1.0, stream(19, "c"))
 
     def test_negative_rate_refused_before_any_draw(self):
         # the bad rate sits in the last block, after blocks with valid rates

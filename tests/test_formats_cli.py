@@ -907,6 +907,25 @@ class TestCli:
                        "--out", str(tmp_path / "al"))
         assert code == 3
 
+    def test_dim_flag_bound_is_the_largest_buildable_table(self, tmp_path, capsys):
+        # dim 28 would fail the Gram condition check (exit 4); the flag check
+        # refuses it first, and dim 27 builds
+        cfg = write_config(tmp_path, "sim.json", {
+            "state": {"kind": "vacuum"},
+            "schedule": {"kind": "grid", "d": 27, "span": [0.0, np.pi]},
+            "n_samples": 2_700,
+            "seed": 5,
+            "outputs": {"dir": str(tmp_path / "v")},
+        })
+        assert run_cli("simulate", "--config", cfg) == 0
+        ds = str(tmp_path / "v" / "dataset.jsonl")
+        assert run_cli("reconstruct", "--input", ds, "--method", "pattern", "--dim", "28",
+                       "--out", str(tmp_path / "r28")) == 2
+        assert "config error" in capsys.readouterr().err
+        assert run_cli("reconstruct", "--input", ds, "--method", "pattern", "--dim", "27",
+                       "--out", str(tmp_path / "r27")) == 0
+        assert json.loads((tmp_path / "r27" / "rho.json").read_text())["dim"] == 27
+
     def test_radon_on_one_phase_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "sim.json", {
             "state": {"kind": "vacuum"},
