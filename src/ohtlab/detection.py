@@ -341,9 +341,10 @@ def photodiode_counts(rates, shape: tuple, sigma_e: float, rng: np.random.Genera
     `Philox(key).jumped(k)`, where key is one draw of two uint64 from rng:
     diode-1 Poisson, diode-2 Poisson, then rounded Gaussian electronic noise
     of std sigma_e on diode 1, then on diode 2. The blocks are spread over
-    the CPUs the process may run on, so beyond the count arrays only one
-    block of temporaries per worker lives, and the counts do not depend on
-    the number of workers.
+    one thread per CPU the process may run on, so beyond the count arrays
+    only one block of temporaries per worker lives, and the counts do not
+    depend on the number of workers. An exception raised while drawing is
+    raised here once every worker has finished.
     """
     rows = max(1, COUNT_BLOCK // int(np.prod(shape[1:])))
     blocks = [(lo, min(lo + rows, shape[0])) for lo in range(0, shape[0], rows)]
