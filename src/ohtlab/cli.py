@@ -205,7 +205,7 @@ def cmd_reconstruct(args) -> int:
         j0 = int(np.argmin(np.abs(w.p_axis)))
         origin = float(w.values[i0, j0])
         report["radon"] = {
-            "k_c": cfg.k_c, "kernel": cfg.kernel,
+            "k_c": cfg.k_c, "kernel": radon.KERNEL,
             "bin_counts": w.meta["bin_counts"],
             "raw_integral": w.meta["raw_integral"], "w_origin": origin,
         }

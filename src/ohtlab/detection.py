@@ -52,6 +52,9 @@ PHASE_BLOCK = 64
 #: whole rows: 256 pulses of a 64-pixel array, 16384 of a single diode pair
 COUNT_BLOCK = 16384
 
+#: the largest mean numpy's Poisson draw accepts, as numpy computes it
+POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+
 #: folded phases that agree to this many decimals are one phase; the fold's
 #: θ − π leaves a grid phase an ulp from its partner, far below this
 PHASE_DECIMALS = 10
@@ -88,7 +91,8 @@ class DetectorModel(FromDict):
 
 @dataclass(frozen=True)
 class PhaseSchedule(FromDict):
-    """LO phase program: equally spaced grid, uniform random, or linear sweep."""
+    """LO phase program: equally spaced grid, uniform random, or linear sweep.
+    Only a grid reads d and span; the other kinds refuse them."""
 
     kind: str
     d: int | None = None
@@ -105,6 +109,8 @@ class PhaseSchedule(FromDict):
             ends = self.grid_phases(np.array([0, self.d - 1]))
             if ends.min() < 0 or ends.max() >= 2.0 * np.pi:
                 raise ConfigError(f"grid span {list(self.span)} puts phases outside [0, 2π)")
+        elif self.d is not None or tuple(self.span) != (0.0, 2.0 * np.pi):
+            raise ConfigError(f"a {self.kind} schedule takes neither d nor span")
 
     def grid_phases(self, k=None) -> np.ndarray:
         lo, hi = self.span
@@ -336,8 +342,9 @@ def photodiode_counts(rates, shape: tuple, sigma_e: float, rng: np.random.Genera
     rates(lo, hi) gives their mean rates (mu1, mu2) for rows lo … hi − 1.
 
     Rows go a block of about COUNT_BLOCK counts at a time. Every block's
-    rates are checked before any draw and staged in the memory their counts
-    then overwrite. Block k draws from its own stream,
+    rates are checked before any draw (ConfigError if one is negative or
+    above POISSON_MAX) and staged in the memory their counts then
+    overwrite. Block k draws from its own stream,
     `Philox(key).jumped(k)`, where key is one draw of two uint64 from rng:
     diode-1 Poisson, diode-2 Poisson, then rounded Gaussian electronic noise
     of std sigma_e on diode 1, then on diode 2. The blocks are spread over
@@ -353,6 +360,9 @@ def photodiode_counts(rates, shape: tuple, sigma_e: float, rng: np.random.Genera
         mu = rates(lo, hi)
         if np.any(mu[0] < 0) or np.any(mu[1] < 0):
             raise ConfigError("negative mean photoelectron rate; LO too weak for this signal")
+        if max(np.max(mu[0]), np.max(mu[1])) > POISSON_MAX:
+            raise ConfigError(f"mean photoelectron rate above {POISSON_MAX:.4g}, the largest "
+                              "a Poisson draw takes")
         staged[0][lo:hi], staged[1][lo:hi] = mu
     counts = [s.view(np.int64) for s in staged]
     key = rng.integers(0, 2**64, size=2, dtype=np.uint64)

@@ -353,10 +353,12 @@ class TestPhotodiodeCounts:
             assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
             assert max(hi - lo for lo, hi in calls) <= block
 
-    def test_worker_exception_reaches_the_caller(self):
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
         # three blocks on three workers: the calling thread draws block 0,
         # and only blocks 1 and 2, drawn by worker threads, hold a rate too
-        # large for numpy's Poisson draw
+        # large for numpy's Poisson draw, which the staging pass is made to
+        # let through
+        monkeypatch.setattr(detection, "POISSON_MAX", np.inf)
         mu = np.full(2 * detection.COUNT_BLOCK + 3, 50.0)
         mu[detection.COUNT_BLOCK:] = 1e20
         with _workers(3), pytest.raises(ValueError, match="lam value too large"):

@@ -119,10 +119,13 @@ DETECTORS = st.builds(
 
 @st.composite
 def _schedules(draw):
-    """Every schedule kind; a grid with its own span, within [0, 2π), or the default."""
+    """Every schedule kind; a grid with its own span, within [0, 2π), or the
+    default; the other kinds take neither d nor span."""
     kind = draw(st.sampled_from(detection.PhaseSchedule.KINDS))
-    d = draw(st.integers(1, 1024) if kind == "grid" else st.none() | st.integers(1, 1024))
-    if kind != "grid" or draw(st.booleans()):
+    if kind != "grid":
+        return detection.PhaseSchedule(kind)
+    d = draw(st.integers(1, 1024))
+    if draw(st.booleans()):
         return detection.PhaseSchedule(kind, d=d)
     lo = draw(st.floats(0.0, np.pi))
     hi = draw(st.floats(lo, 2 * np.pi))
@@ -612,6 +615,8 @@ OLD_FAILURES = [
     ("array", "pixel_area", BIG),
     ("calibrate", "detector/balance_imbalance", 1.5),   # a negative diode rate
     ("calibrate", "detector/gain", BIG),
+    ("calibrate", "lo_levels", [1e5, 3e5, 1e300]),     # beyond numpy's Poisson draw
+    ("array", "detector/lo_mean_photons", 1e300),
     # values that wrote NaN or Infinity into artifacts (exit 0)
     ("sample", "signal/band_fill", -1),
     ("sample", "signal/chirp", BIG),
@@ -647,9 +652,12 @@ class TestConfigReader:
         ("calibrate", {"lo_levels": [1e5], "pulses_per_level": 1},
          "at seed: missing required key"),
         ("calibrate", [], "at <root>: expected an object, got []"),
+        ("simulate", {"state": {"kind": "vacuum"}, "n_samples": 10, "seed": 1,
+                      "schedule": {"kind": "uniform_random", "span": [0, 1], "d": 7}},
+         "at schedule: a uniform_random schedule takes neither d nor span"),
     ], ids=["simulate-unknown-key", "simulate-unknown-kind", "simulate-missing-seed",
             "twomode-missing-nbar", "array-float-seed", "sample-string-nu",
-            "calibrate-missing-seed", "calibrate-non-object"])
+            "calibrate-missing-seed", "calibrate-non-object", "simulate-random-schedule-span"])
     def test_refused_documents(self, tmp_path, command, doc, message):
         # the documents the JSON schemas were checked on, refused by the reader
         code, err, out = _run_text(tmp_path, command, json.dumps(doc))
@@ -951,6 +959,7 @@ class TestCli:
         ({"schedule": {"kind": "grid", "d": 1.0}}, '{"q":0.5,"theta":0.25}', "bad header"),
         ({"schedule": {"kind": "grid", "d": 1, "span": [-1.0, 1.0]}},
          '{"q":0.5,"theta":0.25}', "bad header"),
+        ({"schedule": {"kind": "uniform_random", "d": 7}}, '{"q":0.5,"theta":0.25}', "bad header"),
     ])
     def test_bad_file_value_exit_3(self, tmp_path, capsys, header, record, message):
         # a value a file carries is a data error, even where a config with
