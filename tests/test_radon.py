@@ -323,6 +323,23 @@ class TestBootstrap:
 
 
 class TestSharedPhaseOperator:
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_column_sums_give_the_grid_sum(self, data):
+        # a replicate's grid sum is its projection's dot product with the
+        # column sums; the phases hold a bin centre, random values and one
+        # that puts the grid corners (±6, ±6) exactly on _CENTERS[-1]
+        corner = np.arcsin(radon._CENTERS[-1] / (6.0 * np.sqrt(2.0))) - np.pi / 4
+        assert 6.0 * np.cos(corner) + 6.0 * np.sin(corner) == radon._CENTERS[-1]
+        theta = data.draw(st.one_of(st.just(corner), st.just(5 * np.pi / 32),
+                                    st.floats(-np.pi / 2, np.pi)), label="theta")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        f = rng.normal(0.0, 1.0, radon.Q_BINS)
+        axis = states.default_grid_axis()
+        x = axis[:, None] * np.cos(theta) + axis * np.sin(theta)
+        terms = np.interp(x.ravel(), radon._CENTERS, f, left=0.0, right=0.0)
+        assert abs(radon._column_sums(theta) @ f - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+
     def test_column_sums_are_cached_read_only(self):
         sums = radon._column_sums(0.25)
         assert radon._column_sums(0.25) is sums
