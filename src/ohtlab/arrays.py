@@ -18,7 +18,7 @@ import numpy as np
 from ._config import FromDict
 from ._rng import stream
 from .detection import (COUNT_BLOCK, DatasetMeta, DetectorModel, PhaseSchedule,
-                        QuadratureDataset, photodiode_counts)
+                        QuadratureDataset, photodiode_counts, require_circle_span)
 from .errors import ConfigError, CoverageError, UnsupportedStateError
 from .states import StateSpec
 
@@ -122,8 +122,7 @@ def _amplitude_draws(spec: StateSpec, n: int, rng: np.random.Generator) -> np.nd
 
 
 def simulate_array_frames(signal, det: DetectorModel, grid: PixelGrid,
-                          sched: PhaseSchedule, n_pulses: int, seed: int,
-                          common_random_phase: bool = False) -> ArrayFrameSet:
+                          sched: PhaseSchedule, n_pulses: int, seed: int) -> ArrayFrameSet:
     """Balanced array frames for planted signal modes.
 
     `signal` is a list of (ModeVector, StateSpec) pairs.  The LO is a
@@ -162,9 +161,7 @@ def simulate_array_frames(signal, det: DetectorModel, grid: PixelGrid,
 
     def run(n, tag, theta_arr, run_modes):
         rng = stream(seed, tag)
-        phases = (np.exp(2j * np.pi * stream(seed, tag + "-common").random(n))
-                  if common_random_phase and run_modes else np.ones(n))
-        amps = [(phases * _amplitude_draws(spec, n, stream(seed, f"{tag}-amp-{k}")), w)
+        amps = [(_amplitude_draws(spec, n, stream(seed, f"{tag}-amp-{k}")), w)
                 for k, (w, spec) in enumerate(run_modes)]
 
         def rates(lo, hi):
@@ -212,8 +209,9 @@ def difference_correlation_matrix(frames: ArrayFrameSet) -> np.ndarray:
     corrected difference counts, summed over blocks of about COUNT_BLOCK
     counts, so no corrected copy of the whole frame set is made."""
     sched = frames.schedule
-    if sched.kind == "grid" and (sched.d or 1) < 4:
+    if sched.kind == "grid" and sched.d < 4:
         raise CoverageError("correlation matrix needs uniform phase coverage over 2π")
+    require_circle_span(sched)
     n, n_pixels = frames.frames.shape
     rows = max(1, COUNT_BLOCK // n_pixels)
     M = np.zeros((n_pixels, n_pixels))
@@ -262,23 +260,21 @@ class SpectralKRecords:
     l_values: np.ndarray
     K: np.ndarray
     lo_photons: float
-    eta_q: float
     window: int
     j_lo: int
 
     def quadrature_pairs(self, l: int):
         """Scaled (q_l, p_l) samples; vacuum gives unit variance per axis."""
         idx = int(np.nonzero(self.l_values == l)[0][0])
-        scale = np.sqrt(2.0) / np.sqrt(self.eta_q * self.lo_photons)
+        scale = np.sqrt(2.0) / np.sqrt(self.lo_photons)
         k = self.K[:, idx]
         return scale * k.real, scale * k.imag
 
 
 def unbalanced_spectral_sim(signal_modes, lo_amplitudes, window: int,
                             n_pulses: int, seed: int,
-                            det: DetectorModel | None = None,
                             common_random_phase: bool = False) -> SpectralKRecords:
-    """Single-array spectral detection of temporal modes.
+    """Single-array spectral detection of temporal modes by an ideal array.
 
     Temporal window k ∈ [−M, M] with the LO on k ∈ [−J, J] (amplitudes
     `lo_amplitudes`, length 2J+1) and signals on k ∈ (J, M].  Spectral-plane
@@ -286,7 +282,6 @@ def unbalanced_spectral_sim(signal_modes, lo_amplitudes, window: int,
     K_l = Σ_j e^{−2πi l j/(2M+1)} N_j are kept for l ∈ (2J, M], where LO
     self-terms (the part balanced detection would subtract) cannot reach.
     """
-    det = det or DetectorModel()
     M = int(window)
     beta = np.asarray(lo_amplitudes, complex)
     if beta.size % 2 != 1:
@@ -322,15 +317,12 @@ def unbalanced_spectral_sim(signal_modes, lo_amplitudes, window: int,
     F = np.exp(2j * np.pi * np.outer(j_axis, k_axis) / L) / np.sqrt(L)
     A = b @ F.T
     rng = stream(seed, "spectral-counts")
-    counts = rng.poisson(det.eta_q * np.abs(A) ** 2).astype(float)
-    if det.sigma_e > 0:
-        counts = counts + np.rint(rng.normal(0, det.sigma_e, size=counts.shape))
+    counts = rng.poisson(np.abs(A) ** 2).astype(float)
 
     l_values = np.arange(2 * J + 1, M + 1)
     G = np.exp(-2j * np.pi * np.outer(j_axis, l_values) / L)
     K = counts @ G
-    return SpectralKRecords(l_values=l_values, K=K, lo_photons=lo_photons,
-                            eta_q=det.eta_q, window=M, j_lo=J)
+    return SpectralKRecords(l_values=l_values, K=K, lo_photons=lo_photons, window=M, j_lo=J)
 
 
 @dataclass

@@ -38,11 +38,22 @@ class Outputs(FromDict):
 
 @dataclass(frozen=True, kw_only=True)
 class SeededConfig(FromDict):
-    """The fields of every config but `sample`'s, besides its own."""
+    """The fields of every config but `sample`'s, besides its own.  A
+    detector field not in DETECTOR_FIELDS must keep its default."""
 
     seed: int
     detector: detection.DetectorModel = detection.DetectorModel()
     outputs: Outputs = Outputs()
+
+    #: the detector fields the command reads; simulate and twomode read every
+    #: one, in the detection chain or (gain) in the dataset header
+    DETECTOR_FIELDS = tuple(detection.DetectorModel().to_dict())
+
+    def __post_init__(self):
+        default = detection.DetectorModel().to_dict()
+        for name, value in self.detector.to_dict().items():
+            if name not in self.DETECTOR_FIELDS and value != default[name]:
+                raise ConfigError(f"this command does not read detector/{name}; leave it out")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -115,6 +126,8 @@ class ArrayConfig(SeededConfig):
     schedule: detection.PhaseSchedule = detection.PhaseSchedule("uniform_random")
     modes: list[ArrayMode] = field(default_factory=list)
 
+    DETECTOR_FIELDS = ("eta_q", "lo_mean_photons", "sigma_e")
+
 
 @dataclass(frozen=True)
 class SampleSignal(FromDict):
@@ -124,7 +137,6 @@ class SampleSignal(FromDict):
     span: float = 160.0
     points: int = 16384
     chirp: float = 8.0
-    seed: int | None = None     # ignored: the demo draws nothing at random
 
 
 @dataclass(frozen=True)
@@ -132,7 +144,6 @@ class SampleConfig(FromDict):
     signal: SampleSignal
     tau_span: float | None = None       # default: signal.span / 5
     tau_step_grid_units: int = 16
-    seed: int | None = None     # ignored, as signal.seed is
     outputs: Outputs = Outputs()
 
 
@@ -140,6 +151,9 @@ class SampleConfig(FromDict):
 class CalibrateConfig(SeededConfig):
     lo_levels: list[float]
     pulses_per_level: int
+
+    #: each level sets its own LO, and the vacuum signal leaves eta_ls no beat to scale
+    DETECTOR_FIELDS = ("eta_q", "sigma_e", "gain", "balance_imbalance")
 
 
 def load_config(path, cls):
@@ -262,9 +276,8 @@ def cmd_twomode(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     st = cfg.source.state()
     rand = detection.PhaseSchedule("uniform_random")
-    runs = [twomode.combined_quadrature_samples(
-                st, twomode.LOSuperposition(alpha=alpha), cfg.detector, cfg.n_samples,
-                seed + i, theta_schedule=rand, zeta_schedule=rand)
+    runs = [twomode.combined_quadrature_samples(st, alpha, cfg.detector, cfg.n_samples,
+                                                seed + i, rand, rand)
             for i, alpha in enumerate((0.0, np.pi / 4, np.pi / 2))]
     g2, se = twomode.two_time_g2(*runs)
     report = {"g2": g2, "g2_stderr": se, "source": doc["source"], "n_samples": cfg.n_samples}

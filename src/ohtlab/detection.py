@@ -2,9 +2,11 @@
 
 The measurement chain: an ideal quadrature value is drawn from the state's
 Pr(q, θ), detection losses smear it with a Gaussian of variance
-(1/η_eff − 1)/2 (η_eff = η_q·η_LS), and electronic noise adds
-σ_e·√2/(η_eff·√(2·N_LO)) in quadrature units (two channels combined).
-The count-space route (`detector_counts`) models the two photodiodes
+(1/η_eff − 1)/2 (η_eff = η_q·η_LS), electronic noise adds
+σ_e·√2/(η_eff·√(2·N_LO)) in quadrature units (two channels combined), and a
+balance imbalance b adds the offset b·η_q·√N_LO/(√2·η_eff): the steps of
+`add_detection_noise`, for single-mode and dual-LO records.  The
+count-space route (`detector_counts`) models the two photodiodes
 explicitly for classical (coherent mean-field) signals, where independent
 Poisson statistics are exact; `photodiode_counts` draws them in blocks of
 rows, each block from its own stream and the blocks spread over the
@@ -273,17 +275,25 @@ def distinct(values) -> np.ndarray:
 
 
 def add_detection_noise(qs: np.ndarray, det: DetectorModel, seed: int) -> np.ndarray:
-    """Ideal quadratures as detected: η_eff loss smearing, then electronic noise.
+    """Ideal quadratures as detected: η_eff loss smearing, electronic noise,
+    then the balance-imbalance offset; warns of a weak LO.
 
     The electronic term maps σ_e to quadrature units with both channels
     combined, a shortcut valid while σ_e is well below the shot noise.
     """
+    if det.lo_mean_photons < 1e4:
+        warnings.warn("lo_mean_photons < 1e4: strong-LO Gaussian model is marginal")
     if det.eta_eff < 1.0:
         sig = np.sqrt((1.0 / det.eta_eff - 1.0) / 2.0)
         qs = qs + sig * stream(seed, "efficiency").standard_normal(qs.size)
     if det.sigma_e > 0:
         sig_e = det.sigma_e * np.sqrt(2.0) / (det.eta_eff * np.sqrt(2.0 * det.lo_mean_photons))
         qs = qs + sig_e * stream(seed, "electronic").standard_normal(qs.size)
+    if det.balance_imbalance != 0.0:
+        # leading-order effect of imperfect 50/50 splitting: the unsubtracted
+        # LO leaves a DC offset on the scaled difference
+        qs = qs + det.balance_imbalance * det.eta_q * np.sqrt(det.lo_mean_photons) \
+            / (np.sqrt(2.0) * det.eta_eff)
     return qs
 
 
@@ -301,16 +311,9 @@ def sample_quadratures(rho: DensityMatrix, sched: PhaseSchedule, det: DetectorMo
                        n_samples: int, seed: int) -> QuadratureDataset:
     """Synthesize a balanced-homodyne measurement record from a state."""
     check_sampling(det, n_samples)
-    if det.lo_mean_photons < 1e4:
-        warnings.warn("lo_mean_photons < 1e4: strong-LO Gaussian model is marginal")
     thetas = sched.phases(n_samples, stream(seed, "theta"))
     qs = draw_state_quadratures(rho, thetas, stream(seed, "quadrature"))
     qs = add_detection_noise(qs, det, seed)
-    if det.balance_imbalance != 0.0:
-        # leading-order effect of imperfect 50/50 splitting: the unsubtracted
-        # LO leaves a DC offset on the scaled difference
-        qs = qs + det.balance_imbalance * det.eta_q * np.sqrt(det.lo_mean_photons) \
-            / (np.sqrt(2.0) * det.eta_eff)
     meta = DatasetMeta(detector=det, schedule=sched, seed=seed,
                        source=rho.meta.get("spec"))
     return QuadratureDataset(thetas=thetas, qs=qs, meta=meta)
@@ -485,16 +488,27 @@ def gain_balancing_sim(n_tot: float, n_diff1: float, n_diff2: float) -> float:
     return (n_diff1 + n_diff2) / n_tot
 
 
+def require_circle_span(sched: PhaseSchedule) -> None:
+    """Raise CoverageError for a grid whose span is neither π nor 2π, over
+    which even harmonics do not average out; other schedules cover 2π."""
+    width = sched.span[1] - sched.span[0]
+    if sched.kind == "grid" and min(abs(width - np.pi), abs(width - 2.0 * np.pi)) > 1e-9:
+        raise CoverageError(f"grid span {list(sched.span)} covers neither π nor 2π; "
+                            "its phase averages would be biased")
+
+
 def require_full_coverage(ds: QuadratureDataset, *min_harmonics: int):
     """Raise CoverageError unless phase averages up to each trigonometric
     order given are unbiased for this dataset, checked in turn over one
     count of the phases: random and swept schedules cover the circle, a
-    grid needs more phases than the order."""
+    grid needs more than one phase, a span of π or 2π, and more phases than
+    the order."""
     if ds.meta.schedule.kind != "grid":
         return
     d = distinct(ds.thetas).size
     if d == 1:
         raise CoverageError("fixed-phase dataset cannot be phase-averaged")
+    require_circle_span(ds.meta.schedule)
     for min_harmonic in min_harmonics:
         if d <= min_harmonic:
             raise CoverageError(

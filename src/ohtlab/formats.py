@@ -266,7 +266,7 @@ def read_density_matrix(path):
         if key not in doc:
             raise DataFormatError(f"{path}: missing key {key!r}")
     elements = np.array(doc["re"], float) + 1j * np.array(doc["im"], float)
-    rho = DensityMatrix(dim=doc["dim"], elements=elements, normalized=False)
+    rho = DensityMatrix(dim=doc["dim"], elements=elements)
     errors = np.array(doc["errors"], float) if "errors" in doc else None
     return rho, errors
 

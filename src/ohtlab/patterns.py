@@ -201,7 +201,7 @@ def rho_from_quadratures(ds: QuadratureDataset, pf: PatternFunctionTable,
         rho[n + band, n] = est
         rho[n, n + band] = np.conj(est)
         err[n + band, n] = err[n, n + band] = sigma
-    dm = DensityMatrix(dim=dim, elements=rho, normalized=False,
+    dm = DensityMatrix(dim=dim, elements=rho,
                        meta={"method": "pattern", "d_phases": d, "n_samples": len(ds)})
     return dm, err
 

@@ -71,7 +71,6 @@ class DensityMatrix:
 
     dim: int
     elements: np.ndarray
-    normalized: bool = True
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -148,10 +147,10 @@ class WavefunctionSamples:
 class StateSpec(FromDict):
     """Constructor recipe for an analytically known state.
 
-    kind is one of vacuum | fock | coherent | thermal | squeezed_vacuum |
-    squeezed_coherent.  Unused parameters stay at None.  `from_dict` is the
-    inverse of to_dict; α may be a [re, im] pair or a real scalar, which is
-    kept as given.
+    FIELDS names the parameters each kind reads: the kind needs them (phi
+    defaults to 0) and refuses any other unless it keeps its default.
+    `from_dict` is the inverse of to_dict; α may be a [re, im] pair or a
+    real scalar, which is kept as given.
     """
 
     kind: str
@@ -162,33 +161,29 @@ class StateSpec(FromDict):
     phi: float = 0.0
     truncation_dim: int = DEFAULT_DIM
 
-    KINDS = ("vacuum", "fock", "coherent", "thermal", "squeezed_vacuum", "squeezed_coherent")
+    FIELDS = {"vacuum": (), "fock": ("n",), "coherent": ("alpha",), "thermal": ("nbar",),
+              "squeezed_vacuum": ("r", "phi"), "squeezed_coherent": ("alpha", "r", "phi")}
+    KINDS = tuple(FIELDS)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ConfigError(f"unknown state kind {self.kind!r}")
-        if self.kind == "fock" and (self.n is None or self.n < 0):
-            raise ConfigError("fock state needs n >= 0")
-        if self.kind in ("coherent", "squeezed_coherent") and self.alpha is None:
-            raise ConfigError(f"{self.kind} needs alpha")
-        if self.kind == "thermal" and (self.nbar is None or self.nbar < 0):
-            raise ConfigError("thermal state needs nbar >= 0")
-        if self.kind in ("squeezed_vacuum", "squeezed_coherent") and self.r is None:
-            raise ConfigError(f"{self.kind} needs squeeze parameter r")
+        for name in ("n", "alpha", "nbar", "r", "phi"):
+            reads, value = name in self.FIELDS[self.kind], getattr(self, name)
+            if reads and value is None:
+                raise ConfigError(f"a {self.kind} state needs {name}")
+            if not reads and value != getattr(StateSpec, name):   # the field's default
+                raise ConfigError(f"a {self.kind} state takes no {name}")
+        if (self.n or 0) < 0 or (self.nbar or 0) < 0:
+            raise ConfigError("n and nbar must be >= 0")
         if not 1 <= self.truncation_dim <= MAX_DIM:
             raise ConfigError(f"truncation_dim must be in 1..{MAX_DIM}")
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "truncation_dim": self.truncation_dim}
-        if self.n is not None:
-            d["n"] = self.n
-        if self.alpha is not None:
-            d["alpha"] = [float(np.real(self.alpha)), float(np.imag(self.alpha))]
-        if self.nbar is not None:
-            d["nbar"] = self.nbar
-        if self.r is not None:
-            d["r"] = self.r
-            d["phi"] = self.phi
+        for name in self.FIELDS[self.kind]:
+            value = getattr(self, name)
+            d[name] = [float(np.real(value)), float(np.imag(value))] if name == "alpha" else value
         return d
 
 
@@ -329,7 +324,7 @@ def apply_loss(rho: DensityMatrix, eta: float) -> DensityMatrix:
         m = np.arange(rho.dim - k)
         b = np.sqrt([math.comb(j + k, k) for j in m]) * eta ** (m / 2) * (1.0 - eta) ** (k / 2)
         out[:rho.dim - k, :rho.dim - k] += b[:, None] * rho.elements[k:, k:] * b
-    return DensityMatrix(dim=rho.dim, elements=out, normalized=rho.normalized)
+    return DensityMatrix(dim=rho.dim, elements=out)
 
 
 def quadrature_pdf(rho: DensityMatrix, theta: float, q_axis) -> np.ndarray:
@@ -431,7 +426,7 @@ def rho_from_wigner(w: WignerGrid, dim: int) -> DensityMatrix:
     if abs(trace - 1.0) > 0.05:
         meta["coarse_grid_warning"] = True
         warnings.warn(f"rho_from_wigner: trace deviation {trace - 1:.3f}; grid may be too coarse")
-    return DensityMatrix(dim=dim, elements=rho, normalized=False, meta=meta)
+    return DensityMatrix(dim=dim, elements=rho, meta=meta)
 
 
 def q_function(rho: DensityMatrix, q_axis=None, p_axis=None) -> WignerGrid:

@@ -2,10 +2,12 @@
 rotations, the three-angle two-time g² method, and Stokes-operator moments.
 
 The dual-LO measurement returns, per pulse, the combined quadrature
-Q = cos(α) q_1θ + sin(α) q_2β with β = θ − ζ.  Correlated photon-number
-sources are synthesized by planting per-pulse number pairs (n₁, n₂) from a
-joint law and sampling each quadrature from the matching Fock distribution,
-which gives exact ground-truth ⟨n₁n₂⟩ for validation.
+Q = cos(α) q_1θ + sin(α) q_2β with β = θ − ζ, where θ and ζ follow phase
+schedules (a fixed phase is a one-phase grid) and Q goes through the
+single-mode detection chain, `detection.add_detection_noise`.  Correlated
+photon-number sources are synthesized by planting per-pulse number pairs
+(n₁, n₂) from a joint law and sampling each quadrature from the matching
+Fock distribution, which gives exact ground-truth ⟨n₁n₂⟩ for validation.
 """
 
 from __future__ import annotations
@@ -20,20 +22,6 @@ from .detection import (DatasetMeta, DetectorModel, PhaseSchedule, QuadratureDat
                         draw_state_quadratures)
 from .errors import ConfigError, UnsupportedStateError
 from .states import DensityMatrix
-
-
-@dataclass(frozen=True)
-class LOSuperposition:
-    """Dual-LO mixing parameters: mode-mixing angle α, common phase θ,
-    relative phase ζ."""
-
-    alpha: float
-    theta: float = 0.0
-    zeta: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= np.pi / 2:
-            raise ValueError("alpha must lie in [0, π/2]")
 
 
 @dataclass
@@ -163,26 +151,24 @@ def independent_poisson_law(nbar1: float, nbar2: float):
     return law
 
 
-def combined_quadrature_samples(st: TwoModeState, lo: LOSuperposition, det: DetectorModel,
-                                n_samples: int, seed: int,
-                                theta_schedule: PhaseSchedule | None = None,
-                                zeta_schedule: PhaseSchedule | None = None,
+def combined_quadrature_samples(st: TwoModeState, alpha: float, det: DetectorModel,
+                                n_samples: int, seed: int, theta_schedule: PhaseSchedule,
+                                zeta_schedule: PhaseSchedule,
                                 keep_joint: bool = False) -> DualQuadratureDataset:
-    """Dual-LO measurement record Q = cos(α) q_1θ + sin(α) q_2β, β = θ − ζ.
+    """Dual-LO record Q = cos(α) q_1θ + sin(α) q_2β, β = θ − ζ, α ∈ [0, π/2].
 
-    θ and ζ follow their schedules when given (fixed at the LOSuperposition
-    values otherwise); detection noise follows the single-detector rules.
+    A fixed phase φ is the schedule PhaseSchedule("grid", d=1, span=(φ, φ + 0.1)).
     """
+    if not 0.0 <= alpha <= np.pi / 2:
+        raise ValueError("alpha must lie in [0, π/2]")
     if st.kind == "joint":
         raise UnsupportedStateError(
             "sampling from a general entangled joint Fock state is not implemented; "
             "use product / correlated_thermal / planted representations"
         )
     check_sampling(det, n_samples)
-    thetas = (theta_schedule.phases(n_samples, stream(seed, "theta"))
-              if theta_schedule else np.full(n_samples, lo.theta))
-    zetas = (zeta_schedule.phases(n_samples, stream(seed, "zeta"))
-             if zeta_schedule else np.full(n_samples, lo.zeta))
+    thetas = theta_schedule.phases(n_samples, stream(seed, "theta"))
+    zetas = zeta_schedule.phases(n_samples, stream(seed, "zeta"))
     betas = np.mod(thetas - zetas, 2.0 * np.pi)
     rng1 = stream(seed, "quadrature-1")
     rng2 = stream(seed, "quadrature-2")
@@ -201,13 +187,12 @@ def combined_quadrature_samples(st: TwoModeState, lo: LOSuperposition, det: Dete
             joint.update(n1=n1, n2=n2)
     if keep_joint:
         joint.update(q1=q1, q2=q2)
-    qs = add_detection_noise(np.cos(lo.alpha) * q1 + np.sin(lo.alpha) * q2, det, seed)
-    meta = DatasetMeta(detector=det, schedule=theta_schedule or PhaseSchedule("grid", d=1),
-                       seed=seed,
-                       extra={"mode": "dual", "alpha": lo.alpha,
-                              "zeta_schedule": zeta_schedule.to_dict() if zeta_schedule else None,
+    qs = add_detection_noise(np.cos(alpha) * q1 + np.sin(alpha) * q2, det, seed)
+    meta = DatasetMeta(detector=det, schedule=theta_schedule, seed=seed,
+                       extra={"mode": "dual", "alpha": alpha,
+                              "zeta_schedule": zeta_schedule.to_dict(),
                               **({"joint_record": joint} if keep_joint else {})})
-    return DualQuadratureDataset(thetas=thetas, zetas=zetas, qs=qs, alpha=lo.alpha, meta=meta)
+    return DualQuadratureDataset(thetas=thetas, zetas=zetas, qs=qs, alpha=alpha, meta=meta)
 
 
 def grips_transform(gamma: float, zeta: float) -> np.ndarray:
@@ -217,11 +202,6 @@ def grips_transform(gamma: float, zeta: float) -> np.ndarray:
     c, s = np.cos(gamma / 2.0), np.sin(gamma / 2.0)
     e = np.exp(1j * zeta)
     return np.array([[c, e * s], [-s, e * c]], dtype=complex)
-
-
-def _run_moments(ds: DualQuadratureDataset):
-    q = ds.qs
-    return q**2, q**4
 
 
 def two_time_g2(run0: DualQuadratureDataset, run45: DualQuadratureDataset,
@@ -242,8 +222,8 @@ def two_time_g2(run0: DualQuadratureDataset, run45: DualQuadratureDataset,
     if not (len(run0) == len(run45) == len(run90)):
         raise ValueError("mismatched sample counts between the three runs")
 
-    a2, a4 = _run_moments(run0)
-    b2, b4 = _run_moments(run90)
+    a2, a4 = run0.qs**2, run0.qs**4
+    b2, b4 = run90.qs**2, run90.qs**4
     c4 = run45.qs ** 4
 
     def estimate(m2_1, m4_1, m2_2, m4_2, m4_c):

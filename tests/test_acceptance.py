@@ -95,8 +95,7 @@ def test_acceptance_04_coherent_wavefunction():
         rho_true, detection.PhaseSchedule("grid", d=16), DET_IDEAL, 400_000, seed=1005)
     pf = patterns.build_pattern_functions(8)
     rho_rec, _ = patterns.rho_from_quadratures(ds, pf)
-    normed = states.DensityMatrix(dim=8, elements=rho_rec.elements / rho_rec.trace,
-                                  normalized=True)
+    normed = states.DensityMatrix(dim=8, elements=rho_rec.elements / rho_rec.trace)
     wf = states.wavefunction_from_rho(normed)   # purity-gated
     expect = np.pi**-0.25 * np.exp(-((wf.q_axis - np.sqrt(2) * alpha.real) ** 2) / 2)
     rms = np.sqrt(np.mean((np.abs(wf.amplitude) - expect) ** 2))
@@ -253,7 +252,7 @@ def test_acceptance_13_two_time_g2():
 
     def runs(st_, seed, keep=False):
         return [twomode.combined_quadrature_samples(
-            st_, twomode.LOSuperposition(alpha=a), DET_IDEAL, 400_000,
+            st_, a, DET_IDEAL, 400_000,
             seed + 31 * i, theta_schedule=rand, zeta_schedule=rand, keep_joint=keep)
             for i, a in enumerate((0.0, np.pi / 4, np.pi / 2))]
 

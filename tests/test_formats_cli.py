@@ -141,7 +141,8 @@ SOURCES = st.none() | st.builds(
         kind, n=n if kind == "fock" else None,
         alpha=complex(x, -x) if "coherent" in kind else None,
         nbar=abs(x) if kind == "thermal" else None,
-        r=x if "squeezed" in kind else None, phi=x / 2).to_dict(),
+        r=x if "squeezed" in kind else None,
+        phi=x / 2 if "squeezed" in kind else 0.0).to_dict(),
     st.sampled_from(states.StateSpec.KINDS), st.floats(-2.0, 2.0), st.integers(0, 20))
 DATASET_METAS = st.builds(detection.DatasetMeta, detector=DETECTORS, schedule=_schedules(),
                           seed=st.integers(0, 2**64), source=SOURCES)
@@ -181,7 +182,7 @@ class TestQuadratureFiles:
         st_ = twomode.TwoModeState("correlated_thermal", nbar=0.5, corr=0.3)
         rand = detection.PhaseSchedule("uniform_random")
         ds = twomode.combined_quadrature_samples(
-            st_, twomode.LOSuperposition(alpha=np.pi / 4), DET, 2_000, seed=902,
+            st_, np.pi / 4, DET, 2_000, seed=902,
             theta_schedule=rand, zeta_schedule=rand)
         path = tmp_path / "dual.jsonl"
         formats.write_quadrature_dataset(path, ds)
@@ -190,6 +191,25 @@ class TestQuadratureFiles:
         assert np.array_equal(back.qs, ds.qs)
         assert np.array_equal(back.zetas, ds.zetas)
         assert back.alpha == ds.alpha
+
+    def test_fixed_phase_dual_round_trip(self, tmp_path):
+        # fixed LO phases are one-phase grids, and the header records them
+        st_ = twomode.TwoModeState("correlated_thermal", nbar=0.5, corr=0.3)
+        theta, zeta = (detection.PhaseSchedule("grid", d=1, span=(p, p + 0.1))
+                       for p in (0.3, 1.0))
+        ds = twomode.combined_quadrature_samples(st_, 0.0, DET, 500, seed=906,
+                                                 theta_schedule=theta, zeta_schedule=zeta)
+        path = tmp_path / "fixed.jsonl"
+        formats.write_quadrature_dataset(path, ds)
+        header = json.loads(path.read_text().split("\n", 1)[0])
+        assert header["schedule"] == {"kind": "grid", "d": 1, "span": list(theta.span)}
+        assert header["zeta_schedule"] == {"kind": "grid", "d": 1, "span": list(zeta.span)}
+        back = formats.read_quadrature_dataset(path)
+        assert back.meta.schedule == theta
+        assert back.meta.extra["zeta_schedule"] == zeta.to_dict()
+        assert np.array_equal(back.thetas, np.full(500, 0.3))
+        assert np.array_equal(back.zetas, np.full(500, 1.0))
+        assert np.array_equal(back.qs, ds.qs)
 
     @given(meta=DATASET_METAS, dual=st.booleans(), alpha=st.floats(-4.0, 4.0))
     @settings(max_examples=60, deadline=None)
@@ -497,9 +517,8 @@ CONFIGS = {
                         {"shape": [1.0, 0.0, 0.0, 0.0], "state": {"kind": "vacuum"}}],
               "outputs": {"dir": "unused"}},
     "sample": {"signal": {"nu": 12.0, "bandwidth": 2.0, "band_fill": 0.9, "span": 160.0,
-                          "points": 16384, "chirp": 8.0, "seed": 1},
-               "tau_span": 32.0, "tau_step_grid_units": 64, "seed": 1,
-               "outputs": {"dir": "unused"}},
+                          "points": 16384, "chirp": 8.0},
+               "tau_span": 32.0, "tau_step_grid_units": 64, "outputs": {"dir": "unused"}},
     "calibrate": {"detector": DETECTOR, "lo_levels": [1e5, 3e5, 6e5], "pulses_per_level": 200,
                   "seed": 1, "outputs": {"dir": "unused"}},
 }
@@ -586,7 +605,7 @@ MUTATION_REFUSALS = [
     ("sample", "signal/bandwidth", BIG,
      "at signal/bandwidth: expected a finite number, got Infinity"),
     ("sample", "tau_span", math.nan, "at tau_span: expected a finite number, got NaN"),
-    ("sample", "signal/seed", True, "at signal/seed: expected an integer, got true"),
+    ("sample", "signal/seed", True, "at signal/seed: unknown key"),
     ("sample", "signal/bandwidth", DELETE, "at signal/bandwidth: missing required key"),
     ("sample", "signal/surprise", 1, "at signal/surprise: unknown key"),
     ("calibrate", "lo_levels/0", True, "at lo_levels/0: expected a finite number, got true"),
@@ -655,9 +674,21 @@ class TestConfigReader:
         ("simulate", {"state": {"kind": "vacuum"}, "n_samples": 10, "seed": 1,
                       "schedule": {"kind": "uniform_random", "span": [0, 1], "d": 7}},
          "at schedule: a uniform_random schedule takes neither d nor span"),
+        ("simulate", {"state": {"kind": "coherent", "alpha": 1, "r": 0.7},
+                      "schedule": {"kind": "grid", "d": 4}, "n_samples": 10, "seed": 1},
+         "at state: a coherent state takes no r"),
+        ("array", {"n_pulses": 10, "seed": 1, "detector": {"eta_ls": 0.5}},
+         "at <root>: this command does not read detector/eta_ls; leave it out"),
+        ("calibrate", {"lo_levels": [1e5, 3e5, 6e5], "pulses_per_level": 10, "seed": 1,
+                       "detector": {"lo_mean_photons": 2e6}},
+         "at <root>: this command does not read detector/lo_mean_photons; leave it out"),
+        ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0}, "seed": 1},
+         "at seed: unknown key"),
     ], ids=["simulate-unknown-key", "simulate-unknown-kind", "simulate-missing-seed",
             "twomode-missing-nbar", "array-float-seed", "sample-string-nu",
-            "calibrate-missing-seed", "calibrate-non-object", "simulate-random-schedule-span"])
+            "calibrate-missing-seed", "calibrate-non-object", "simulate-random-schedule-span",
+            "simulate-coherent-state-with-r", "array-unread-eta_ls",
+            "calibrate-unread-lo_mean_photons", "sample-seed"])
     def test_refused_documents(self, tmp_path, command, doc, message):
         # the documents the JSON schemas were checked on, refused by the reader
         code, err, out = _run_text(tmp_path, command, json.dumps(doc))
@@ -857,9 +888,9 @@ class TestCli:
         ("array", {"n_pulses": 10, "n_pixels": 1, "seed": 1}),
         ("calibrate", {"lo_levels": [1e5, 3e5, 6e5], "pulses_per_level": 1, "seed": 1}),
         ("calibrate", {"lo_levels": [-1e5, 3e5, 6e5], "pulses_per_level": 10, "seed": 1}),
-        ("sample", {"signal": {"nu": 12.0, "bandwidth": 0.0}, "seed": 1}),
-        ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0, "points": 0}, "seed": 1}),
-        ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0, "span": 0.0}, "seed": 1}),
+        ("sample", {"signal": {"nu": 12.0, "bandwidth": 0.0}}),
+        ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0, "points": 0}}),
+        ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0, "span": 0.0}}),
         ("calibrate", {"lo_levels": [1e5, 1e5, 1e5], "pulses_per_level": 10, "seed": 1}),
         ("array", {"n_pulses": 10, "seed": 1, "detector": {"lo_mean_photons": 1e3}}),
         ("array", {"n_pulses": 10, "n_pixels": 4, "seed": 1, "modes": [
@@ -868,7 +899,7 @@ class TestCli:
             {"shape": [0, 0, 0, 0], "state": {"kind": "coherent", "alpha": 1.0}}]}),
         ("calibrate", {"lo_levels": [1e5, 3e5, 6e5], "pulses_per_level": 10, "seed": 1,
                        "detector": {"gain": 0}}),
-        ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0, "points": 2048}, "seed": 1}),
+        ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0, "points": 2048}}),
     ])
     def test_invalid_config_value_exit_2(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, "bad.json", {**doc, "outputs": {"dir": str(tmp_path / "o")}})
@@ -1115,6 +1146,27 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["moments", "array"])
+    def test_partial_span_grid_exit_3(self, tmp_path, capsys, command):
+        # phase averages over a grid on [0, 1) are biased: for coherent α = 2
+        # moments and array read about 6.2 photons, not 4
+        sched = {"kind": "grid", "d": 8, "span": [0, 1]}
+        state = {"kind": "coherent", "alpha": 2.0}
+        if command == "moments":
+            cfg = write_config(tmp_path, "sim.json", {"state": state, "schedule": sched,
+                                                      "n_samples": 2_000, "seed": 1})
+            assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "sim")) == 0
+            argv = ["moments", "--input", str(tmp_path / "sim" / "dataset.jsonl")]
+        else:
+            cfg = write_config(tmp_path, "arr.json", {
+                "n_pulses": 400, "n_pixels": 8, "seed": 1, "schedule": sched,
+                "modes": [{"shape": "ramp", "state": state}]})
+            argv = ["array", "--config", cfg]
+        assert run_cli(*argv, "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == ("data error: grid span [0, 1] covers neither π "
+                                           "nor 2π; its phase averages would be biased\n")
+        assert not (tmp_path / "o").exists()
+
     def test_twomode_command(self, tmp_path):
         cfg = write_config(tmp_path, "two.json", {
             "source": {"kind": "correlated_thermal", "nbar": 1.0, "corr": 1.0},
@@ -1142,24 +1194,24 @@ class TestCli:
     def test_sample_command(self, tmp_path):
         cfg = write_config(tmp_path, "samp.json", {
             "signal": {"nu": 12.0, "bandwidth": 2.0},
-            "seed": 10,
             "outputs": {"dir": str(tmp_path / "samp")},
         })
         assert run_cli("sample", "--config", cfg) == 0
         rep = json.loads((tmp_path / "samp" / "sampling_report.json").read_text())
         assert rep["relative_rms_error"] <= 1e-3
 
-    def test_sample_needs_no_seed(self, tmp_path):
-        # the demo draws nothing at random; a seed is accepted and ignored
-        runs = {}
+    def test_sample_needs_no_seed(self, tmp_path, capsys):
+        # the demo draws nothing at random, so it runs without a seed and
+        # refuses one, at the top level or in the signal block
         for name, extra in (("none", {}), ("seeded", {"seed": 3}),
                             ("signal_seed", {"signal": {"nu": 12.0, "bandwidth": 2.0,
                                                         "seed": 4}})):
             doc = {"signal": {"nu": 12.0, "bandwidth": 2.0},
                    "outputs": {"dir": str(tmp_path / name)}, **extra}
-            assert run_cli("sample", "--config", write_config(tmp_path, f"{name}.json", doc)) == 0
-            runs[name] = formats.sha256_file(tmp_path / name / "recovered.csv")
-        assert len(set(runs.values())) == 1
+            code = run_cli("sample", "--config", write_config(tmp_path, f"{name}.json", doc))
+            assert code == (0 if name == "none" else 2)
+            assert (tmp_path / name).exists() == (name == "none")
+        assert capsys.readouterr().err.count("unknown key") == 2
 
     def test_calibrate_command(self, tmp_path):
         cfg = write_config(tmp_path, "cal.json", {

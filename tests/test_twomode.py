@@ -12,11 +12,16 @@ DET = detection.DetectorModel()
 RAND = detection.PhaseSchedule("uniform_random")
 
 
+def fixed(phase):
+    """The one-phase grid at phase."""
+    return detection.PhaseSchedule("grid", d=1, span=(phase, phase + 0.1))
+
+
 def _three_alpha_runs(st_, n, seed, det=DET):
     runs = []
     for i, alpha in enumerate((0.0, np.pi / 4, np.pi / 2)):
         runs.append(twomode.combined_quadrature_samples(
-            st_, twomode.LOSuperposition(alpha=alpha), det, n, seed + 17 * i,
+            st_, alpha, det, n, seed + 17 * i,
             theta_schedule=RAND, zeta_schedule=RAND))
     return runs
 
@@ -24,8 +29,9 @@ def _three_alpha_runs(st_, n, seed, det=DET):
 class TestCombinedSamples:
     def test_alpha_zero_is_mode_one(self, coherent1, vacuum):
         st_ = twomode.TwoModeState("product", rho1=coherent1, rho2=vacuum)
-        lo = twomode.LOSuperposition(alpha=0.0, theta=0.3, zeta=1.0)
-        ds = twomode.combined_quadrature_samples(st_, lo, DET, 50_000, seed=700)
+        ds = twomode.combined_quadrature_samples(st_, 0.0, DET, 50_000, seed=700,
+                                                 theta_schedule=fixed(0.3),
+                                                 zeta_schedule=fixed(1.0))
         ref = detection.sample_quadratures(
             coherent1, detection.PhaseSchedule("grid", d=1, span=(0.3, 0.4)),
             DET, 50_000, seed=701)
@@ -33,8 +39,9 @@ class TestCombinedSamples:
 
     def test_alpha_half_pi_is_mode_two(self, thermal1, vacuum):
         st_ = twomode.TwoModeState("product", rho1=vacuum, rho2=thermal1)
-        lo = twomode.LOSuperposition(alpha=np.pi / 2, theta=0.9, zeta=0.2)
-        ds = twomode.combined_quadrature_samples(st_, lo, DET, 50_000, seed=702)
+        ds = twomode.combined_quadrature_samples(st_, np.pi / 2, DET, 50_000, seed=702,
+                                                 theta_schedule=fixed(0.9),
+                                                 zeta_schedule=fixed(0.2))
         # thermal quadratures are phase independent
         ref = detection.sample_quadratures(
             thermal1, detection.PhaseSchedule("grid", d=1, span=(0.7, 0.8)),
@@ -45,9 +52,25 @@ class TestCombinedSamples:
         st_ = twomode.TwoModeState("product", rho1=vacuum, rho2=vacuum)
         for alpha in (0.3, 0.7, 1.2):
             ds = twomode.combined_quadrature_samples(
-                st_, twomode.LOSuperposition(alpha=alpha), DET, 60_000, seed=704,
+                st_, alpha, DET, 60_000, seed=704,
                 theta_schedule=RAND, zeta_schedule=RAND)
             assert ds.qs.var() == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("phase", [0.2, 0.3, 0.9, 1.0, 2.5])
+    def test_fixed_phase_is_a_one_phase_grid(self, phase):
+        assert np.array_equal(fixed(phase).phases(1_000, None), np.full(1_000, phase))
+
+    def test_balance_imbalance_shifts_the_mean(self, vacuum):
+        # the single-detector offset b·η_q·√N_LO/(√2·η_eff), added after the noise
+        st_ = twomode.TwoModeState("product", rho1=vacuum, rho2=vacuum)
+        det = detection.DetectorModel(eta_q=0.8, eta_ls=0.9, sigma_e=20.0,
+                                      balance_imbalance=3e-4)
+        runs = [twomode.combined_quadrature_samples(st_, np.pi / 4, d, 5_000, seed=706,
+                                                    theta_schedule=RAND, zeta_schedule=RAND)
+                for d in (det, detection.DetectorModel(eta_q=0.8, eta_ls=0.9, sigma_e=20.0))]
+        offset = 3e-4 * 0.8 * np.sqrt(1e6) / (np.sqrt(2.0) * det.eta_eff)
+        assert runs[0].qs.mean() - runs[1].qs.mean() == pytest.approx(offset, rel=1e-9)
+        assert runs[0].meta.detector.balance_imbalance == 3e-4
 
     def test_entangled_joint_rejected(self):
         d = 3
@@ -57,11 +80,14 @@ class TestCombinedSamples:
         st_ = twomode.TwoModeState("joint", rho_joint=rho, dims=(d, d))
         with pytest.raises(UnsupportedStateError):
             twomode.combined_quadrature_samples(
-                st_, twomode.LOSuperposition(alpha=0.0), DET, 100, seed=1)
+                st_, 0.0, DET, 100, seed=1, theta_schedule=fixed(0.0),
+                zeta_schedule=fixed(0.0))
 
-    def test_alpha_range(self):
+    def test_alpha_range(self, vacuum):
+        st_ = twomode.TwoModeState("product", rho1=vacuum, rho2=vacuum)
         with pytest.raises(ValueError):
-            twomode.LOSuperposition(alpha=2.0)
+            twomode.combined_quadrature_samples(st_, 2.0, DET, 100, seed=1,
+                                                theta_schedule=RAND, zeta_schedule=RAND)
 
 
 def _reference_fock_draw(ns, u):
@@ -124,8 +150,9 @@ class TestGrips:
             "product",
             rho1=states.make_state(states.StateSpec("coherent", alpha=a1)),
             rho2=states.make_state(states.StateSpec("coherent", alpha=a2)))
-        lo = twomode.LOSuperposition(alpha=alpha, theta=theta, zeta=zeta)
-        ds = twomode.combined_quadrature_samples(st_, lo, DET, 60_000, seed=710)
+        ds = twomode.combined_quadrature_samples(st_, alpha, DET, 60_000, seed=710,
+                                                 theta_schedule=fixed(theta),
+                                                 zeta_schedule=fixed(zeta))
         u = twomode.grips_transform(2 * alpha, zeta)
         a3 = u[0, 0] * a1 + u[0, 1] * a2
         rho3 = states.make_state(states.StateSpec("coherent", alpha=a3))
@@ -147,7 +174,7 @@ class TestTwoTimeG2:
         runs = []
         for i, alpha in enumerate((0.0, np.pi / 4, np.pi / 2)):
             runs.append(twomode.combined_quadrature_samples(
-                st_, twomode.LOSuperposition(alpha=alpha), DET, 200_000,
+                st_, alpha, DET, 200_000,
                 720 + 17 * i, theta_schedule=RAND, zeta_schedule=RAND,
                 keep_joint=True))
         g2, se = twomode.two_time_g2(*runs)
@@ -161,7 +188,7 @@ class TestTwoTimeG2:
         # (4<<Q⁴>> − <<q1⁴>> − <<q2⁴>>)/6 equals the direct <q1² q2²>
         st_ = twomode.TwoModeState("correlated_thermal", nbar=1.0, corr=0.7)
         ds = twomode.combined_quadrature_samples(
-            st_, twomode.LOSuperposition(alpha=np.pi / 4), DET, 200_000, seed=730,
+            st_, np.pi / 4, DET, 200_000, seed=730,
             theta_schedule=RAND, zeta_schedule=RAND, keep_joint=True)
         rec = ds.meta.extra["joint_record"]
         direct = np.mean(rec["q1"] ** 2 * rec["q2"] ** 2)
@@ -188,12 +215,13 @@ class TestTwoTimeG2:
         r0, r45, r90 = _three_alpha_runs(st_, 2_000, seed=750)
         with pytest.raises(ValueError):
             twomode.two_time_g2(r45, r0, r90)           # wrong alpha order
-        fixed = twomode.combined_quadrature_samples(
-            st_, twomode.LOSuperposition(alpha=0.0), DET, 2_000, seed=751)
+        at_zero = twomode.combined_quadrature_samples(
+            st_, 0.0, DET, 2_000, seed=751, theta_schedule=fixed(0.0),
+            zeta_schedule=fixed(0.0))
         with pytest.raises(ValueError):
-            twomode.two_time_g2(fixed, r45, r90)        # phases not randomized
+            twomode.two_time_g2(at_zero, r45, r90)      # phases not randomized
         short = twomode.combined_quadrature_samples(
-            st_, twomode.LOSuperposition(alpha=0.0), DET, 1_000, seed=752,
+            st_, 0.0, DET, 1_000, seed=752,
             theta_schedule=RAND, zeta_schedule=RAND)
         with pytest.raises(ValueError):
             twomode.two_time_g2(short, r45, r90)        # mismatched counts
