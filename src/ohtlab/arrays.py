@@ -260,8 +260,6 @@ class SpectralKRecords:
     l_values: np.ndarray
     K: np.ndarray
     lo_photons: float
-    window: int
-    j_lo: int
 
     def quadrature_pairs(self, l: int):
         """Scaled (q_l, p_l) samples; vacuum gives unit variance per axis."""
@@ -322,7 +320,7 @@ def unbalanced_spectral_sim(signal_modes, lo_amplitudes, window: int,
     l_values = np.arange(2 * J + 1, M + 1)
     G = np.exp(-2j * np.pi * np.outer(j_axis, l_values) / L)
     K = counts @ G
-    return SpectralKRecords(l_values=l_values, K=K, lo_photons=lo_photons, window=M, j_lo=J)
+    return SpectralKRecords(l_values=l_values, K=K, lo_photons=lo_photons)
 
 
 @dataclass
@@ -330,8 +328,6 @@ class JointQHistogram:
     q_edges: np.ndarray
     single: np.ndarray
     pair: np.ndarray
-    l: int
-    l_other: int
     low_count_warning: bool
 
 
@@ -346,5 +342,4 @@ def joint_q_histogram(recs: SpectralKRecords, modes: tuple, bins: int = 40,
     single, _, _ = np.histogram2d(q1, p1, bins=[edges, edges], density=True)
     pair, _, _ = np.histogram2d(q1, q2, bins=[edges, edges], density=True)
     warn = q1.size / bins**2 < 10
-    return JointQHistogram(q_edges=edges, single=single, pair=pair, l=l, l_other=l2,
-                           low_count_warning=warn)
+    return JointQHistogram(q_edges=edges, single=single, pair=pair, low_count_warning=warn)

@@ -46,8 +46,8 @@ class SeededConfig(FromDict):
     outputs: Outputs = Outputs()
 
     #: the detector fields the command reads; simulate and twomode read every
-    #: one, in the detection chain or (gain) in the dataset header
-    DETECTOR_FIELDS = tuple(detection.DetectorModel().to_dict())
+    #: one but gain, which only calibrate reads
+    DETECTOR_FIELDS = ("eta_q", "eta_ls", "lo_mean_photons", "sigma_e", "balance_imbalance")
 
     def __post_init__(self):
         default = detection.DetectorModel().to_dict()
@@ -198,8 +198,6 @@ def cmd_reconstruct(args) -> int:
         raise ConfigError("--bootstrap takes 0 (off) or at least 2 replicates")
     if not 1 <= args.dim <= patterns.MAX_DIM:
         raise ConfigError(f"--dim must be in 1..{patterns.MAX_DIM}")
-    if args.phases is not None and args.phases < 1:
-        raise ConfigError("--phases must be at least 1")
     ds = formats.read_quadrature_dataset(args.input)
     if isinstance(ds, twomode.DualQuadratureDataset):
         raise DataFormatError("reconstruction expects a single-mode dataset")
@@ -234,7 +232,7 @@ def cmd_reconstruct(args) -> int:
             }
     if args.method in ("pattern", "both"):
         pf = patterns.build_pattern_functions(args.dim)
-        rho, err = patterns.rho_from_quadratures(ds, pf, args.phases)
+        rho, err = patterns.rho_from_quadratures(ds, pf)
         pops = rho.populations()
         report["pattern"] = {
             "dim": args.dim,
@@ -429,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("reconstruct", cmd_reconstruct, "invert a dataset to W and/or rho", "--input")
     sp.add_argument("--method", choices=["radon", "pattern", "both"], default="both")
     sp.add_argument("--dim", type=int, default=8, help="pattern reconstruction size")
-    sp.add_argument("--phases", type=int, default=None,
-                    help="phase-grid size (defaults to the dataset schedule)")
     sp.add_argument("--k-c", type=float, default=5.0, dest="k_c")
     sp.add_argument("--phase-bins", type=int, default=32, dest="phase_bins")
     sp.add_argument("--bootstrap", type=int, default=0)

@@ -14,11 +14,18 @@ precision iterative refinement, so band overlaps are self-certifying.
 The record is first folded onto the [0, π) half circle by
 `detection.fold_phases`, the fold filtered back-projection uses too: the
 phase integral is symmetric under Pr(q, θ+π) = Pr(−q, θ) because the
-pattern functions carry parity (−1)^{m−n}.  The estimator then reads each
-sample once: it deposits the sample's linear interpolation weights on the
-pattern grid of its phase bin (cloud in cell), and every ⟨M_mn⟩ and
-⟨M_mn²⟩ per bin follows from matrix products of those per-bin deposits
-with the tabulated bands.
+pattern functions carry parity (−1)^{m−n}.  One estimator serves every
+phase schedule: ρ_{n+D,n} = Σ_k c_k e^{iDθ_k} ⟨M_{n+D,n}⟩_k over the
+record's distinct folded phases θ_k.  A grid weighs its K phases equally
+(c_k = 1/K, the rectangle rule, exact for K ≥ dim); a random or swept
+record weighs each phase by its share of the samples (c_k = N_k/N), which
+is the plain sample mean of e^{iDθ} M(q) (D'Ariano, Macchiavello & Paris,
+PRA 50, 4298 (1994); Leonhardt et al., Opt. Commun. 127, 144 (1996)).
+The estimator reads each sample once: it deposits the sample's linear
+interpolation weights on the pattern grid (cloud in cell), in the row of
+its phase for ⟨M⟩, and for ⟨M²⟩ in the row of its phase on a grid or in
+one row otherwise; every mean follows from matrix products of those
+deposits with the tabulated bands.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import QuadratureDataset, distinct, fold_phases, phase_keys
+from .detection import QuadratureDataset, fold_phases, phase_keys
 from .errors import AliasingError, CoverageError, GramConditionError
 from .states import DensityMatrix, hermite_psi_all
 
@@ -65,11 +72,6 @@ class PatternFunctionTable:
     def values(self, m: int, n: int) -> np.ndarray:
         band = abs(m - n)
         return self.band_values[band][min(m, n)]
-
-    def evaluate(self, m: int, n: int, q) -> np.ndarray:
-        """M_mn at arbitrary sample points (linear interpolation, 0 outside)."""
-        return np.interp(np.asarray(q, float), self.q_axis, self.values(m, n),
-                         left=0.0, right=0.0)
 
 
 def build_pattern_functions(dim: int) -> PatternFunctionTable:
@@ -118,28 +120,15 @@ def build_pattern_functions(dim: int) -> PatternFunctionTable:
                                 condition_numbers=conds, biorth_residuals=residuals)
 
 
-def _grid_phase_bins(thetas: np.ndarray, d_expected: int | None):
-    """Validate that (folded) phases form equally spaced values over [0, π);
-    return (distinct phases, per-sample bin index)."""
-    distinct, inverse = np.unique(phase_keys(thetas), return_inverse=True)
-    d = distinct.size
-    if d_expected is not None and d != d_expected:
-        raise CoverageError(
-            f"dataset holds {d} distinct phases on [0, π) after folding, expected {d_expected}")
-    spacing = np.diff(distinct)
-    target = np.pi / d
-    if d > 1 and np.max(np.abs(spacing - target)) > 1e-8:
-        raise CoverageError("phases are not equally spaced over the [0, π) half circle")
-    return distinct, inverse
-
-
-def _cloud_in_cell(q: np.ndarray, bins: np.ndarray, n_bins: int, q_axis: np.ndarray):
+def _cloud_in_cell(q: np.ndarray, bins: np.ndarray, n_bins: int, q_axis: np.ndarray,
+                   pooled: bool = False):
     """Per-bin linear-interpolation deposits of samples on the pattern grid.
 
     A sample at q = (1 − f) q_j + f q_{j+1} deposits (1 − f) at j and f at
     j + 1 in w1, (1 − f)² and f² in w2, and (1 − f) f at j in w11, each in
-    the row of its bin.  For a table row M sampled on q_axis, the bin sums
-    of the interpolant M(q) (0 outside the axis, as np.interp) are
+    the row of its bin; pooled puts every sample's w2 and w11 deposits in
+    one row.  For a table row M sampled on q_axis, the row sums of the
+    interpolant M(q) (0 outside the axis, as np.interp) are
 
         Σ M(q) = w1 @ M,   Σ M(q)² = w2 @ M² + 2 w11[:, :-1] @ (M[:-1] M[1:]).
     """
@@ -149,84 +138,80 @@ def _cloud_in_cell(q: np.ndarray, bins: np.ndarray, n_bins: int, q_axis: np.ndar
     j = np.clip(np.searchsorted(q_axis, q, side="right") - 1, 0, g - 2)
     f = (q - q_axis[j]) / (q_axis[j + 1] - q_axis[j])
     lo = 1.0 - f
-    cell = bins * g + j
-    size = n_bins * g
 
-    def deposit(at_j, at_next=None):
-        acc = np.bincount(cell, weights=at_j, minlength=size)
+    def deposit(cell, rows, at_j, at_next=None):
+        acc = np.bincount(cell, weights=at_j, minlength=rows * g)
         if at_next is not None:
-            acc += np.bincount(cell + 1, weights=at_next, minlength=size)
-        return acc.reshape(n_bins, g)
+            acc += np.bincount(cell + 1, weights=at_next, minlength=rows * g)
+        return acc.reshape(rows, g)
 
-    return deposit(lo, f), deposit(lo * lo, f * f), deposit(lo * f)
+    cell = bins * g + j
+    sq = (j, 1) if pooled else (cell, n_bins)
+    return deposit(cell, n_bins, lo, f), deposit(*sq, lo * lo, f * f), deposit(*sq, lo * f)
 
 
-def rho_from_quadratures(ds: QuadratureDataset, pf: PatternFunctionTable,
-                         d_phases: int | None = None):
-    """Density matrix and per-element standard errors from a phase-grid record.
+def rho_from_quadratures(ds: QuadratureDataset, pf: PatternFunctionTable):
+    """Density matrix and per-element standard errors from a homodyne record.
 
-    The record is folded onto the [0, π) half circle, where the estimator
-    ρ_mn = (1/d) Σ_k e^{i(m−n)θ_k} <M_mn(q)>_k over d equally spaced phases
-    is alias-free as long as d >= dim: a state holding at most ñ photons
-    needs ñ + 1 distinct projection angles, and fewer are refused.
-    `d_phases`, when given, asserts the folded phase count.
+    The record is folded onto the [0, π) half circle and ρ_{n+D,n} =
+    Σ_k c_k e^{iDθ_k} ⟨M_{n+D,n}⟩_k is summed over its distinct folded
+    phases θ_k; the schedule in the record's meta picks the weights.
+
+    A grid takes c_k = 1/K over its K phases, which is alias-free as long as
+    K >= dim: a state holding at most ñ photons needs ñ + 1 equally spaced
+    projection angles on [0, π), fewer are refused (AliasingError), and so
+    are phases that are not equally spaced (CoverageError).  Its variance is
+    Σ_k c_k² Var_k(M)/N_k, with each phase a stratum.
+
+    A uniform_random or swept_linear record takes c_k = N_k/N: ρ̂ is the
+    sample mean of e^{iDθ} M(q), unbiased for any number of phases, with
+    variance (⟨M²⟩ − |ρ̂|²)/N over the record as one stratum.  For a random
+    record this is the estimator's variance.  A swept record's phases are
+    fixed, so the spread of e^{iDθ_k}⟨M⟩_k between its phases, which that
+    variance includes, is no noise: its errors are conservative.
+
+    Errors are the standard deviation of ρ̂ − ρ as a complex number (its
+    real and imaginary variances added).
     """
     dim = pf.dim
     theta_f, q_f = fold_phases(ds.thetas, ds.qs)
-    thetas, bins = _grid_phase_bins(theta_f, d_phases)
+    thetas, bins = np.unique(phase_keys(theta_f), return_inverse=True)
     d = thetas.size
-    if d < dim:
-        raise AliasingError(
-            f"{d} projection angles cannot resolve indices up to {dim - 1}: a state "
-            f"with at most ñ photons needs ñ + 1 = {dim} equally spaced phases on [0, π)"
-        )
-    counts = np.bincount(bins, minlength=d)
-    if np.any(counts == 0):
-        raise CoverageError("some phase bins hold no samples")
+    if d == 0:
+        raise CoverageError("the record holds no samples")
+    grid = ds.meta.schedule.kind == "grid"
+    if grid:
+        if d > 1 and np.max(np.abs(np.diff(thetas) - np.pi / d)) > 1e-8:
+            raise CoverageError("phases are not equally spaced over the [0, π) half circle")
+        if d < dim:
+            raise AliasingError(
+                f"{d} projection angles cannot resolve indices up to {dim - 1}: a state "
+                f"with at most ñ photons needs ñ + 1 = {dim} equally spaced phases on [0, π)"
+            )
 
-    w1, w2, w11 = _cloud_in_cell(q_f, bins, d, pf.q_axis)
+    w1, w2, w11 = _cloud_in_cell(q_f, bins, d, pf.q_axis, pooled=not grid)
+    n_s = len(ds)
     rho = np.zeros((dim, dim), complex)
     err = np.zeros((dim, dim))
-    inv_cnt = 1.0 / counts[:, None]
+    inv_cnt = 1.0 / np.bincount(bins, minlength=d)[:, None]
     for band in range(dim):
         M = pf.band_values[band]                      # row n holds M_{n+band, n}
-        mean_k = (w1 @ M.T) * inv_cnt                 # (d, dim − band)
-        mean2_k = (w2 @ (M**2).T + 2.0 * (w11[:, :-1] @ (M[:, :-1] * M[:, 1:]).T)) * inv_cnt
-        var_k = np.clip(mean2_k - mean_k**2, 0.0, None)
-        est = np.exp(1j * band * thetas) @ mean_k / d
-        # per-bin phase factors are unit modulus, so Re/Im variances add
-        # to (1/d²) Σ_k Var_k(M)/N_k regardless of the phases
-        sigma = np.sqrt(np.sum(var_k * inv_cnt, axis=0) / d**2)
+        sums = w1 @ M.T                               # (d, dim − band)
+        sums2 = w2 @ (M**2).T + 2.0 * (w11[:, :-1] @ (M[:, :-1] * M[:, 1:]).T)
+        if grid:
+            mean_k = sums * inv_cnt
+            var_k = np.clip(sums2 * inv_cnt - mean_k**2, 0.0, None)
+            est = np.exp(1j * band * thetas) @ mean_k / d
+            # per-bin phase factors are unit modulus, so Re/Im variances add
+            # to (1/d²) Σ_k Var_k(M)/N_k regardless of the phases
+            sigma = np.sqrt(np.sum(var_k * inv_cnt, axis=0) / d**2)
+        else:
+            est = np.exp(1j * band * thetas) @ sums / n_s
+            sigma = np.sqrt(np.clip(sums2[0] / n_s - np.abs(est) ** 2, 0.0, None) / n_s)
         n = np.arange(dim - band)
         rho[n + band, n] = est
         rho[n, n + band] = np.conj(est)
         err[n + band, n] = err[n, n + band] = sigma
     dm = DensityMatrix(dim=dim, elements=rho,
-                       meta={"method": "pattern", "d_phases": d, "n_samples": len(ds)})
+                       meta={"method": "pattern", "d_phases": d, "n_samples": n_s})
     return dm, err
-
-
-def pn_phase_averaged(ds: QuadratureDataset, pf: PatternFunctionTable):
-    """Photon-number distribution from phase-averaged data.
-
-    p(n) = <M_nn(ξ)> over all samples; its statistical variance is
-    estimated by (⟨M²⟩ − ⟨M⟩²)/N.  Needs a phase-random or swept schedule,
-    or a grid of at least dim phases.
-    """
-    sched = ds.meta.schedule
-    if sched.kind == "grid":
-        theta_f, _ = fold_phases(ds.thetas, ds.qs)
-        d = distinct(phase_keys(theta_f)).size
-        if d < pf.dim:
-            raise AliasingError(
-                f"grid of {d} folded phases aliases indices up to {pf.dim - 1}; "
-                f"need at least {pf.dim} phases on [0, π) or a phase-random schedule"
-            )
-    n_s = len(ds)
-    p = np.empty(pf.dim)
-    stderr = np.empty(pf.dim)
-    for n in range(pf.dim):
-        vals = pf.evaluate(n, n, ds.qs)
-        p[n] = vals.mean()
-        stderr[n] = np.sqrt(max(np.mean(vals**2) - p[n] ** 2, 0.0) / n_s)
-    return p, stderr

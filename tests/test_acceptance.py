@@ -142,8 +142,9 @@ def test_acceptance_07_phase_count_rule():
     half = lambda d: detection.PhaseSchedule("grid", d=d, span=(0.0, np.pi))
     ds4 = detection.sample_quadratures(rho, half(4), DET_IDEAL, 200_000, seed=1009)
     ds32 = detection.sample_quadratures(rho, half(32), DET_IDEAL, 200_000, seed=1010)
-    r4, e4 = patterns.rho_from_quadratures(ds4, pf, 4)
-    r32, e32 = patterns.rho_from_quadratures(ds32, pf, 32)
+    r4, e4 = patterns.rho_from_quadratures(ds4, pf)
+    r32, e32 = patterns.rho_from_quadratures(ds32, pf)
+    assert (r4.meta["d_phases"], r32.meta["d_phases"]) == (4, 32)
     worst = np.max(np.abs(r4.elements - r32.elements) / np.sqrt(e4**2 + e32**2))
     assert worst < 3.0
     ds3 = detection.sample_quadratures(rho, half(3), DET_IDEAL, 10_000, seed=1011)

@@ -684,11 +684,18 @@ class TestConfigReader:
          "at <root>: this command does not read detector/lo_mean_photons; leave it out"),
         ("sample", {"signal": {"nu": 12.0, "bandwidth": 2.0}, "seed": 1},
          "at seed: unknown key"),
+        ("simulate", {"state": {"kind": "vacuum"}, "schedule": {"kind": "grid", "d": 4},
+                      "n_samples": 10, "seed": 1, "detector": {"gain": 2e6}},
+         "at <root>: this command does not read detector/gain; leave it out"),
+        ("twomode", {"source": {"kind": "hbt_split", "nbar": 1.0}, "n_samples": 10, "seed": 1,
+                     "detector": {"gain": 2e6}},
+         "at <root>: this command does not read detector/gain; leave it out"),
     ], ids=["simulate-unknown-key", "simulate-unknown-kind", "simulate-missing-seed",
             "twomode-missing-nbar", "array-float-seed", "sample-string-nu",
             "calibrate-missing-seed", "calibrate-non-object", "simulate-random-schedule-span",
             "simulate-coherent-state-with-r", "array-unread-eta_ls",
-            "calibrate-unread-lo_mean_photons", "sample-seed"])
+            "calibrate-unread-lo_mean_photons", "sample-seed", "simulate-unread-gain",
+            "twomode-unread-gain"])
     def test_refused_documents(self, tmp_path, command, doc, message):
         # the documents the JSON schemas were checked on, refused by the reader
         code, err, out = _run_text(tmp_path, command, json.dumps(doc))
@@ -910,7 +917,6 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--dim", "0"], ["--dim", "31"], ["--phase-bins", "1"], ["--k-c", "0"],
         ["--bootstrap", "-3"], ["--bootstrap", "1"],
-        ["--method", "pattern", "--phases", "0"], ["--phases", "-2"],
     ])
     def test_invalid_reconstruct_flag_exit_2(self, small_dataset, tmp_path, capsys, flags):
         path = tmp_path / "ds.jsonl"
@@ -924,6 +930,7 @@ class TestCli:
         ["--threads", "4", "simulate", "--config", "c.json"],
         ["simulate", "--config", "c.json", "--format", "csv"],
         ["reconstruct", "--input", "d.jsonl", "--seed", "3"],
+        ["reconstruct", "--input", "d.jsonl", "--phases", "4"],
         ["sample", "--config", "c.json", "--seed", "3"],
         ["validate", "--input", "d.jsonl", "--out", "o"],
     ])
@@ -945,6 +952,40 @@ class TestCli:
                        "--method", "pattern", "--dim", "6",
                        "--out", str(tmp_path / "al"))
         assert code == 3
+
+    def test_pattern_on_a_short_random_record(self, tmp_path):
+        # 1,500 random phases leave some of the 512 folded phases empty, so
+        # the record is no grid; it is read as the sample mean over its phases
+        cfg = write_config(tmp_path, "sim.json", {
+            "state": {"kind": "coherent", "alpha": [0.5, 0.3]},
+            "schedule": {"kind": "uniform_random"},
+            "n_samples": 1_500,
+            "seed": 6,
+            "outputs": {"dir": str(tmp_path / "rand")},
+        })
+        assert run_cli("simulate", "--config", cfg) == 0
+        ds = formats.read_quadrature_dataset(tmp_path / "rand" / "dataset.jsonl")
+        keys = detection.distinct(detection.phase_keys(detection.fold_phases(ds.thetas,
+                                                                             ds.qs)[0]))
+        assert keys.size < 512
+        out = tmp_path / "rec"
+        assert run_cli("reconstruct", "--input", str(tmp_path / "rand" / "dataset.jsonl"),
+                       "--method", "pattern", "--dim", "6", "--out", str(out)) == 0
+        assert json.loads((out / "report.json").read_text())["pattern"]["d_phases"] == keys.size
+        assert formats.read_density_matrix(out / "rho.json")[0].dim == 6
+
+    @pytest.mark.parametrize("schedule", [{"kind": "grid", "d": 8}, {"kind": "uniform_random"}])
+    def test_pattern_on_an_empty_record_exit_3(self, tmp_path, capsys, schedule):
+        cfg = write_config(tmp_path, "sim.json", {
+            "state": {"kind": "vacuum"}, "schedule": schedule, "n_samples": 10, "seed": 7,
+            "outputs": {"dir": str(tmp_path / "s")}})
+        assert run_cli("simulate", "--config", cfg) == 0
+        path = tmp_path / "empty.jsonl"
+        path.write_text((tmp_path / "s" / "dataset.jsonl").read_text().splitlines()[0] + "\n")
+        assert run_cli("reconstruct", "--input", str(path), "--method", "pattern",
+                       "--out", str(tmp_path / "rec")) == 3
+        assert "data error: the record holds no samples" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
 
     def test_dim_flag_bound_is_the_largest_buildable_table(self, tmp_path, capsys):
         # dim 28 would fail the Gram condition check (exit 4); the flag check

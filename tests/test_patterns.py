@@ -10,6 +10,11 @@ def pf8():
     return patterns.build_pattern_functions(8)
 
 
+@pytest.fixture(scope="module")
+def pf12():
+    return patterns.build_pattern_functions(12)
+
+
 def _grid_dataset(rho, n, seed, d=16, det=None):
     det = det or detection.DetectorModel()
     return detection.sample_quadratures(
@@ -73,14 +78,16 @@ class TestRhoFromQuadratures:
 
     def test_coherent_frobenius(self, coherent1, pf8):
         ds = _grid_dataset(coherent1, 200_000, seed=302)
-        rho, err = patterns.rho_from_quadratures(ds, pf8, 8)
+        rho, err = patterns.rho_from_quadratures(ds, pf8)
+        assert rho.meta["d_phases"] == 8
         truth = coherent1.elements[:8, :8]
         frob = np.sqrt(np.sum(np.abs(rho.elements - truth) ** 2))
         assert frob <= 3.0 * np.sqrt(np.sum(err**2))
 
     def test_squeezed_even_odd(self, squeezed05, pf8):
         ds = _grid_dataset(squeezed05, 300_000, seed=303, d=128)
-        rho, err = patterns.rho_from_quadratures(ds, pf8, 64)
+        rho, err = patterns.rho_from_quadratures(ds, pf8)
+        assert rho.meta["d_phases"] == 64
         pops = rho.populations()
         assert pops[1] <= 0.01
         assert pops[3] <= 0.01
@@ -139,8 +146,9 @@ class TestRhoFromQuadratures:
         det = detection.DetectorModel()
         ds4 = detection.sample_quadratures(rho_small, half(4), det, 200_000, 310)
         ds32 = detection.sample_quadratures(rho_small, half(32), det, 200_000, 311)
-        r4, e4 = patterns.rho_from_quadratures(ds4, pf4, 4)
-        r32, e32 = patterns.rho_from_quadratures(ds32, pf4, 32)
+        r4, e4 = patterns.rho_from_quadratures(ds4, pf4)
+        r32, e32 = patterns.rho_from_quadratures(ds32, pf4)
+        assert (r4.meta["d_phases"], r32.meta["d_phases"]) == (4, 32)
         diff = np.abs(r4.elements - r32.elements)
         comb = np.sqrt(e4**2 + e32**2)
         assert np.max(diff / comb) < 3.0
@@ -165,7 +173,10 @@ class TestRhoFromQuadratures:
 
 
 def _reference_rho(ds, pf):
-    """Per-element estimator: np.interp of every M_mn at every sample."""
+    """Per-element estimator: np.interp of every M_mn at every sample.  A grid
+    averages its phases' means, with each phase a stratum of the error; any
+    other schedule takes the sample mean of e^{i(m−n)θ} M_mn(q) and its
+    standard error."""
     theta_f, q_f = detection.fold_phases(ds.thetas, ds.qs)
     thetas, bins = np.unique(np.round(theta_f, 10), return_inverse=True)
     d = thetas.size
@@ -175,13 +186,35 @@ def _reference_rho(ds, pf):
     for m in range(pf.dim):
         for n in range(m + 1):
             vals = np.interp(q_f, pf.q_axis, pf.values(m, n), left=0.0, right=0.0)
-            mean_k = np.bincount(bins, weights=vals, minlength=d) * inv_cnt
-            mean2_k = np.bincount(bins, weights=vals**2, minlength=d) * inv_cnt
-            var_k = np.clip(mean2_k - mean_k**2, 0.0, None)
-            rho[m, n] = np.sum(np.exp(1j * (m - n) * thetas) * mean_k) / d
+            if ds.meta.schedule.kind == "grid":
+                mean_k = np.bincount(bins, weights=vals, minlength=d) * inv_cnt
+                mean2_k = np.bincount(bins, weights=vals**2, minlength=d) * inv_cnt
+                var_k = np.clip(mean2_k - mean_k**2, 0.0, None)
+                rho[m, n] = np.sum(np.exp(1j * (m - n) * thetas) * mean_k) / d
+                err[m, n] = err[n, m] = np.sqrt(np.sum(var_k * inv_cnt) / d**2)
+            else:
+                rho[m, n] = np.mean(np.exp(1j * (m - n) * thetas[bins]) * vals)
+                var = max(np.mean(vals**2) - abs(rho[m, n]) ** 2, 0.0)
+                err[m, n] = err[n, m] = np.sqrt(var / vals.size)
             rho[n, m] = np.conj(rho[m, n])
-            err[m, n] = err[n, m] = np.sqrt(np.sum(var_k * inv_cnt) / d**2)
     return rho, err
+
+
+def _edge_qs(rng, n):
+    """Quadratures with samples beyond ±8, exactly on both grid ends and on
+    interior nodes, which exercise the zero fill and the closed right
+    endpoint of np.interp."""
+    q_axis = np.linspace(-patterns.GRID_SPAN, patterns.GRID_SPAN, patterns.GRID_POINTS)
+    qs = rng.normal(0.0, 3.0, n)
+    qs[:40] = 8.0
+    qs[40:80] = -8.0
+    qs[80:120] = rng.uniform(8.0, 12.0, 40) * rng.choice([-1.0, 1.0], 40)
+    qs[120:160] = q_axis[rng.integers(0, q_axis.size, 40)]
+    return qs
+
+
+def _meta(schedule):
+    return detection.DatasetMeta(detection.DetectorModel(), schedule, seed=0)
 
 
 def _random_table(q_axis, dim, rng):
@@ -195,20 +228,31 @@ def _random_table(q_axis, dim, rng):
 class TestCloudInCell:
     @pytest.mark.parametrize("table", ["pattern", "random"])
     def test_matches_per_element_interpolation(self, pf8, table):
-        # samples beyond ±8, exactly on both grid ends and on interior nodes
-        # exercise the zero fill and the closed right endpoint of np.interp
         rng = np.random.default_rng(330)
         pf = pf8 if table == "pattern" else _random_table(pf8.q_axis, 8, rng)
         d, n = 9, 30_000
         thetas = np.repeat(np.arange(d) * np.pi / d, n // d)
         thetas[::2] += np.pi
-        qs = rng.normal(0.0, 3.0, thetas.size)
-        qs[:40] = 8.0
-        qs[40:80] = -8.0
-        qs[80:120] = rng.uniform(8.0, 12.0, 40) * rng.choice([-1.0, 1.0], 40)
-        qs[120:160] = pf8.q_axis[rng.integers(0, pf8.q_axis.size, 40)]
-        ds = detection.QuadratureDataset(thetas=thetas, qs=qs, meta=None)
-        rho, err = patterns.rho_from_quadratures(ds, pf, d)
+        ds = detection.QuadratureDataset(thetas=thetas, qs=_edge_qs(rng, thetas.size),
+                                         meta=_meta(detection.PhaseSchedule("grid", d=2 * d)))
+        rho, err = patterns.rho_from_quadratures(ds, pf)
+        assert rho.meta["d_phases"] == d
+        rho_ref, err_ref = _reference_rho(ds, pf)
+        assert np.max(np.abs(rho.elements - rho_ref)) < 1e-12
+        assert np.max(np.abs(err - err_ref)) < 1e-12
+
+    @pytest.mark.parametrize("table", ["pattern", "random"])
+    @pytest.mark.parametrize("kind", ["uniform_random", "swept_linear"])
+    def test_pooled_matches_per_sample_mean(self, pf8, kind, table):
+        # 1,500 samples leave some of the 512 folded random phases empty, and
+        # put one or two samples on each swept one
+        rng = np.random.default_rng(332)
+        pf = pf8 if table == "pattern" else _random_table(pf8.q_axis, 8, rng)
+        sched = detection.PhaseSchedule(kind)
+        thetas = sched.phases(1_500, rng)
+        ds = detection.QuadratureDataset(thetas=thetas, qs=_edge_qs(rng, thetas.size),
+                                         meta=_meta(sched))
+        rho, err = patterns.rho_from_quadratures(ds, pf)
         rho_ref, err_ref = _reference_rho(ds, pf)
         assert np.max(np.abs(rho.elements - rho_ref)) < 1e-12
         assert np.max(np.abs(err - err_ref)) < 1e-12
@@ -227,12 +271,19 @@ class TestCloudInCell:
             assert sq == pytest.approx((vals[sel] ** 2).sum(), abs=1e-12)
 
 
+def _populations(ds, pf):
+    rho, err = patterns.rho_from_quadratures(ds, pf)
+    return rho.populations(), np.diag(err)
+
+
 class TestPnPhaseAveraged:
+    """Photon-number distributions of phase-averaged records."""
+
     def test_vacuum(self, vacuum, pf8):
         ds = detection.sample_quadratures(
             vacuum, detection.PhaseSchedule("uniform_random"),
             detection.DetectorModel(), 100_000, seed=320)
-        p, se = patterns.pn_phase_averaged(ds, pf8)
+        p, se = _populations(ds, pf8)
         assert abs(p[0] - 1.0) <= 2.0 / np.sqrt(100_000) * 2
         assert np.all(np.abs(p[1:]) <= 4 * se[1:] + 1e-3)
 
@@ -240,7 +291,7 @@ class TestPnPhaseAveraged:
         ds = detection.sample_quadratures(
             thermal1, detection.PhaseSchedule("swept_linear"),
             detection.DetectorModel(), 200_000, seed=321)
-        p, se = patterns.pn_phase_averaged(ds, pf8)
+        p, se = _populations(ds, pf8)
         expect = 0.5 ** (np.arange(8) + 1)
         assert np.max(np.abs(p - expect) / se) < 4.0
 
@@ -248,7 +299,7 @@ class TestPnPhaseAveraged:
         ds = detection.sample_quadratures(
             fock1, detection.PhaseSchedule("uniform_random"),
             detection.DetectorModel(), 100_000, seed=322)
-        p, se = patterns.pn_phase_averaged(ds, pf8)
+        p, se = _populations(ds, pf8)
         assert p[1] >= 0.95
 
     def test_lossy_record_gives_smoothed_state(self, pf8):
@@ -260,20 +311,50 @@ class TestPnPhaseAveraged:
         ds = detection.sample_quadratures(
             rho, detection.PhaseSchedule("uniform_random"),
             detection.DetectorModel(eta_q=eta), 200_000, seed=325)
-        p, se = patterns.pn_phase_averaged(ds, pf8)
+        p, se = _populations(ds, pf8)
         nbar_s = nbar + (1.0 / eta - 1.0) / 2.0
         expect = nbar_s ** np.arange(8) / (1 + nbar_s) ** (np.arange(8) + 1)
         assert np.max(np.abs(p - expect) / se) < 4.0
-
-    def test_grid_aliasing_guard(self, vacuum, pf8):
-        ds = _grid_dataset(vacuum, 5_000, seed=323, d=4)
-        with pytest.raises(AliasingError):
-            patterns.pn_phase_averaged(ds, pf8)
 
     def test_stderr_bounded_by_two_over_sqrt_n(self, thermal1, pf8):
         # |M_nn| stays near 2, so the error bars stay near the 2/√N ceiling
         ds = detection.sample_quadratures(
             thermal1, detection.PhaseSchedule("uniform_random"),
             detection.DetectorModel(), 50_000, seed=324)
-        _, se = patterns.pn_phase_averaged(ds, pf8)
+        _, se = _populations(ds, pf8)
         assert np.all(se <= 2.2 / np.sqrt(50_000))
+
+
+#: one state of each StateSpec kind, with at most ~1e-6 of its weight on
+#: photon numbers of 12 and more, so a dim-12 table sees no truncation bias
+PHASE_AVERAGED_STATES = {
+    "vacuum": states.StateSpec("vacuum"),
+    "fock": states.StateSpec("fock", n=2),
+    "coherent": states.StateSpec("coherent", alpha=1 + 0.5j),
+    "thermal": states.StateSpec("thermal", nbar=0.5),
+    "squeezed_vacuum": states.StateSpec("squeezed_vacuum", r=0.4, phi=0.6),
+    "squeezed_coherent": states.StateSpec("squeezed_coherent", alpha=0.6 - 0.4j, r=0.3,
+                                          phi=1.1),
+}
+#: (schedule kind, state kind, seed), the seeds fixed before any run
+PHASE_AVERAGED_CASES = [(sched, kind, 2131 + 6 * i + j)
+                        for i, sched in enumerate(("uniform_random", "swept_linear"))
+                        for j, kind in enumerate(PHASE_AVERAGED_STATES)]
+
+
+class TestRandomAndSweptRecords:
+    def test_every_state_kind_is_covered(self):
+        assert tuple(PHASE_AVERAGED_STATES) == states.StateSpec.KINDS
+
+    @pytest.mark.parametrize("sched, kind, seed", PHASE_AVERAGED_CASES,
+                             ids=[f"{s}-{k}" for s, k, _ in PHASE_AVERAGED_CASES])
+    def test_elements_within_4_sigma_of_closed_form(self, pf12, sched, kind, seed):
+        # P(|z| >= 4) is 6.3e-5 for a real element and less for a complex
+        # one, so 12 runs × 78 distinct elements give a false alarm below 6 %;
+        # swept errors are conservative
+        truth = states.make_state(PHASE_AVERAGED_STATES[kind])
+        ds = detection.sample_quadratures(truth, detection.PhaseSchedule(sched),
+                                          detection.DetectorModel(), 100_000, seed)
+        rho, err = patterns.rho_from_quadratures(ds, pf12)
+        z = np.abs(rho.elements - truth.elements[:12, :12]) / err
+        assert np.max(z) < 4.0
