@@ -32,7 +32,7 @@ def main():
     for eta in args.etas:
         det = detection.DetectorModel(eta_q=eta)
         ds = detection.sample_quadratures(fock1, sched, det, args.samples, args.seed)
-        table = radon.count_table(ds, radon.RadonConfig().n_phase_bins)
+        table = radon.count_table(ds)
         w = radon.filtered_backprojection(table)
         i = int(np.argmin(np.abs(w.q_axis)))
         se = radon.bootstrap_backprojection(table, n_boot=args.bootstrap, seed=args.seed,

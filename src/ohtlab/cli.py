@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +193,7 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     # flags are checked before the dataset is read; the pattern table is
     # built after the FBP so it is not held through the bootstrap
-    cfg = radon.RadonConfig(k_c=args.k_c, n_phase_bins=args.phase_bins)
+    radon.check_cutoff(args.k_c)
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise ConfigError("--bootstrap takes 0 (off) or at least 2 replicates")
     if not 1 <= args.dim <= patterns.MAX_DIM:
@@ -205,24 +205,18 @@ def cmd_reconstruct(args) -> int:
               "eta_eff": ds.meta.detector.eta_eff}
     w = rho = None
     if args.method in ("radon", "both"):
-        folded = detection.distinct(
-            detection.phase_keys(detection.fold_phases(ds.thetas, ds.qs)[0]))
-        if folded.size < 2:
-            raise CoverageError(f"{args.input}: {folded.size} distinct phase(s) on [0, π); "
-                                "the radon reconstruction needs at least 2")
-        cfg = replace(cfg, n_phase_bins=min(cfg.n_phase_bins, folded.size))
-        table = radon.count_table(ds, cfg.n_phase_bins)
-        w = radon.filtered_backprojection(table, cfg)
+        table = radon.count_table(ds)
+        w = radon.filtered_backprojection(table, args.k_c)
         i0 = int(np.argmin(np.abs(w.q_axis)))
         j0 = int(np.argmin(np.abs(w.p_axis)))
         origin = float(w.values[i0, j0])
         report["radon"] = {
-            "k_c": cfg.k_c, "kernel": radon.KERNEL,
+            "k_c": args.k_c, "kernel": radon.KERNEL,
             "bin_counts": w.meta["bin_counts"],
             "raw_integral": w.meta["raw_integral"], "w_origin": origin,
         }
         if args.bootstrap:
-            se = radon.bootstrap_backprojection(table, cfg, n_boot=args.bootstrap,
+            se = radon.bootstrap_backprojection(table, args.k_c, n_boot=args.bootstrap,
                                                 seed=ds.meta.seed, pixels=[(i0, j0)])
             s0 = float(se.values[i0, j0])
             report["radon"]["bootstrap"] = {
@@ -428,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=["radon", "pattern", "both"], default="both")
     sp.add_argument("--dim", type=int, default=8, help="pattern reconstruction size")
     sp.add_argument("--k-c", type=float, default=5.0, dest="k_c")
-    sp.add_argument("--phase-bins", type=int, default=32, dest="phase_bins")
     sp.add_argument("--bootstrap", type=int, default=0)
 
     sp = command("moments", cmd_moments, "photon statistics straight from a dataset", "--input")

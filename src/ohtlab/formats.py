@@ -261,14 +261,21 @@ def write_density_matrix(path, rho: DensityMatrix, errors: np.ndarray | None = N
 
 
 def read_density_matrix(path):
-    doc = json.loads(Path(path).read_text())
-    for key in ("dim", "re", "im"):
-        if key not in doc:
-            raise DataFormatError(f"{path}: missing key {key!r}")
-    elements = np.array(doc["re"], float) + 1j * np.array(doc["im"], float)
-    rho = DensityMatrix(dim=doc["dim"], elements=elements)
-    errors = np.array(doc["errors"], float) if "errors" in doc else None
-    return rho, errors
+    """ρ and its errors (None if absent) as write_density_matrix writes them;
+    DataFormatError unless each value fits the config rules and each matrix
+    is dim × dim."""
+    doc = json_object(path, Path(path).read_text(), "document")
+    keys = ("re", "im", "errors") if "errors" in doc else ("re", "im")
+    try:
+        dim = fit(int, doc["dim"], "dim")
+        m = {key: np.array(fit(list[list[float]], doc[key], key), float) for key in keys}
+        for key in keys:
+            if m[key].shape != (dim, dim):
+                raise ValueError(f"{key} is not {dim} × {dim}")
+        rho = DensityMatrix(dim=dim, elements=m["re"] + 1j * m["im"])
+    except (KeyError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad density matrix: {type(exc).__name__}: {exc}") from exc
+    return rho, m.get("errors")
 
 
 def write_wigner_csv(path, w: WignerGrid) -> None:

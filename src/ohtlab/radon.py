@@ -8,24 +8,25 @@ a cosine roll-off over its top 20% (`KERNEL`), which trades statistical
 noise against a small deterministic smoothing bias.
 
 FBP reads a record only through its count table: the samples in each
-occupied (distinct folded phase, q bin) cell, with Q_BINS bins over
-|q| ≤ Q_SPAN plus one cell each side for samples beyond.  Phase-bin
-histograms and counts are sums over the table, and a bootstrap replicate
-is one multinomial draw of its counts; `count_table` builds it once for a
-run that needs both.  The table fixes the phase each bin projects at: a
-bin whose cells all hold one phase (`detection.phase_keys`), as on a grid
-schedule, projects at that phase, any other bin at the table's
-count-weighted mean phase, and every replicate keeps these phases.  The
-filter is a q_bins × q_bins matrix cached per (q_bins, dq, k_c) and
-shared read-only by every FBP.  FBP and every replicate back-project
-through one function: np.interp of each filtered projection at the pixels
-asked for, added bin by bin.  The bootstrap draws, filters and
-back-projects replicates in blocks, normalizes each by its grid integral,
-the dot product of its projections with the bin phases' column sums of
-interpolation weights (cached per phase), sums each pixel's deviations
-from the first block's mean, and reports the pixels asked for.  W is
-returned on the default ±6 phase-space grid; the W of a lossy record is
-the closed form of `states.apply_loss`.
+occupied (distinct folded phase, q bin) cell, with Q_BINS bins over |q| ≤
+Q_SPAN plus one cell each side for samples beyond.  No argument sets the
+phase bins: the record gets PHASE_BINS = 32, or one per distinct folded
+phase if it has fewer (at least 2).  Phase-bin histograms and counts are
+sums over the table, and a bootstrap replicate is one multinomial draw of
+its counts; `count_table` builds it once for a run that needs both.  The
+table fixes the phase each bin projects at: a bin whose cells all hold one
+phase (`detection.phase_keys`), as on a grid schedule, projects at that
+phase, any other bin at the table's count-weighted mean phase, and every
+replicate keeps these phases.  The filter is a q_bins × q_bins matrix
+cached per (q_bins, dq, k_c) and shared read-only by every FBP.  FBP and
+every replicate back-project through one function: np.interp of each
+filtered projection at the pixels asked for, added bin by bin.  The
+bootstrap draws, filters and back-projects replicates in blocks,
+normalizes each by its grid integral, the dot product of its projections
+with the bin phases' column sums of interpolation weights (cached per
+phase), sums each pixel's deviations from the first block's mean, and
+reports the pixels asked for.  W is returned on the default ±6 phase-space
+grid; the W of a lossy record is the closed form of `states.apply_loss`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from ._rng import stream
-from .detection import QuadratureDataset, fold_phases, phase_keys
+from .detection import QuadratureDataset, distinct, fold_phases, phase_keys
 from .errors import ConfigError, CoverageError
 from .states import WignerGrid, default_grid_axis
 
@@ -51,18 +52,14 @@ _BLOCK = 16
 _LAG_CHUNK = 16
 #: the ramp filter, as reports name it
 KERNEL = "ram-lak-with-cosine-rolloff"
+#: phase bins on [0, π) of a record with at least this many folded phases
+PHASE_BINS = 32
 
 
-@dataclass
-class RadonConfig:
-    k_c: float = 5.0
-    n_phase_bins: int = 32
-
-    def __post_init__(self):
-        if self.k_c <= 0:
-            raise ConfigError("k_c must be positive")
-        if self.n_phase_bins < 2:
-            raise ConfigError("need at least 2 phase bins")
+def check_cutoff(k_c: float) -> None:
+    """ConfigError unless the ramp cutoff k_c is a positive finite number."""
+    if not 0.0 < k_c < np.inf:
+        raise ConfigError(f"the ramp cutoff k_c must be a positive finite number, got {k_c}")
 
 
 def ramp_kernel_profile(u: np.ndarray, k_c: float) -> np.ndarray:
@@ -123,20 +120,17 @@ class CountTable:
     n_phase_bins: int
 
 
-def count_table(ds: QuadratureDataset, n_phase_bins: int) -> CountTable:
-    """The count table both FBP functions read, built once to pass to both."""
+def count_table(ds: QuadratureDataset) -> CountTable:
+    """The count table both FBP functions read, built once to pass to both:
+    PHASE_BINS phase bins, or one per distinct folded phase key when the
+    record has fewer; CoverageError below 2 folded phases."""
+    phases = distinct(ds.thetas)        # fold and key the distinct phases only
+    n_keys = distinct(phase_keys(fold_phases(phases, phases)[0])).size
+    if n_keys < 2:
+        raise CoverageError(f"{n_keys} distinct phase(s) on [0, π); "
+                            "the radon reconstruction needs at least 2")
+    n_phase_bins = min(PHASE_BINS, n_keys)
     return CountTable(*_count_table(ds.thetas, ds.qs, n_phase_bins), n_phase_bins)
-
-
-def _table(record, cfg: RadonConfig) -> CountTable:
-    """The count table of a dataset, or the given CountTable if it has cfg's
-    phase bins (ConfigError otherwise)."""
-    if not isinstance(record, CountTable):
-        return count_table(record, cfg.n_phase_bins)
-    if record.n_phase_bins != cfg.n_phase_bins:
-        raise ConfigError(f"count table has {record.n_phase_bins} phase bins, "
-                          f"the config {cfg.n_phase_bins}")
-    return record
 
 
 def _projections(cell, counts, n_phase_bins: int):
@@ -178,10 +172,10 @@ def _bin_phases(cell, theta, counts, n_phase_bins: int) -> np.ndarray:
     return np.where(lo == hi, first, mean)
 
 
-def _filtered(proj, cfg: RadonConfig):
+def _filtered(proj, k_c: float):
     """Filtered projections G_b(q) = ∫ Pr(q'|θ_b) κ(q − q') dq' of a stack of
     projections (…, Q_BINS), as one product."""
-    kappa = ramp_filter_matrix(Q_BINS, float(_DQ), cfg.k_c)
+    kappa = ramp_filter_matrix(Q_BINS, float(_DQ), k_c)
     return (proj.reshape(-1, Q_BINS) @ kappa.T * _DQ).reshape(proj.shape)
 
 
@@ -218,12 +212,12 @@ def _column_sums(theta: float) -> np.ndarray:
     return sums
 
 
-def _backproject(proj, bin_counts, phases, cfg: RadonConfig) -> WignerGrid:
-    meta = {"bin_counts": bin_counts.tolist(), "k_c": cfg.k_c, "kernel": KERNEL}
+def _backproject(proj, bin_counts, phases, k_c: float) -> WignerGrid:
+    meta = {"bin_counts": bin_counts.tolist(), "k_c": k_c, "kernel": KERNEL}
     if bin_counts.min() < 100:
         meta["low_count_warning"] = True
     scale = (np.pi / len(phases)) / (4.0 * np.pi**2)
-    w = _backproject_bins(_filtered(proj, cfg)[None], phases)[0] * scale
+    w = _backproject_bins(_filtered(proj, k_c)[None], phases)[0] * scale
     q_axis, p_axis = default_grid_axis(), default_grid_axis()
     grid = WignerGrid(q_axis=q_axis, p_axis=p_axis,
                       values=w.reshape(q_axis.size, p_axis.size), meta=meta)
@@ -234,20 +228,21 @@ def _backproject(proj, bin_counts, phases, cfg: RadonConfig) -> WignerGrid:
 
 
 def filtered_backprojection(ds: QuadratureDataset | CountTable,
-                            cfg: RadonConfig | None = None) -> WignerGrid:
-    """Reconstruct W(q, p) from a quadrature dataset or its count table.
+                            k_c: float = 5.0) -> WignerGrid:
+    """Reconstruct W(q, p) with ramp cutoff k_c from a quadrature dataset or
+    its count table, on the table's phase bins.
 
-    Raises CoverageError when any phase bin is empty; flags bins with fewer
-    than 100 samples in the result metadata.  Output is renormalized to
-    unit integral on its grid.
+    Raises ConfigError for a cutoff that is not positive, CoverageError when
+    any phase bin is empty; flags bins with fewer than 100 samples in the
+    result metadata.  Output is renormalized to unit integral on its grid.
     """
-    cfg = cfg or RadonConfig()
-    t = _table(ds, cfg)
-    return _backproject(*_projections(t.cell, t.counts, cfg.n_phase_bins),
-                        _bin_phases(t.cell, t.theta, t.counts, cfg.n_phase_bins), cfg)
+    check_cutoff(k_c)
+    t = ds if isinstance(ds, CountTable) else count_table(ds)
+    return _backproject(*_projections(t.cell, t.counts, t.n_phase_bins),
+                        _bin_phases(t.cell, t.theta, t.counts, t.n_phase_bins), k_c)
 
 
-def _replicate_sums(cell, phases, draws, cfg: RadonConfig, pixels=None, centre=None):
+def _replicate_sums(cell, phases, draws, k_c: float, pixels=None, centre=None):
     """c, Σ (W − c) and Σ (W − c)² at flat pixels of the default grid (all by
     default) over a block of count-table draws (R, cells) projected at the
     bin phases, each W normalized as FBP returns it; c is centre, or the
@@ -256,7 +251,7 @@ def _replicate_sums(cell, phases, draws, cfg: RadonConfig, pixels=None, centre=N
     Replicates are added in order, so a pixel's sums do not depend on which
     others are asked for.  The block's arrays are freed before the next
     block is drawn."""
-    filtered = _filtered(_projections(cell, draws, cfg.n_phase_bins)[0], cfg)
+    filtered = _filtered(_projections(cell, draws, len(phases))[0], k_c)
     w = _backproject_bins(filtered, phases, pixels)
     sums = np.array([_column_sums(th) for th in phases])
     total = np.einsum("rbq,bq->r", filtered, sums)
@@ -270,7 +265,7 @@ def _replicate_sums(cell, phases, draws, cfg: RadonConfig, pixels=None, centre=N
 
 
 def bootstrap_backprojection(ds: QuadratureDataset | CountTable,
-                             cfg: RadonConfig | None = None,
+                             k_c: float = 5.0,
                              n_boot: int = 100, seed: int = 0,
                              pixels=None) -> WignerGrid:
     """Per-pixel standard error of the FBP reconstruction by resampling
@@ -287,15 +282,16 @@ def bootstrap_backprojection(ds: QuadratureDataset | CountTable,
     A pixel's error does not depend on which others are asked for, and
     asking for a few costs far less than the whole grid.  Replicates are
     drawn in blocks of _BLOCK, so memory does not grow with n_boot.
-    ConfigError below 2 replicates, which give no spread.
+    ConfigError below 2 replicates, which give no spread, and for a cutoff
+    that is not positive.
     """
     if n_boot < 2:
         raise ConfigError(f"the bootstrap needs at least 2 replicates, got {n_boot}")
-    cfg = cfg or RadonConfig()
+    check_cutoff(k_c)
     rng = stream(seed, "bootstrap")
-    table = _table(ds, cfg)
+    table = ds if isinstance(ds, CountTable) else count_table(ds)
     cell, counts = table.cell, table.counts
-    phases = _bin_phases(cell, table.theta, counts, cfg.n_phase_bins)
+    phases = _bin_phases(cell, table.theta, counts, table.n_phase_bins)
     q_axis = default_grid_axis()
     flat = (None if pixels is None
             else np.ravel_multi_index(np.transpose(pixels), (q_axis.size,) * 2))
@@ -304,7 +300,7 @@ def bootstrap_backprojection(ds: QuadratureDataset | CountTable,
     for start in range(0, n_boot, _BLOCK):
         draws = np.array([rng.multinomial(n, counts / n)
                           for _ in range(min(_BLOCK, n_boot - start))])
-        centre, s1, s2 = _replicate_sums(cell, phases, draws, cfg, flat, centre)
+        centre, s1, s2 = _replicate_sums(cell, phases, draws, k_c, flat, centre)
         acc, acc2 = acc + s1, acc2 + s2
     # deviations from the first block's mean keep the digits Σ W² − n·mean² cancels
     var = np.clip(acc2 - acc**2 / n_boot, 0.0, None) / (n_boot - 1)

@@ -915,7 +915,7 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flags", [
-        ["--dim", "0"], ["--dim", "31"], ["--phase-bins", "1"], ["--k-c", "0"],
+        ["--dim", "0"], ["--dim", "31"], ["--k-c", "0"], ["--k-c", "nan"],
         ["--bootstrap", "-3"], ["--bootstrap", "1"],
     ])
     def test_invalid_reconstruct_flag_exit_2(self, small_dataset, tmp_path, capsys, flags):
@@ -931,6 +931,7 @@ class TestCli:
         ["simulate", "--config", "c.json", "--format", "csv"],
         ["reconstruct", "--input", "d.jsonl", "--seed", "3"],
         ["reconstruct", "--input", "d.jsonl", "--phases", "4"],
+        ["reconstruct", "--input", "d.jsonl", "--phase-bins", "32"],
         ["sample", "--config", "c.json", "--seed", "3"],
         ["validate", "--input", "d.jsonl", "--out", "o"],
     ])
@@ -1095,6 +1096,25 @@ class TestCli:
         path.write_text(text)
         assert run_cli("validate", "--input", str(path)) == 3
         assert "is not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"re": {"a": 1}}, "at re: expected an array"),
+        ({"errors": {"a": 1}}, "at errors: expected an array"),
+        ({"re": [["1"]]}, "at re/0/0: expected a finite number"),
+        ({"re": [[True]]}, "at re/0/0: expected a finite number"),
+        ({"dim": True}, "at dim: expected an integer"),
+        ({"errors": [[1, 2, 3]]}, "errors is not 1 × 1"),
+        ({"re": [[1.0], [0.0]]}, "re is not 1 × 1"),
+        ({"dim": None}, "KeyError: 'dim'"),      # None drops the key
+    ])
+    def test_validate_malformed_density_matrix_exit_3(self, tmp_path, capsys, doc, message):
+        good = {"dim": 1, "re": [[1.0]], "im": [[0.0]], "errors": [[0.1]]}
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({k: v for k, v in {**good, **doc}.items() if v is not None}))
+        assert run_cli("validate", "--input", str(path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: bad density matrix") and message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("name, text, message", [
         ("frames.jsonl", '{"format":"ohtlab-array-v1"}\n[1]\n', "line 2 is not a JSON object"),

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -39,14 +40,14 @@ def _reference_projections(thetas, qs, n_phase_bins):
     return proj, counts, mean_theta
 
 
-def _reference_pair_bootstrap(ds, cfg, n_boot, seed):
+def _reference_pair_bootstrap(ds, n_boot, seed):
     rng = np.random.default_rng(seed)
     n = len(ds)
     acc = acc2 = 0.0
     for _ in range(n_boot):
         idx = rng.integers(0, n, size=n)
         sub = detection.QuadratureDataset(thetas=ds.thetas[idx], qs=ds.qs[idx], meta=ds.meta)
-        w = radon.filtered_backprojection(sub, cfg).values
+        w = radon.filtered_backprojection(sub).values
         acc, acc2 = acc + w, acc2 + w**2
     mean = acc / n_boot
     return np.sqrt(np.clip(acc2 / n_boot - mean**2, 0.0, None) * n_boot / (n_boot - 1))
@@ -64,19 +65,20 @@ def _reference_backproject_loop(filtered, theta_proj, n_phase_bins):
     return w * (np.pi / n_phase_bins) / (4.0 * np.pi**2)
 
 
-def _reference_table_bootstrap(ds, cfg, n_boot, seed):
+def _reference_table_bootstrap(ds, n_boot, seed):
     """One whole-grid back-projection loop per multinomial replicate, on the
     same draws, at the phases the table fixes, normalized by its grid sum."""
     rng = stream(seed, "bootstrap")
-    cell, theta, counts = radon._count_table(ds.thetas, ds.qs, cfg.n_phase_bins)
-    phases = radon._bin_phases(cell, theta, counts, cfg.n_phase_bins)
+    t = radon.count_table(ds)
+    cell, counts, n_phase_bins = t.cell, t.counts, t.n_phase_bins
+    phases = radon._bin_phases(cell, t.theta, counts, n_phase_bins)
     n = len(ds)
     area = (states.default_grid_axis()[1] - states.default_grid_axis()[0]) ** 2
     acc = acc2 = 0.0
     for _ in range(n_boot):
         draw = rng.multinomial(n, counts / n)
-        filtered = radon._filtered(radon._projections(cell, draw, cfg.n_phase_bins)[0], cfg)
-        w = _reference_backproject_loop(filtered, phases, cfg.n_phase_bins)
+        filtered = radon._filtered(radon._projections(cell, draw, n_phase_bins)[0], 5.0)
+        w = _reference_backproject_loop(filtered, phases, n_phase_bins)
         w /= w.sum() * area
         acc, acc2 = acc + w, acc2 + w**2
     mean = acc / n_boot
@@ -125,13 +127,16 @@ class TestFilteredBackprojection:
         assert np.max(np.abs(w_mix.values - w_avg)) < 0.02
 
     def test_empty_bins_rejected(self, vacuum):
-        ds = _dataset(vacuum, 10_000, seed=206, d=8)   # 4 folded phases
-        with pytest.raises(CoverageError):
-            radon.filtered_backprojection(ds, radon.RadonConfig(n_phase_bins=32))
+        # 40 phases on [0, 0.5] get 32 bins, of which they reach 6
+        ds = _dataset(vacuum, 10_000, seed=206,
+                      schedule=detection.PhaseSchedule("grid", d=40, span=(0.0, 0.5)))
+        assert radon.count_table(ds).n_phase_bins == 32
+        with pytest.raises(CoverageError, match="empty phase bins"):
+            radon.filtered_backprojection(ds)
 
     def test_low_count_flag(self, vacuum):
         ds = _dataset(vacuum, 2_000, seed=207, d=64)
-        w = radon.filtered_backprojection(ds, radon.RadonConfig(n_phase_bins=32))
+        w = radon.filtered_backprojection(ds)
         assert w.meta.get("low_count_warning")
 
     def test_folding_consistency(self, coherent1):
@@ -143,11 +148,14 @@ class TestFilteredBackprojection:
         b = radon.filtered_backprojection(folded)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            radon.RadonConfig(k_c=-1.0)
-        with pytest.raises(ValueError):
-            radon.RadonConfig(n_phase_bins=1)
+    @pytest.mark.parametrize("k_c", [-1.0, 0.0, np.inf, np.nan])
+    def test_cutoff_validation(self, vacuum, k_c):
+        # the cutoff is refused before the record is binned
+        ds = _dataset(vacuum, 2_000, seed=207, d=1)
+        with pytest.raises(ConfigError):
+            radon.filtered_backprojection(ds, k_c=k_c)
+        with pytest.raises(ConfigError):
+            radon.bootstrap_backprojection(ds, k_c=k_c, n_boot=2)
 
     @given(st.floats(-np.pi, 3 * np.pi, exclude_max=True), st.floats(-8, 8),
            st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)))
@@ -214,10 +222,9 @@ class TestFilteredBackprojection:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert np.max(np.abs(got[2] - want[2])) <= 1e-12
-        cfg = radon.RadonConfig(n_phase_bins=n_phase_bins)
-        w = radon.filtered_backprojection(
-            detection.QuadratureDataset(thetas=thetas, qs=qs, meta=None), cfg)
-        w_ref = radon._backproject(*want, cfg)
+        table = radon.CountTable(*radon._count_table(thetas, qs, n_phase_bins), n_phase_bins)
+        w = radon.filtered_backprojection(table)
+        w_ref = radon._backproject(*want, 5.0)
         assert w.meta["bin_counts"] == w_ref.meta["bin_counts"]
         assert np.max(np.abs(w.values - w_ref.values)) <= 1e-12
 
@@ -241,9 +248,8 @@ class TestBootstrap:
         # multinomial draws over the count table and resampled (θ, q) pairs
         # give the same law for FBP, so the σ maps agree to Monte-Carlo error
         ds = _dataset(fock1, 20_000, seed=212, schedule=schedule)
-        cfg = radon.RadonConfig()
-        se = radon.bootstrap_backprojection(ds, cfg, n_boot=200, seed=3).values
-        ref = _reference_pair_bootstrap(ds, cfg, 200, seed=4)
+        se = radon.bootstrap_backprojection(ds, n_boot=200, seed=3).values
+        ref = _reference_pair_bootstrap(ds, 200, seed=4)
         upper = ref >= np.median(ref)
         assert 0.95 <= np.median(se[upper] / ref[upper]) <= 1.05
 
@@ -268,19 +274,19 @@ class TestBootstrap:
             ds = detection.QuadratureDataset(
                 thetas=np.concatenate([grid.thetas, rand.thetas[keep]]),
                 qs=np.concatenate([grid.qs, rand.qs[keep]]), meta=grid.meta)
-        cfg = radon.RadonConfig()
-        cell, theta, counts = radon._count_table(ds.thetas, ds.qs, cfg.n_phase_bins)
+        t = radon.count_table(ds)
+        assert t.n_phase_bins == 32
         # a locked bin's phase does not move with the counts
-        locked = radon._bin_phases(cell, theta, counts, cfg.n_phase_bins) == \
-            radon._bin_phases(cell, theta, counts + 1, cfg.n_phase_bins)
+        locked = radon._bin_phases(t.cell, t.theta, t.counts, 32) == \
+            radon._bin_phases(t.cell, t.theta, t.counts + 1, 32)
         assert locked.sum() == {"grid": 32, "uniform_random": 0, "mixed": 15, "readme": 7}[record]
-        se = radon.bootstrap_backprojection(ds, cfg, n_boot=17, seed=5)
-        ref = _reference_table_bootstrap(ds, cfg, 17, seed=5)
+        se = radon.bootstrap_backprojection(ds, n_boot=17, seed=5)
+        ref = _reference_table_bootstrap(ds, 17, seed=5)
         assert se.meta["n_boot"] == 17
         assert np.max(np.abs(se.values - ref)) <= 1e-12
         # the pixels asked for give the full map's errors there, NaN elsewhere
         pixels = [(100, 100), (0, 0), (100, 130), (200, 37)]
-        at = radon.bootstrap_backprojection(ds, cfg, n_boot=17, seed=5, pixels=pixels)
+        at = radon.bootstrap_backprojection(ds, n_boot=17, seed=5, pixels=pixels)
         rows, cols = np.array(pixels).T
         assert np.max(np.abs(at.values[rows, cols] - se.values[rows, cols])) <= 1e-12
         assert np.isnan(at.values).sum() == at.values.size - len(pixels)
@@ -289,15 +295,14 @@ class TestBootstrap:
         # at a Fock |1> origin |W|/σ is large, so Σ W² − n·mean² would cancel
         # digits; the same replicates, the multinomial draws of the count
         # table, through filtered_backprojection and a two-pass std
-        cfg = radon.RadonConfig()
-        table = radon.count_table(_dataset(fock1, 60_000, seed=217), cfg.n_phase_bins)
+        table = radon.count_table(_dataset(fock1, 60_000, seed=217))
         i = int(np.argmin(np.abs(states.default_grid_axis())))
-        se = radon.bootstrap_backprojection(table, cfg, n_boot=20, seed=6, pixels=[(i, i)])
+        se = radon.bootstrap_backprojection(table, n_boot=20, seed=6, pixels=[(i, i)])
         rng = stream(6, "bootstrap")
         n = int(table.counts.sum())
         origins = [radon.filtered_backprojection(
             radon.CountTable(table.cell, table.theta, rng.multinomial(n, table.counts / n),
-                             cfg.n_phase_bins), cfg).values[i, i] for _ in range(20)]
+                             table.n_phase_bins)).values[i, i] for _ in range(20)]
         assert se.values[i, i] == pytest.approx(np.std(origins, ddof=1), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("n_boot", [-1, 0, 1])
@@ -350,10 +355,9 @@ class TestRampFilterCache:
     def test_fbp_matches_freshly_built_filter(self, coherent1):
         # the cached matrix gives the same bytes as building κ for this call
         ds = _dataset(coherent1, 20_000, seed=210)
-        cfg = radon.RadonConfig()
-        w = radon.filtered_backprojection(ds, cfg)
+        w = radon.filtered_backprojection(ds)
         radon.ramp_filter_matrix.cache_clear()
-        fresh = radon.filtered_backprojection(ds, cfg)
+        fresh = radon.filtered_backprojection(ds)
         assert np.array_equal(w.values, fresh.values)
 
     def test_one_profile_per_config(self, vacuum, monkeypatch):
@@ -477,19 +481,37 @@ class TestCountTable:
         # a run passes one table to both functions; the results and the
         # replicate draws stay those of the dataset
         ds = _dataset(fock1, 20_000, seed=217)
-        cfg = radon.RadonConfig(n_phase_bins=16)
-        table = radon.count_table(ds, cfg.n_phase_bins)
-        assert np.array_equal(radon.filtered_backprojection(table, cfg).values,
-                              radon.filtered_backprojection(ds, cfg).values)
-        assert np.array_equal(radon.bootstrap_backprojection(table, cfg, n_boot=3, seed=4).values,
-                              radon.bootstrap_backprojection(ds, cfg, n_boot=3, seed=4).values)
+        table = radon.count_table(ds)
+        assert np.array_equal(radon.filtered_backprojection(table, k_c=4.0).values,
+                              radon.filtered_backprojection(ds, k_c=4.0).values)
+        assert np.array_equal(radon.bootstrap_backprojection(table, 4.0, n_boot=3, seed=4).values,
+                              radon.bootstrap_backprojection(ds, 4.0, n_boot=3, seed=4).values)
 
-    def test_other_bin_count_refused(self, vacuum):
-        table = radon.count_table(_dataset(vacuum, 5_000, seed=218), 16)
-        with pytest.raises(ConfigError):
-            radon.filtered_backprojection(table, radon.RadonConfig(n_phase_bins=32))
-        with pytest.raises(ConfigError):
-            radon.bootstrap_backprojection(table, n_boot=2, seed=1)
+    @pytest.mark.parametrize("d, n_phase_bins", [(4, 2), (12, 6), (62, 31), (64, 32),
+                                                 (128, 32)])
+    def test_bins_are_the_folded_phases_up_to_32(self, vacuum, d, n_phase_bins):
+        assert radon.count_table(_dataset(vacuum, 2_000, seed=218, d=d)).n_phase_bins == \
+            n_phase_bins
+
+    @pytest.mark.parametrize("d", [1, 2])      # a 2-phase grid folds onto one phase
+    def test_one_phase_record_refused(self, vacuum, d):
+        with pytest.raises(CoverageError, match="1 distinct phase"):
+            radon.count_table(_dataset(vacuum, 500, seed=218, d=d))
+
+    def test_library_and_cli_agree(self, fock1, tmp_path):
+        # a 12-phase grid folds onto 6 phases, so both take 6 bins, one a phase
+        from ohtlab import cli, formats
+
+        ds = _dataset(fock1, 12_000, seed=221, d=12)
+        formats.write_quadrature_dataset(tmp_path / "ds.jsonl", ds)
+        assert cli.main(["reconstruct", "--input", str(tmp_path / "ds.jsonl"), "--method",
+                         "radon", "--out", str(tmp_path / "o")]) == 0
+        w = radon.filtered_backprojection(ds)
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["radon"]["bin_counts"] == w.meta["bin_counts"]
+        assert len(w.meta["bin_counts"]) == 6
+        csv = np.loadtxt(tmp_path / "o" / "wigner.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(csv[:, 2], w.values.ravel())
 
     def test_reconstruct_builds_one_table(self, vacuum, tmp_path, monkeypatch):
         from ohtlab import cli, formats
