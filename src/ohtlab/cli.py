@@ -177,6 +177,20 @@ def _outdir(args, outputs: Outputs = Outputs()) -> Path:
     return path
 
 
+def _read_record(path):
+    """The quadrature record at path, single-mode or dual; DataFormatError
+    naming the file for a q that is not finite or a phase outside [0, 2π),
+    NaN included, which `formats` reads back as written."""
+    ds = formats.read_quadrature_dataset(path)
+    if not np.isfinite(ds.qs).all():
+        raise DataFormatError(f"{path}: quadratures must be finite numbers")
+    dual = isinstance(ds, twomode.DualQuadratureDataset)
+    for phases in (ds.thetas, ds.zetas) if dual else (ds.thetas,):
+        if not ((0 <= phases) & (phases < 2 * np.pi)).all():
+            raise DataFormatError(f"{path}: phases must lie in [0, 2π)")
+    return ds
+
+
 def cmd_simulate(args) -> int:
     doc, cfg = load_config(args.config, SimulateConfig)
     seed = args.seed if args.seed is not None else cfg.seed
@@ -198,7 +212,7 @@ def cmd_reconstruct(args) -> int:
         raise ConfigError("--bootstrap takes 0 (off) or at least 2 replicates")
     if not 1 <= args.dim <= patterns.MAX_DIM:
         raise ConfigError(f"--dim must be in 1..{patterns.MAX_DIM}")
-    ds = formats.read_quadrature_dataset(args.input)
+    ds = _read_record(args.input)
     if isinstance(ds, twomode.DualQuadratureDataset):
         raise DataFormatError("reconstruction expects a single-mode dataset")
     report = {"input": str(args.input), "n_samples": len(ds),
@@ -247,7 +261,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    ds = formats.read_quadrature_dataset(args.input)
+    ds = _read_record(args.input)
     if isinstance(ds, twomode.DualQuadratureDataset):
         ds = ds.as_single_mode()
     rep = moments.moment_report(ds)
@@ -367,7 +381,7 @@ def cmd_validate(args) -> int:
                 head = formats.json_object(path, f.readline(), "header line")
             fmt = head.get("format")
             if fmt == formats.FORMAT_VERSION:
-                ds = formats.read_quadrature_dataset(path)
+                ds = _read_record(path)
                 var = float(np.var(ds.qs))
                 if not (1e-3 < var < 1e3):
                     issues.append(f"sample variance {var:.3g} outside sanity bounds")

@@ -8,25 +8,24 @@ a cosine roll-off over its top 20% (`KERNEL`), which trades statistical
 noise against a small deterministic smoothing bias.
 
 FBP reads a record only through its count table: the samples in each
-occupied (distinct folded phase, q bin) cell, with Q_BINS bins over |q| ≤
-Q_SPAN plus one cell each side for samples beyond.  No argument sets the
-phase bins: the record gets PHASE_BINS = 32, or one per distinct folded
-phase if it has fewer (at least 2).  Phase-bin histograms and counts are
-sums over the table, and a bootstrap replicate is one multinomial draw of
-its counts; `count_table` builds it once for a run that needs both.  The
-table fixes the phase each bin projects at: a bin whose cells all hold one
-phase (`detection.phase_keys`), as on a grid schedule, projects at that
-phase, any other bin at the table's count-weighted mean phase, and every
-replicate keeps these phases.  The filter is a q_bins × q_bins matrix
-cached per (q_bins, dq, k_c) and shared read-only by every FBP.  FBP and
-every replicate back-project through one function: np.interp of each
-filtered projection at the pixels asked for, added bin by bin.  The
-bootstrap draws, filters and back-projects replicates in blocks,
-normalizes each by its grid integral, the dot product of its projections
-with the bin phases' column sums of interpolation weights (cached per
-phase), sums each pixel's deviations from the first block's mean, and
-reports the pixels asked for.  W is returned on the default ±6 phase-space
-grid; the W of a lossy record is the closed form of `states.apply_loss`.
+(phase bin, q column) cell, Q_BINS columns over |q| ≤ Q_SPAN plus one each
+side for samples beyond, and the phase each bin projects at.  No argument
+sets the phase bins: the record gets PHASE_BINS = 32, or one per distinct
+folded phase if it has fewer (at least 2).  A bin whose samples all hold
+one phase (`detection.phase_keys`), as on a grid schedule, projects at
+that phase, any other bin at its count-weighted mean phase.  A bootstrap
+replicate is one multinomial draw over the table's cells and keeps its
+phases; `count_table` builds it once for a run that needs both.  The
+filter is a q_bins × q_bins matrix cached per (q_bins, dq, k_c) and shared
+read-only by every FBP.  FBP and every replicate back-project through one
+function: np.interp of each filtered projection at the pixels asked for,
+added bin by bin.  The bootstrap draws, filters and back-projects
+replicates in blocks, normalizes each by its grid integral, the dot
+product of its projections with the bin phases' column sums of
+interpolation weights (cached per phase), sums each pixel's deviations
+from the first block's mean, and reports the pixels asked for.  W is
+returned on the default ±6 phase-space grid; the W of a lossy record is
+the closed form of `states.apply_loss`.
 """
 
 from __future__ import annotations
@@ -92,10 +91,20 @@ def ramp_filter_matrix(q_bins: int, dq: float, k_c: float) -> np.ndarray:
     return kappa
 
 
-def _count_table(thetas, qs, n_phase_bins: int):
-    """(cell, phase, count) per occupied (distinct folded phase, q column)
-    cell, at most len(qs) of them; cell = phase bin · (Q_BINS + 2) + column,
-    where column 0 holds q < −Q_SPAN and Q_BINS + 1 holds q > Q_SPAN."""
+@dataclass(frozen=True)
+class CountTable:
+    """A record's samples per (phase bin, q column), shape (bins, Q_BINS +
+    2), where column 0 holds q < −Q_SPAN and Q_BINS + 1 holds q > Q_SPAN,
+    and the phase each bin projects at."""
+
+    hist: np.ndarray
+    phases: np.ndarray
+
+
+def _count_table(thetas, qs, n_phase_bins: int) -> CountTable:
+    """The count table of a record on n_phase_bins phase bins.  A locked bin
+    projects at its smallest phase, since a grid phase and its folded partner
+    θ + π − π differ by an ulp; any other bin at its count-weighted mean."""
     dtheta = np.pi / n_phase_bins
     # bins centered on k·dθ so exact grid phases never straddle an edge;
     # the wrap region near π folds onto θ−π, −q by the same symmetry
@@ -103,21 +112,20 @@ def _count_table(thetas, qs, n_phase_bins: int):
     phases, row = np.unique(theta_f, return_inverse=True)
     col = np.searchsorted(_EDGES, q_f, "right")
     col[q_f == Q_SPAN] = Q_BINS      # np.histogram closes the last bin
+    # the occupied (folded phase, column) cells, at most one per sample
     cells, counts = np.unique(row * (Q_BINS + 2) + col, return_counts=True)
     theta = phases[cells // (Q_BINS + 2)]
-    bin_idx = np.clip(np.rint(theta / dtheta).astype(int), 0, n_phase_bins - 1)
-    return bin_idx * (Q_BINS + 2) + cells % (Q_BINS + 2), theta, counts
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """A record's count table for n_phase_bins phase bins: each occupied
-    cell (bin · (Q_BINS + 2) + column), its phase and its sample count."""
-
-    cell: np.ndarray
-    theta: np.ndarray
-    counts: np.ndarray
-    n_phase_bins: int
+    bins = np.clip(np.rint(theta / dtheta).astype(int), 0, n_phase_bins - 1)
+    hist = np.bincount(bins * (Q_BINS + 2) + cells % (Q_BINS + 2), counts,
+                       n_phase_bins * (Q_BINS + 2)).astype(int).reshape(n_phase_bins, -1)
+    keys = phase_keys(theta)
+    lo, hi, first = (np.full(n_phase_bins, v) for v in (np.inf, -np.inf, np.inf))
+    np.minimum.at(lo, bins, keys)
+    np.maximum.at(hi, bins, keys)
+    np.minimum.at(first, bins, theta)
+    # an empty bin, which _projections refuses, divides by 1, not 0
+    mean = np.bincount(bins, counts * theta, n_phase_bins) / np.maximum(hist.sum(axis=1), 1)
+    return CountTable(hist, np.where(lo == hi, first, mean))
 
 
 def count_table(ds: QuadratureDataset) -> CountTable:
@@ -129,47 +137,18 @@ def count_table(ds: QuadratureDataset) -> CountTable:
     if n_keys < 2:
         raise CoverageError(f"{n_keys} distinct phase(s) on [0, π); "
                             "the radon reconstruction needs at least 2")
-    n_phase_bins = min(PHASE_BINS, n_keys)
-    return CountTable(*_count_table(ds.thetas, ds.qs, n_phase_bins), n_phase_bins)
+    return _count_table(ds.thetas, ds.qs, min(PHASE_BINS, n_keys))
 
 
-def _projections(cell, counts, n_phase_bins: int):
-    """Per-phase-bin histograms Pr_M(q | θ_bin) and sample counts from
-    count-table entries, for one count vector or a stack of them (…, cells);
-    CoverageError if a bin is empty."""
-    counts = np.asarray(counts)
-    stack = counts.reshape(-1, counts.shape[-1])
-    hist = np.stack([np.bincount(cell, c, n_phase_bins * (Q_BINS + 2)) for c in stack])
-    hist = hist.reshape(len(stack), n_phase_bins, Q_BINS + 2)
-    bin_counts = hist.sum(axis=2)
-    empty = np.nonzero((bin_counts == 0).any(axis=0))[0]
+def _projections(hist):
+    """Per-phase-bin histograms Pr_M(q | θ_bin) and sample counts of a count
+    array (bins, Q_BINS + 2) or a stack of them; CoverageError if a bin is
+    empty."""
+    bin_counts = hist.sum(axis=-1)
+    empty = np.flatnonzero(np.atleast_2d(bin_counts == 0).any(axis=0))
     if empty.size:
         raise CoverageError(f"empty phase bins {empty.tolist()}; cover [0, π) before inverting")
-    proj = hist[..., 1:-1] / (bin_counts[..., None] * _DQ)
-    lead = counts.shape[:-1]
-    return (proj.reshape(*lead, n_phase_bins, Q_BINS),
-            bin_counts.astype(int).reshape(*lead, n_phase_bins))
-
-
-def _bin_phases(cell, theta, counts, n_phase_bins: int) -> np.ndarray:
-    """The phase each bin projects at, fixed by a count table.
-
-    A locked bin, one whose cells all hold one phase, projects at its
-    smallest cell phase: a grid phase and its folded partner θ + π − π
-    differ by an ulp.  Any other bin projects at the table's count-weighted
-    mean phase.  A bootstrap replicate redraws the counts and keeps these
-    phases.
-    """
-    bins = cell // (Q_BINS + 2)
-    keys = phase_keys(theta)
-    lo, hi, first = (np.full(n_phase_bins, v) for v in (np.inf, -np.inf, np.inf))
-    np.minimum.at(lo, bins, keys)
-    np.maximum.at(hi, bins, keys)
-    np.minimum.at(first, bins, theta)
-    # an empty bin, which _projections refuses, divides by 1, not 0
-    mean = (np.bincount(bins, counts * theta, n_phase_bins)
-            / np.maximum(np.bincount(bins, counts, n_phase_bins), 1))
-    return np.where(lo == hi, first, mean)
+    return hist[..., 1:-1] / (bin_counts[..., None] * _DQ), bin_counts
 
 
 def _filtered(proj, k_c: float):
@@ -238,20 +217,19 @@ def filtered_backprojection(ds: QuadratureDataset | CountTable,
     """
     check_cutoff(k_c)
     t = ds if isinstance(ds, CountTable) else count_table(ds)
-    return _backproject(*_projections(t.cell, t.counts, t.n_phase_bins),
-                        _bin_phases(t.cell, t.theta, t.counts, t.n_phase_bins), k_c)
+    return _backproject(*_projections(t.hist), t.phases, k_c)
 
 
-def _replicate_sums(cell, phases, draws, k_c: float, pixels=None, centre=None):
+def _replicate_sums(phases, draws, k_c: float, pixels=None, centre=None):
     """c, Σ (W − c) and Σ (W − c)² at flat pixels of the default grid (all by
-    default) over a block of count-table draws (R, cells) projected at the
-    bin phases, each W normalized as FBP returns it; c is centre, or the
-    block's mean if None.  Each replicate's grid integral is its filtered
-    projections' dot product with the phases' cached column sums.
+    default) over a block of count-table draws (R, bins, Q_BINS + 2)
+    projected at the bin phases, each W normalized as FBP returns it; c is
+    centre, or the block's mean if None.  Each replicate's grid integral is
+    its filtered projections' dot product with the phases' cached column sums.
     Replicates are added in order, so a pixel's sums do not depend on which
     others are asked for.  The block's arrays are freed before the next
     block is drawn."""
-    filtered = _filtered(_projections(cell, draws, len(phases))[0], k_c)
+    filtered = _filtered(_projections(draws)[0], k_c)
     w = _backproject_bins(filtered, phases, pixels)
     sums = np.array([_column_sums(th) for th in phases])
     total = np.einsum("rbq,bq->r", filtered, sums)
@@ -269,13 +247,13 @@ def bootstrap_backprojection(ds: QuadratureDataset | CountTable,
                              n_boot: int = 100, seed: int = 0,
                              pixels=None) -> WignerGrid:
     """Per-pixel standard error of the FBP reconstruction by resampling
-    (θ, q) pairs with replacement, drawn as one multinomial(N, counts / N)
-    draw of the count table per replicate.  Takes the dataset or its count
-    table.
+    (θ, q) pairs with replacement, drawn as one multinomial(N, hist / N)
+    draw over the count table's (bin, q column) cells per replicate.  Takes
+    the dataset or its count table.
 
     Every replicate projects each phase bin at the phase the table fixes
-    for it (`_bin_phases`), through the FBP's own back-projection, so the
-    error is conditional on the LO phases, which the schedule sets.
+    for it (`CountTable.phases`), through the FBP's own back-projection, so
+    the error is conditional on the LO phases, which the schedule sets.
 
     pixels lists the (q index, p index) pairs of the default grid to report;
     every other pixel of the result is NaN.  By default all are reported.
@@ -290,17 +268,16 @@ def bootstrap_backprojection(ds: QuadratureDataset | CountTable,
     check_cutoff(k_c)
     rng = stream(seed, "bootstrap")
     table = ds if isinstance(ds, CountTable) else count_table(ds)
-    cell, counts = table.cell, table.counts
-    phases = _bin_phases(cell, table.theta, counts, table.n_phase_bins)
     q_axis = default_grid_axis()
     flat = (None if pixels is None
             else np.ravel_multi_index(np.transpose(pixels), (q_axis.size,) * 2))
-    n = int(counts.sum())
+    n = int(table.hist.sum())
+    pvals = table.hist.ravel() / n
     centre, acc, acc2 = None, 0.0, 0.0
     for start in range(0, n_boot, _BLOCK):
-        draws = np.array([rng.multinomial(n, counts / n)
-                          for _ in range(min(_BLOCK, n_boot - start))])
-        centre, s1, s2 = _replicate_sums(cell, phases, draws, k_c, flat, centre)
+        draws = rng.multinomial(n, pvals, size=min(_BLOCK, n_boot - start))
+        centre, s1, s2 = _replicate_sums(table.phases, draws.reshape(-1, *table.hist.shape),
+                                         k_c, flat, centre)
         acc, acc2 = acc + s1, acc2 + s2
     # deviations from the first block's mean keep the digits Σ W² − n·mean² cancels
     var = np.clip(acc2 - acc**2 / n_boot, 0.0, None) / (n_boot - 1)

@@ -1045,6 +1045,38 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["reconstruct", "moments", "validate"])
+    @pytest.mark.parametrize("dual, field, value, message", [
+        (False, "qs", math.nan, "quadratures must be finite"),
+        (False, "qs", math.inf, "quadratures must be finite"),
+        (False, "qs", -math.inf, "quadratures must be finite"),
+        (False, "thetas", math.nan, "phases must lie in"),
+        (True, "qs", math.nan, "quadratures must be finite"),
+        (True, "qs", -math.inf, "quadratures must be finite"),
+        (True, "thetas", math.nan, "phases must lie in"),
+        (True, "thetas", 7.0, "phases must lie in"),
+        (True, "zetas", math.nan, "phases must lie in"),
+        (True, "zetas", -0.5, "phases must lie in"),
+    ])
+    def test_non_finite_or_out_of_range_record_exit_3(self, small_dataset, tmp_path, capsys,
+                                                      command, dual, field, value, message):
+        # the formats reader keeps such values, and the commands that read a
+        # record refuse them before anything is computed or written
+        fields = {"qs": small_dataset.qs.copy(), "thetas": small_dataset.thetas.copy()}
+        fields["zetas"] = fields["thetas"].copy() if dual else None
+        fields[field][100] = value
+        path = tmp_path / "ds.jsonl"
+        formats.write_quadrature_dataset(path, _dataset(**fields))
+        argv = [command, "--input", str(path)]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "o")]
+        if command == "reconstruct":
+            argv += ["--method", "radon"]
+        assert run_cli(*argv) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith(f"data error: {path}: {message}")
+        assert out == "" and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind, key, value, message", [
         ("quad", "seed", "x", 'at seed: expected an integer, got "x"'),
         ("quad", "seed", 7.0, "at seed: expected an integer, got 7.0"),

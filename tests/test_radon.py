@@ -70,15 +70,13 @@ def _reference_table_bootstrap(ds, n_boot, seed):
     same draws, at the phases the table fixes, normalized by its grid sum."""
     rng = stream(seed, "bootstrap")
     t = radon.count_table(ds)
-    cell, counts, n_phase_bins = t.cell, t.counts, t.n_phase_bins
-    phases = radon._bin_phases(cell, t.theta, counts, n_phase_bins)
     n = len(ds)
     area = (states.default_grid_axis()[1] - states.default_grid_axis()[0]) ** 2
     acc = acc2 = 0.0
     for _ in range(n_boot):
-        draw = rng.multinomial(n, counts / n)
-        filtered = radon._filtered(radon._projections(cell, draw, n_phase_bins)[0], 5.0)
-        w = _reference_backproject_loop(filtered, phases, n_phase_bins)
+        draw = rng.multinomial(n, t.hist.ravel() / n).reshape(t.hist.shape)
+        filtered = radon._filtered(radon._projections(draw)[0], 5.0)
+        w = _reference_backproject_loop(filtered, t.phases, len(t.phases))
         w /= w.sum() * area
         acc, acc2 = acc + w, acc2 + w**2
     mean = acc / n_boot
@@ -87,9 +85,8 @@ def _reference_table_bootstrap(ds, n_boot, seed):
 
 def _table_projections(thetas, qs, n_phase_bins):
     """Projections, bin counts and bin phases of a record's count table."""
-    cell, theta, counts = radon._count_table(thetas, qs, n_phase_bins)
-    return (*radon._projections(cell, counts, n_phase_bins),
-            radon._bin_phases(cell, theta, counts, n_phase_bins))
+    t = radon._count_table(thetas, qs, n_phase_bins)
+    return (*radon._projections(t.hist), t.phases)
 
 
 class TestFilteredBackprojection:
@@ -130,7 +127,7 @@ class TestFilteredBackprojection:
         # 40 phases on [0, 0.5] get 32 bins, of which they reach 6
         ds = _dataset(vacuum, 10_000, seed=206,
                       schedule=detection.PhaseSchedule("grid", d=40, span=(0.0, 0.5)))
-        assert radon.count_table(ds).n_phase_bins == 32
+        assert radon.count_table(ds).hist.shape == (32, radon.Q_BINS + 2)
         with pytest.raises(CoverageError, match="empty phase bins"):
             radon.filtered_backprojection(ds)
 
@@ -222,8 +219,7 @@ class TestFilteredBackprojection:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert np.max(np.abs(got[2] - want[2])) <= 1e-12
-        table = radon.CountTable(*radon._count_table(thetas, qs, n_phase_bins), n_phase_bins)
-        w = radon.filtered_backprojection(table)
+        w = radon.filtered_backprojection(radon._count_table(thetas, qs, n_phase_bins))
         w_ref = radon._backproject(*want, 5.0)
         assert w.meta["bin_counts"] == w_ref.meta["bin_counts"]
         assert np.max(np.abs(w.values - w_ref.values)) <= 1e-12
@@ -275,11 +271,17 @@ class TestBootstrap:
                 thetas=np.concatenate([grid.thetas, rand.thetas[keep]]),
                 qs=np.concatenate([grid.qs, rand.qs[keep]]), meta=grid.meta)
         t = radon.count_table(ds)
-        assert t.n_phase_bins == 32
-        # a locked bin's phase does not move with the counts
-        locked = radon._bin_phases(t.cell, t.theta, t.counts, 32) == \
-            radon._bin_phases(t.cell, t.theta, t.counts + 1, 32)
+        assert t.hist.shape == (32, radon.Q_BINS + 2)
+        # a locked bin, one whose samples share one phase key, projects at
+        # its smallest folded phase
+        folded = detection.fold_phases(*detection.fold_phases(ds.thetas, ds.qs),
+                                       lower=-np.pi / 64)[0]
+        bins = np.clip(np.rint(folded / (np.pi / 32)).astype(int), 0, 31)
+        keys = detection.phase_keys(folded)
+        locked = np.array([np.unique(keys[bins == b]).size == 1 for b in range(32)])
         assert locked.sum() == {"grid": 32, "uniform_random": 0, "mixed": 15, "readme": 7}[record]
+        for b in np.flatnonzero(locked):
+            assert t.phases[b] == folded[bins == b].min()
         se = radon.bootstrap_backprojection(ds, n_boot=17, seed=5)
         ref = _reference_table_bootstrap(ds, 17, seed=5)
         assert se.meta["n_boot"] == 17
@@ -299,10 +301,10 @@ class TestBootstrap:
         i = int(np.argmin(np.abs(states.default_grid_axis())))
         se = radon.bootstrap_backprojection(table, n_boot=20, seed=6, pixels=[(i, i)])
         rng = stream(6, "bootstrap")
-        n = int(table.counts.sum())
-        origins = [radon.filtered_backprojection(
-            radon.CountTable(table.cell, table.theta, rng.multinomial(n, table.counts / n),
-                             table.n_phase_bins)).values[i, i] for _ in range(20)]
+        n = int(table.hist.sum())
+        origins = [radon.filtered_backprojection(radon.CountTable(
+            rng.multinomial(n, table.hist.ravel() / n).reshape(table.hist.shape),
+            table.phases)).values[i, i] for _ in range(20)]
         assert se.values[i, i] == pytest.approx(np.std(origins, ddof=1), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("n_boot", [-1, 0, 1])
@@ -490,7 +492,7 @@ class TestCountTable:
     @pytest.mark.parametrize("d, n_phase_bins", [(4, 2), (12, 6), (62, 31), (64, 32),
                                                  (128, 32)])
     def test_bins_are_the_folded_phases_up_to_32(self, vacuum, d, n_phase_bins):
-        assert radon.count_table(_dataset(vacuum, 2_000, seed=218, d=d)).n_phase_bins == \
+        assert len(radon.count_table(_dataset(vacuum, 2_000, seed=218, d=d)).phases) == \
             n_phase_bins
 
     @pytest.mark.parametrize("d", [1, 2])      # a 2-phase grid folds onto one phase
