@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -184,22 +184,20 @@ def _read_record(path):
     ds = formats.read_quadrature_dataset(path)
     if not np.isfinite(ds.qs).all():
         raise DataFormatError(f"{path}: quadratures must be finite numbers")
-    dual = isinstance(ds, twomode.DualQuadratureDataset)
-    for phases in (ds.thetas, ds.zetas) if dual else (ds.thetas,):
-        if not ((0 <= phases) & (phases < 2 * np.pi)).all():
+    for phases in (ds.thetas, ds.zetas):
+        if phases is not None and not ((0 <= phases) & (phases < 2 * np.pi)).all():
             raise DataFormatError(f"{path}: phases must lie in [0, 2π)")
     return ds
 
 
 def cmd_simulate(args) -> int:
     doc, cfg = load_config(args.config, SimulateConfig)
-    seed = args.seed if args.seed is not None else cfg.seed
     rho = states.make_state(cfg.state)
-    ds = detection.sample_quadratures(rho, cfg.schedule, cfg.detector, cfg.n_samples, seed)
+    ds = detection.sample_quadratures(rho, cfg.schedule, cfg.detector, cfg.n_samples, cfg.seed)
     out = _outdir(args, cfg.outputs)
     ds_path = out / "dataset.jsonl"
     formats.write_quadrature_dataset(ds_path, ds)
-    formats.write_manifest(out / "manifest.json", seed, doc, {"dataset.jsonl": ds_path})
+    formats.write_manifest(out / "manifest.json", cfg.seed, doc, {"dataset.jsonl": ds_path})
     print(f"wrote {ds_path} ({cfg.n_samples} samples)")
     return EXIT_OK
 
@@ -213,7 +211,7 @@ def cmd_reconstruct(args) -> int:
     if not 1 <= args.dim <= patterns.MAX_DIM:
         raise ConfigError(f"--dim must be in 1..{patterns.MAX_DIM}")
     ds = _read_record(args.input)
-    if isinstance(ds, twomode.DualQuadratureDataset):
+    if ds.zetas is not None:
         raise DataFormatError("reconstruction expects a single-mode dataset")
     report = {"input": str(args.input), "n_samples": len(ds),
               "eta_eff": ds.meta.detector.eta_eff}
@@ -261,10 +259,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    ds = _read_record(args.input)
-    if isinstance(ds, twomode.DualQuadratureDataset):
-        ds = ds.as_single_mode()
-    rep = moments.moment_report(ds)
+    rep = moments.moment_report(_read_record(args.input))
     out = _outdir(args)
     formats.write_json(out / "moments.json", rep.to_dict())
     if args.format == "csv":
@@ -279,11 +274,10 @@ def cmd_moments(args) -> int:
 
 def cmd_twomode(args) -> int:
     doc, cfg = load_config(args.config, TwoModeConfig)
-    seed = args.seed if args.seed is not None else cfg.seed
     st = cfg.source.state()
     rand = detection.PhaseSchedule("uniform_random")
     runs = [twomode.combined_quadrature_samples(st, alpha, cfg.detector, cfg.n_samples,
-                                                seed + i, rand, rand)
+                                                cfg.seed + i, rand, rand)
             for i, alpha in enumerate((0.0, np.pi / 4, np.pi / 2))]
     g2, se = twomode.two_time_g2(*runs)
     report = {"g2": g2, "g2_stderr": se, "source": doc["source"], "n_samples": cfg.n_samples}
@@ -297,12 +291,11 @@ def cmd_twomode(args) -> int:
 
 def cmd_array(args) -> int:
     _, cfg = load_config(args.config, ArrayConfig)
-    seed = args.seed if args.seed is not None else cfg.seed
     area = cfg.pixel_area if cfg.pixel_area is not None else 1.0 / cfg.n_pixels
     grid = arrays.PixelGrid(n_pixels=cfg.n_pixels, pixel_area=area)
     planted = [(m.vector(grid), m.state) for m in cfg.modes]
     frames = arrays.simulate_array_frames(planted, cfg.detector, grid, cfg.schedule,
-                                          cfg.n_pulses, seed)
+                                          cfg.n_pulses, cfg.seed)
     M = arrays.difference_correlation_matrix(frames)
     w_opt, n_est = arrays.optimal_mode(M, cfg.detector, grid)
     report = {"photon_estimate": n_est, "n_pulses": cfg.n_pulses, "n_pixels": grid.n_pixels}
@@ -318,30 +311,16 @@ def cmd_array(args) -> int:
 def cmd_sample(args) -> int:
     _, cfg = load_config(args.config, SampleConfig)
     sc = cfg.signal
-    nu, B, span, n, fill, chirp = sc.nu, sc.bandwidth, sc.span, sc.points, sc.band_fill, sc.chirp
-    if min(B, span) <= 0 or n < 2:
-        raise ConfigError("signal bandwidth and span must be positive and points at least 2")
-    t = np.linspace(-span, span, n, endpoint=False)
-    dt = t[1] - t[0]
-    omega = 2 * np.pi * np.fft.fftfreq(n, d=dt)
-    inside = np.abs(omega - nu) <= fill * B / 2.0
-    if not inside.any():
-        raise ConfigError(f"signal.band_fill {fill} leaves no grid frequency in the band")
-    phi = np.zeros(n, complex)
-    for k in np.nonzero(inside)[0]:
-        w = omega[k]
-        amp = np.exp(-(((w - nu) / (0.3 * B)) ** 2)) * np.exp(1j * chirp * (w - nu) ** 2)
-        phi += amp * np.exp(-1j * w * t)
-    phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * dt)
-    sig = temporal.TemporalSignal(t, phi, nu, B)
-    tau_span = cfg.tau_span if cfg.tau_span is not None else span / 5
+    sig = temporal.bandlimited_chirp(**asdict(sc))
+    t, phi = sig.t_axis, sig.phi
+    tau_span = cfg.tau_span if cfg.tau_span is not None else sc.span / 5
     if cfg.tau_step_grid_units < 1 or not np.any(np.abs(t) < tau_span):
         raise ConfigError("tau_step_grid_units must be at least 1 and tau_span hold a delay")
     tau = t[(t > -tau_span) & (t < tau_span)][::cfg.tau_step_grid_units]
-    rec = temporal.bandlimited_exact_recovery(sig, B, nu, tau)
+    rec = temporal.bandlimited_exact_recovery(sig, sc.bandwidth, sc.nu, tau)
     truth = np.interp(tau, t, phi.real) + 1j * np.interp(tau, t, phi.imag)
     rel_rms = float(np.sqrt(np.mean(np.abs(rec - truth) ** 2) / np.mean(np.abs(truth) ** 2)))
-    report = {"relative_rms_error": rel_rms, "bandwidth": B, "band_fill": fill}
+    report = {"relative_rms_error": rel_rms, "bandwidth": sc.bandwidth, "band_fill": sc.band_fill}
     out = _outdir(args, cfg.outputs)
     formats.write_signal_csv(out / "signal.csv", t, phi)
     formats.write_signal_csv(out / "recovered.csv", tau, rec)
@@ -352,8 +331,8 @@ def cmd_sample(args) -> int:
 
 def cmd_calibrate(args) -> int:
     _, cfg = load_config(args.config, CalibrateConfig)
-    seed = args.seed if args.seed is not None else cfg.seed
-    cal = detection.calibration_curve(cfg.detector, cfg.lo_levels, cfg.pulses_per_level, seed)
+    cal = detection.calibration_curve(cfg.detector, cfg.lo_levels, cfg.pulses_per_level,
+                                      cfg.seed)
     report = {
         "gain_estimate": cal.gain_estimate,
         "sigma_e_estimate": cal.sigma_e_estimate,
@@ -420,17 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="homodyne tomography laboratory pipelines")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, source, seed=False, out=True):
+    def command(name, func, summary, source, out=True):
         sp = sub.add_parser(name, help=summary)
         sp.add_argument(source, required=True)
-        if seed:
-            sp.add_argument("--seed", type=int, default=None, help="override config seed")
         if out:
             sp.add_argument("--out", default=None, help="output directory")
         sp.set_defaults(func=func)
         return sp
 
-    command("simulate", cmd_simulate, "synthesize a quadrature dataset", "--config", seed=True)
+    command("simulate", cmd_simulate, "synthesize a quadrature dataset", "--config")
 
     sp = command("reconstruct", cmd_reconstruct, "invert a dataset to W and/or rho", "--input")
     sp.add_argument("--method", choices=["radon", "pattern", "both"], default="both")
@@ -441,12 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("moments", cmd_moments, "photon statistics straight from a dataset", "--input")
     sp.add_argument("--format", choices=["csv", "json"], default="json")
 
-    command("twomode", cmd_twomode, "dual-LO three-angle g2 pipeline", "--config", seed=True)
-    command("array", cmd_array, "array-detector frames and mode recovery", "--config",
-            seed=True)
+    command("twomode", cmd_twomode, "dual-LO three-angle g2 pipeline", "--config")
+    command("array", cmd_array, "array-detector frames and mode recovery", "--config")
     command("sample", cmd_sample, "band-limited linear optical sampling demo", "--config")
-    command("calibrate", cmd_calibrate, "detector gain/noise calibration run", "--config",
-            seed=True)
+    command("calibrate", cmd_calibrate, "detector gain/noise calibration run", "--config")
 
     sp = command("validate", cmd_validate, "check an artifact file", "--input", out=False)
     sp.add_argument("--report", action="store_true",

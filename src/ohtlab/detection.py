@@ -149,17 +149,26 @@ class DatasetMeta:
 
 @dataclass
 class QuadratureDataset:
-    """Measurement record: ordered (θ, q) samples plus detector metadata."""
+    """Measurement record: ordered (θ, q) samples plus detector metadata.
+
+    A dual-LO record (`twomode`) also tags each pulse with its second LO
+    phase ζ; its q is then the combined quadrature at the mixing angle
+    meta.extra["alpha"].
+    """
 
     thetas: np.ndarray
     qs: np.ndarray
     meta: DatasetMeta
+    zetas: np.ndarray | None = None
 
     def __post_init__(self):
         self.thetas = np.asarray(self.thetas, float)
         self.qs = np.asarray(self.qs, float)
-        if self.thetas.shape != self.qs.shape:
-            raise ValueError("thetas and qs must have equal length")
+        if self.zetas is not None:
+            self.zetas = np.asarray(self.zetas, float)
+        if self.thetas.shape != self.qs.shape or (self.zetas is not None
+                                                  and self.zetas.shape != self.qs.shape):
+            raise ValueError("thetas, qs and zetas must have equal length")
         if self.thetas.size and (self.thetas.min() < 0 or self.thetas.max() >= 2 * np.pi):
             raise ValueError("phases must lie in [0, 2π)")
 

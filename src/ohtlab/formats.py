@@ -3,12 +3,15 @@
 Each format has a CLI command that writes it: quadrature datasets
 (`simulate`, `twomode`), array frames (`array`), density matrices and the
 Wigner and photon-number CSVs (`reconstruct`), the signal CSVs (`sample`)
-and manifests (`simulate`).  Every artifact's bytes are decided here:
-canonical JSON (sorted keys, compact separators) and CSVs with each float
-as its repr, so a rerun with the same seed produces byte-identical
-artifacts.  Readers refuse unknown format tags and bad header or record
-values with a DataFormatError; a header's detector, schedule, pixel grid
-and seed are read under the rules configs follow (`from_dict`, `fit`).
+and manifests (`simulate`).  A dual-LO record (`twomode`) is a quadrature
+dataset with a ζ column: its header adds mode "dual", α and the ζ
+schedule, and each line its ζ and the combined quadrature Q.  Every
+artifact's bytes are decided here: canonical JSON (sorted keys, compact
+separators) and CSVs with each float as its repr, so a rerun with the same
+seed produces byte-identical artifacts.  Readers refuse unknown format tags
+and bad header or record values with a DataFormatError; a header's
+detector, schedule, pixel grid and seed are read under the rules configs
+follow (`from_dict`, `fit`).
 
 Quadrature datasets are written in bulk: a block of records is formatted
 by one `repr` of the list of its values, which applies `float.__repr__`,
@@ -42,7 +45,6 @@ from .detection import (FORMAT_VERSION, DatasetMeta, DetectorModel, PhaseSchedul
                         QuadratureDataset, distinct)
 from .errors import DataFormatError
 from .states import DensityMatrix, WignerGrid
-from .twomode import DualQuadratureDataset
 
 ARRAY_FORMAT = "ohtlab-array-v1"
 MANIFEST_FORMAT = "ohtlab-manifest-v1"
@@ -137,20 +139,20 @@ def _dataset_header(ds) -> dict:
     }
     if ds.meta.source is not None:
         header["source"] = ds.meta.source
-    if isinstance(ds, DualQuadratureDataset):
+    if ds.zetas is not None:
         header["mode"] = "dual"
-        header["alpha"] = ds.alpha
+        header["alpha"] = ds.meta.extra["alpha"]
         header["zeta_schedule"] = ds.meta.extra.get("zeta_schedule")
     return header
 
 
-def write_quadrature_dataset(path, ds) -> None:
-    """Write a (single or dual) quadrature record as JSON Lines."""
+def write_quadrature_dataset(path, ds: QuadratureDataset) -> None:
+    """Write a single-mode or dual-LO quadrature record as JSON Lines."""
     path = Path(path)
-    if isinstance(ds, DualQuadratureDataset):
-        template, phases = _DUAL_RECORD[0], (ds.thetas, ds.zetas)
-    else:
+    if ds.zetas is None:
         template, phases = _SINGLE_RECORD[0], (ds.thetas,)
+    else:
+        template, phases = _DUAL_RECORD[0], (ds.thetas, ds.zetas)
     phases = [_distinct_json_floats(c) for c in phases]
     rows = max(1, WRITE_CHUNK // (1 + len(phases)))
     with open(path, "w") as f:
@@ -215,9 +217,9 @@ def json_object(path, text: str, what: str) -> dict:
     return doc
 
 
-def read_quadrature_dataset(path):
-    """Read an ohtlab-quad-v1 file; returns QuadratureDataset or
-    DualQuadratureDataset according to the header."""
+def read_quadrature_dataset(path) -> QuadratureDataset:
+    """Read an ohtlab-quad-v1 file; a dual-LO header gives the record a ζ
+    column and its α and ζ schedule in meta.extra."""
     path = Path(path)
     with open(path) as f:
         header = json_object(path, f.readline(), "header line")
@@ -226,25 +228,19 @@ def read_quadrature_dataset(path):
                 f"{path}: format {header.get('format')!r} is not {FORMAT_VERSION!r}"
             )
         dual = header.get("mode") == "dual"
-        if dual:
-            qs, thetas, zetas = _read_records(f, path, _DUAL_RECORD)
-        else:
-            qs, thetas = _read_records(f, path, _SINGLE_RECORD)
+        qs, thetas, *zetas = _read_records(f, path, _DUAL_RECORD if dual else _SINGLE_RECORD)
     try:
         det = DetectorModel.from_dict({k: header[k] for k in DetectorModel().to_dict()
                                        if k in header or k not in _LATER_DETECTOR_KEYS})
         meta = DatasetMeta(detector=det, schedule=PhaseSchedule.from_dict(header["schedule"]),
                            seed=fit(int, header["seed"], "seed"), source=header.get("source"))
         if dual:
-            meta.extra = {"mode": "dual", "alpha": header["alpha"],
-                          "zeta_schedule": header.get("zeta_schedule")}
+            meta.extra = {"alpha": header["alpha"], "zeta_schedule": header.get("zeta_schedule")}
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad header: {type(exc).__name__}: {exc}") from exc
     try:
-        if dual:
-            return DualQuadratureDataset(thetas=thetas, zetas=zetas, qs=qs,
-                                         alpha=header["alpha"], meta=meta)
-        return QuadratureDataset(thetas=thetas, qs=qs, meta=meta)
+        return QuadratureDataset(thetas=thetas, qs=qs, meta=meta,
+                                 zetas=zetas[0] if dual else None)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 

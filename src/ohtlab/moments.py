@@ -60,6 +60,16 @@ def _mean_photon(q):
     return float(np.mean(q**2) - 0.5), float(np.sqrt(np.mean(q**4) / q.size))
 
 
+def resolved_mean_photon(q):
+    """_mean_photon of the quadratures q; NearVacuumError unless ⟨n⟩ is
+    resolved at 5 standard errors, as a g², which divides by it, needs."""
+    mean_n, err = _mean_photon(q)
+    if mean_n < 5.0 * err:
+        raise NearVacuumError(f"mean photon number {mean_n:.4g} ± {err:.4g} is consistent "
+                              "with vacuum; g² is undefined")
+    return mean_n, err
+
+
 def n_min(mean_n: float, mean_n2: float) -> float:
     """Measurements needed for unit signal-to-noise on the mean photon number:
     (3⟨n²⟩ + ⟨n⟩ + 1/2) / (2⟨n⟩²)."""
@@ -115,15 +125,9 @@ def g2_single(ds: QuadratureDataset):
 
 
 def _g2_single(q):
+    resolved_mean_photon(q)
     n = q.size
     a, b = q**2, q**4
-    mean_n_val = float(a.mean() - 0.5)
-    mean_n_err = float(np.sqrt(b.mean() / n))
-    if mean_n_val < 5.0 * mean_n_err:
-        raise NearVacuumError(
-            f"mean photon number {mean_n_val:.4g} ± {mean_n_err:.4g} is consistent "
-            "with vacuum; g² is undefined"
-        )
     value = float(_g2_from_means(a.mean(), b.mean()))
     sa, sb = a.sum(), b.sum()
     loo = _g2_from_means((sa - a) / (n - 1), (sb - b) / (n - 1))

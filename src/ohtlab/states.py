@@ -265,10 +265,6 @@ def _populate(spec: StateSpec, dim: int) -> tuple[np.ndarray, float]:
         return np.outer(c, c.conj()), leak
     if spec.kind == "thermal":
         nbar = spec.nbar
-        if nbar == 0:
-            rho = np.zeros((dim, dim), complex)
-            rho[0, 0] = 1.0
-            return rho, 0.0
         n = np.arange(dim)
         p = (nbar / (1 + nbar)) ** n / (1 + nbar)
         leak = (nbar / (1 + nbar)) ** dim

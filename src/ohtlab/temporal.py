@@ -47,7 +47,7 @@ class TemporalSignal:
         """(ω axis, φ̃(ω)) with φ̃(ω) = ∫ φ(t) e^{iωt} dt."""
         n = self.t_axis.size
         omega = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dt)
-        spec = np.fft.ifft(self.phi * np.exp(1j * omega[0] * 0)) * n * self.dt
+        spec = np.fft.ifft(self.phi) * n * self.dt
         # ifft(x)*n = Σ x_k e^{+2πi jk/n}; anchor the phase at t_axis[0]
         spec = spec * np.exp(1j * omega * self.t_axis[0])
         return np.fft.fftshift(omega), np.fft.fftshift(spec)
@@ -63,6 +63,27 @@ class TemporalSignal:
         frac = self.band_energy_fraction_outside()
         if frac > tol:
             raise ConfigError(f"signal not band-limited: {frac:.2e} of its energy is out of band")
+
+
+def bandlimited_chirp(nu: float, bandwidth: float, band_fill: float, span: float, points: int,
+                      chirp: float) -> TemporalSignal:
+    """A unit-norm chirped envelope on `points` times over [−span, span),
+    exactly band-limited: the sum of the grid's tones within band_fill·B/2
+    of ν, each with Gaussian amplitude and quadratic spectral phase."""
+    if min(bandwidth, span) <= 0 or points < 2:
+        raise ConfigError("signal bandwidth and span must be positive and points at least 2")
+    t = np.linspace(-span, span, points, endpoint=False)
+    dt = t[1] - t[0]
+    omega = 2 * np.pi * np.fft.fftfreq(points, d=dt)
+    inside = np.abs(omega - nu) <= band_fill * bandwidth / 2.0
+    if not inside.any():
+        raise ConfigError(f"signal.band_fill {band_fill} leaves no grid frequency in the band")
+    phi = np.zeros(points, complex)
+    for w in omega[inside]:
+        amp = np.exp(-(((w - nu) / (0.3 * bandwidth)) ** 2)) * np.exp(1j * chirp * (w - nu) ** 2)
+        phi += amp * np.exp(-1j * w * t)
+    phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * dt)
+    return TemporalSignal(t, phi, nu, bandwidth)
 
 
 @dataclass

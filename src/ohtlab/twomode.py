@@ -4,10 +4,13 @@ rotations, the three-angle two-time g² method, and Stokes-operator moments.
 The dual-LO measurement returns, per pulse, the combined quadrature
 Q = cos(α) q_1θ + sin(α) q_2β with β = θ − ζ, where θ and ζ follow phase
 schedules (a fixed phase is a one-phase grid) and Q goes through the
-single-mode detection chain, `detection.add_detection_noise`.  Correlated
-photon-number sources are synthesized by planting per-pulse number pairs
-(n₁, n₂) from a joint law and sampling each quadrature from the matching
-Fock distribution, which gives exact ground-truth ⟨n₁n₂⟩ for validation.
+single-mode detection chain, `detection.add_detection_noise`.  Its record
+is a `detection.QuadratureDataset` with a ζ column and α in
+meta.extra["alpha"], so the single-mode moments read it as it is.
+Correlated photon-number sources are synthesized by planting per-pulse
+number pairs (n₁, n₂) from a joint law and sampling each quadrature from
+the matching Fock distribution, which gives exact ground-truth ⟨n₁n₂⟩ for
+validation.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .detection import (DatasetMeta, DetectorModel, PhaseSchedule, QuadratureDat
                         add_detection_noise, check_sampling, draw_fock_quadratures,
                         draw_state_quadratures)
 from .errors import ConfigError, UnsupportedStateError
+from .moments import g2_single, mean_photon, resolved_mean_photon
 from .states import DensityMatrix
 
 
@@ -71,31 +75,6 @@ class TwoModeState:
                 raise ValueError("joint density matrix trace must be 1")
         else:
             raise ValueError(f"unknown two-mode kind {self.kind!r}")
-
-
-@dataclass
-class DualQuadratureDataset:
-    """Per-pulse combined quadratures with their (θ, ζ) phase tags."""
-
-    thetas: np.ndarray
-    zetas: np.ndarray
-    qs: np.ndarray
-    alpha: float
-    meta: DatasetMeta
-
-    def __post_init__(self):
-        self.thetas = np.asarray(self.thetas, float)
-        self.zetas = np.asarray(self.zetas, float)
-        self.qs = np.asarray(self.qs, float)
-        if not (self.thetas.shape == self.zetas.shape == self.qs.shape):
-            raise ValueError("thetas, zetas, qs must have equal length")
-
-    def __len__(self):
-        return self.qs.size
-
-    def as_single_mode(self) -> QuadratureDataset:
-        """View the record as a single-mode dataset (valid at α = 0 or π/2)."""
-        return QuadratureDataset(thetas=self.thetas, qs=self.qs, meta=self.meta)
 
 
 def thermal_pmf(nbar: float, cutoff: int) -> np.ndarray:
@@ -154,7 +133,7 @@ def independent_poisson_law(nbar1: float, nbar2: float):
 def combined_quadrature_samples(st: TwoModeState, alpha: float, det: DetectorModel,
                                 n_samples: int, seed: int, theta_schedule: PhaseSchedule,
                                 zeta_schedule: PhaseSchedule,
-                                keep_joint: bool = False) -> DualQuadratureDataset:
+                                keep_joint: bool = False) -> QuadratureDataset:
     """Dual-LO record Q = cos(α) q_1θ + sin(α) q_2β, β = θ − ζ, α ∈ [0, π/2].
 
     A fixed phase φ is the schedule PhaseSchedule("grid", d=1, span=(φ, φ + 0.1)).
@@ -189,10 +168,9 @@ def combined_quadrature_samples(st: TwoModeState, alpha: float, det: DetectorMod
         joint.update(q1=q1, q2=q2)
     qs = add_detection_noise(np.cos(alpha) * q1 + np.sin(alpha) * q2, det, seed)
     meta = DatasetMeta(detector=det, schedule=theta_schedule, seed=seed,
-                       extra={"mode": "dual", "alpha": alpha,
-                              "zeta_schedule": zeta_schedule.to_dict(),
+                       extra={"alpha": alpha, "zeta_schedule": zeta_schedule.to_dict(),
                               **({"joint_record": joint} if keep_joint else {})})
-    return DualQuadratureDataset(thetas=thetas, zetas=zetas, qs=qs, alpha=alpha, meta=meta)
+    return QuadratureDataset(thetas=thetas, qs=qs, meta=meta, zetas=zetas)
 
 
 def grips_transform(gamma: float, zeta: float) -> np.ndarray:
@@ -204,23 +182,26 @@ def grips_transform(gamma: float, zeta: float) -> np.ndarray:
     return np.array([[c, e * s], [-s, e * c]], dtype=complex)
 
 
-def two_time_g2(run0: DualQuadratureDataset, run45: DualQuadratureDataset,
-                run90: DualQuadratureDataset):
+def two_time_g2(run0: QuadratureDataset, run45: QuadratureDataset, run90: QuadratureDataset):
     """Two-time/two-mode second-order coherence from the three-α method.
 
     With θ and ζ independently phase-randomized, odd cross moments of the
     mode quadratures vanish, so the α = π/4 run isolates the cross moment:
     ⟨q₁²q₂²⟩ = (4⟨⟨Q⁴⟩⟩_{π/4} − ⟨⟨q₁⁴⟩⟩ − ⟨⟨q₂⁴⟩⟩)/6, and
     ⟨q₁²q₂²⟩ = ⟨n₁n₂⟩ + ⟨n₁⟩/2 + ⟨n₂⟩/2 + 1/4 converts to photon numbers.
-    Returns (g², jackknife std err).
+    Returns (g², jackknife std err); NearVacuumError when the α = 0 or
+    α = π/2 run does not resolve its mode's ⟨n⟩, which g² divides by.
     """
     for ds, want in ((run0, 0.0), (run45, np.pi / 4), (run90, np.pi / 2)):
-        if abs(ds.alpha - want) > 1e-9:
-            raise ValueError(f"expected runs at α = 0, π/4, π/2; got α = {ds.alpha}")
+        alpha = ds.meta.extra.get("alpha")
+        if alpha is None or abs(alpha - want) > 1e-9:
+            raise ValueError(f"expected dual-LO runs at α = 0, π/4, π/2; got α = {alpha}")
         if ds.meta.schedule.kind == "grid":
             raise ValueError("two-time g² needs phase-randomized records")
     if not (len(run0) == len(run45) == len(run90)):
         raise ValueError("mismatched sample counts between the three runs")
+    resolved_mean_photon(run0.qs)
+    resolved_mean_photon(run90.qs)
 
     a2, a4 = run0.qs**2, run0.qs**4
     b2, b4 = run90.qs**2, run90.qs**4
@@ -269,26 +250,15 @@ def polarization_g2(runs: dict):
     (single-mode formula on the α = 0 / π/2 runs), and the cross coherence
     g_12 from the three-α method.
     """
-    from .moments import g2_single, mean_photon
-
     missing = [b for b in POLARIZATION_BASES if b not in runs]
     if missing:
         raise ValueError(f"incomplete basis set; missing {missing}")
     table = {}
     for basis in POLARIZATION_BASES:
         ds0, ds45, ds90 = runs[basis]
-        g12, g12_se = two_time_g2(ds0, ds45, ds90)
-        m1 = ds0.as_single_mode()
-        m2 = ds90.as_single_mode()
-        g11, g11_se = g2_single(m1)
-        g22, g22_se = g2_single(m2)
-        n1, n1_se = mean_photon(m1)
-        n2, n2_se = mean_photon(m2)
-        table[basis] = {
-            "n_1": (n1, n1_se), "n_2": (n2, n2_se),
-            "g_11": (g11, g11_se), "g_22": (g22, g22_se),
-            "g_12": (g12, g12_se),
-        }
+        table[basis] = {"g_12": two_time_g2(ds0, ds45, ds90),
+                        "g_11": g2_single(ds0), "g_22": g2_single(ds90),
+                        "n_1": mean_photon(ds0), "n_2": mean_photon(ds90)}
     return table
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ohtlab import arrays, cli, detection, formats, states, twomode
+from ohtlab import arrays, cli, detection, formats, moments, states, twomode
 from ohtlab.errors import ConfigError, DataFormatError
 
 DET = detection.DetectorModel(eta_q=0.9, sigma_e=50.0)
@@ -25,7 +25,7 @@ DET = detection.DetectorModel(eta_q=0.9, sigma_e=50.0)
 def _reference_write_quadrature_dataset(path, ds):
     with open(path, "w") as f:
         f.write(formats.dumps_canonical(formats._dataset_header(ds)) + "\n")
-        if isinstance(ds, twomode.DualQuadratureDataset):
+        if ds.zetas is not None:
             for th, ze, q in zip(ds.thetas, ds.zetas, ds.qs):
                 f.write(formats.dumps_canonical({"theta": float(th), "zeta": float(ze),
                                                  "Q": float(q)}) + "\n")
@@ -154,11 +154,8 @@ HEADER = ('{"eta_ls":1.0,"eta_q":1.0,"format":"ohtlab-quad-v1","lo_mean_photons"
 
 def _dataset(qs, thetas, zetas=None):
     meta = detection.DatasetMeta(detector=DET, schedule=detection.PhaseSchedule("grid", d=1),
-                                 seed=0)
-    if zetas is None:
-        return detection.QuadratureDataset(thetas=thetas, qs=qs, meta=meta)
-    return twomode.DualQuadratureDataset(thetas=thetas, zetas=zetas, qs=qs, alpha=0.5,
-                                         meta=meta)
+                                 seed=0, extra={} if zetas is None else {"alpha": 0.5})
+    return detection.QuadratureDataset(thetas=thetas, qs=qs, meta=meta, zetas=zetas)
 
 
 @pytest.fixture(scope="module")
@@ -187,10 +184,27 @@ class TestQuadratureFiles:
         path = tmp_path / "dual.jsonl"
         formats.write_quadrature_dataset(path, ds)
         back = formats.read_quadrature_dataset(path)
-        assert isinstance(back, twomode.DualQuadratureDataset)
+        assert isinstance(back, detection.QuadratureDataset)
         assert np.array_equal(back.qs, ds.qs)
         assert np.array_equal(back.zetas, ds.zetas)
-        assert back.alpha == ds.alpha
+        assert back.meta.extra["alpha"] == ds.meta.extra["alpha"]
+
+    def test_dual_record_moments_are_its_single_mode_moments(self, tmp_path):
+        # moments read a dual record read back from file as they read the
+        # single-mode record of its θ and Q, bit for bit
+        st_ = twomode.TwoModeState("correlated_thermal", nbar=1.0, corr=0.5)
+        rand = detection.PhaseSchedule("uniform_random")
+        ds = twomode.combined_quadrature_samples(st_, 0.0, DET, 5_000, seed=907,
+                                                 theta_schedule=rand, zeta_schedule=rand)
+        path = tmp_path / "dual.jsonl"
+        formats.write_quadrature_dataset(path, ds)
+        single = detection.QuadratureDataset(
+            thetas=ds.thetas, qs=ds.qs,
+            meta=detection.DatasetMeta(detector=DET, schedule=rand, seed=907))
+        reports = [moments.moment_report(r).to_dict()
+                   for r in (formats.read_quadrature_dataset(path), single)]
+        assert reports[0]["g2"] is not None
+        assert formats.dumps_canonical(reports[0]) == formats.dumps_canonical(reports[1])
 
     def test_fixed_phase_dual_round_trip(self, tmp_path):
         # fixed LO phases are one-phase grids, and the header records them
@@ -217,12 +231,9 @@ class TestQuadratureFiles:
         path = tmp_path_factory.mktemp("meta") / "ds.jsonl"
         thetas, qs = np.array([0.0, 1.0]), np.array([0.5, -0.5])
         if dual:
-            meta.extra = {"mode": "dual", "alpha": alpha,
-                          "zeta_schedule": meta.schedule.to_dict()}
-            ds = twomode.DualQuadratureDataset(thetas=thetas, zetas=thetas, qs=qs,
-                                               alpha=alpha, meta=meta)
-        else:
-            ds = detection.QuadratureDataset(thetas=thetas, qs=qs, meta=meta)
+            meta.extra = {"alpha": alpha, "zeta_schedule": meta.schedule.to_dict()}
+        ds = detection.QuadratureDataset(thetas=thetas, qs=qs, meta=meta,
+                                         zetas=thetas if dual else None)
         formats.write_quadrature_dataset(path, ds)
         assert formats.read_quadrature_dataset(path).meta == meta
 
@@ -501,7 +512,8 @@ def write_config(tmp_path, name, doc):
 
 #: one config per command, small enough to run in a few tens of milliseconds,
 #: holding every field its command reads (but twomode's source/corr, which
-#: only a correlated_thermal source reads)
+#: only a correlated_thermal source reads); twomode's 2,000 samples resolve
+#: the 0.5-photon mode from vacuum at the 5 standard errors its g² needs
 DETECTOR = {"eta_q": 0.9, "eta_ls": 1.0, "lo_mean_photons": 1e6, "sigma_e": 10.0,
             "gain": 1e6, "balance_imbalance": 0.0}
 CONFIGS = {
@@ -510,7 +522,7 @@ CONFIGS = {
                  "detector": DETECTOR, "schedule": {"kind": "grid", "d": 4, "span": [0.0, 3.0]},
                  "n_samples": 200, "seed": 1, "outputs": {"dir": "unused"}},
     "twomode": {"source": {"kind": "independent_poisson", "nbar": 1.0, "nbar2": 0.5},
-                "detector": DETECTOR, "n_samples": 200, "seed": 1, "outputs": {"dir": "unused"}},
+                "detector": DETECTOR, "n_samples": 2_000, "seed": 1, "outputs": {"dir": "unused"}},
     "array": {"detector": DETECTOR, "n_pixels": 4, "pixel_area": 0.25,
               "schedule": {"kind": "uniform_random"}, "n_pulses": 60, "seed": 1,
               "modes": [{"shape": "ramp", "state": {"kind": "coherent", "alpha": 1.0}},
@@ -934,6 +946,11 @@ class TestCli:
         ["reconstruct", "--input", "d.jsonl", "--phase-bins", "32"],
         ["sample", "--config", "c.json", "--seed", "3"],
         ["validate", "--input", "d.jsonl", "--out", "o"],
+        # the config's seed is the only seed
+        ["simulate", "--config", "c.json", "--seed", "3"],
+        ["twomode", "--config", "c.json", "--seed", "3"],
+        ["array", "--config", "c.json", "--seed", "3"],
+        ["calibrate", "--config", "c.json", "--seed", "3"],
     ])
     def test_flags_a_command_does_not_read_are_refused(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -1064,9 +1081,11 @@ class TestCli:
         # record refuse them before anything is computed or written
         fields = {"qs": small_dataset.qs.copy(), "thetas": small_dataset.thetas.copy()}
         fields["zetas"] = fields["thetas"].copy() if dual else None
-        fields[field][100] = value
+        ds = _dataset(**fields)
+        # set after construction: the record refuses a θ outside [0, 2π)
+        getattr(ds, field)[100] = value
         path = tmp_path / "ds.jsonl"
-        formats.write_quadrature_dataset(path, _dataset(**fields))
+        formats.write_quadrature_dataset(path, ds)
         argv = [command, "--input", str(path)]
         if command != "validate":
             argv += ["--out", str(tmp_path / "o")]
@@ -1271,6 +1290,21 @@ class TestCli:
         rep = json.loads((tmp_path / "two" / "twomode_report.json").read_text())
         assert rep["g2"] == pytest.approx(3.0, abs=0.6)
         assert (tmp_path / "two" / "dual_alpha1.jsonl").exists()
+
+    @pytest.mark.parametrize("source", [
+        {"kind": "correlated_thermal", "nbar": 0.0},
+        {"kind": "independent_poisson", "nbar": 0.001, "nbar2": 2.0},
+    ])
+    def test_twomode_near_vacuum_exit_4(self, tmp_path, capsys, source):
+        # g² divides by each mode's ⟨n⟩, so a mode whose ⟨n⟩ is not resolved
+        # from vacuum at 5 standard errors gives no g², and nothing is written
+        cfg = write_config(tmp_path, "two.json", {"source": source, "n_samples": 20_000,
+                                                  "seed": 3})
+        assert run_cli("twomode", "--config", cfg, "--out", str(tmp_path / "o")) == 4
+        out, err = capsys.readouterr()
+        assert err.startswith("numerical failure: mean photon number")
+        assert "consistent with vacuum" in err
+        assert out == "" and not (tmp_path / "o").exists()
 
     def test_array_command(self, tmp_path):
         cfg = write_config(tmp_path, "arr.json", {

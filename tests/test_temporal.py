@@ -6,21 +6,10 @@ import pytest
 from ohtlab import temporal
 
 
-def bandlimited_signal(nu=12.0, B=2.0, fill=0.9, span=160.0, n=16384,
-                       chirp=8.0, seed=3):
-    """Synthesize an exactly band-limited chirped envelope by summing tones
-    inside [ν − fill·B/2, ν + fill·B/2]."""
-    t = np.linspace(-span, span, n, endpoint=False)
-    dt = t[1] - t[0]
-    omega = 2 * np.pi * np.fft.fftfreq(n, d=dt)
-    inside = np.abs(omega - nu) <= fill * B / 2.0
-    phi = np.zeros(n, complex)
-    for k in np.nonzero(inside)[0]:
-        w = omega[k]
-        amp = np.exp(-(((w - nu) / (0.3 * B)) ** 2)) * np.exp(1j * chirp * (w - nu) ** 2)
-        phi += amp * np.exp(-1j * w * t)
-    phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * dt)
-    return temporal.TemporalSignal(t, phi, nu, B)
+def bandlimited_signal(nu=12.0, B=2.0, fill=0.9, span=160.0, n=16384, chirp=8.0):
+    """The `sample` command's exactly band-limited chirped envelope: the
+    tones inside [ν − fill·B/2, ν + fill·B/2]."""
+    return temporal.bandlimited_chirp(nu, B, fill, span, n, chirp)
 
 
 @pytest.fixture(scope="module")
