@@ -160,8 +160,10 @@ def load_config(path, cls):
     """The config file at path, as its raw JSON document and as cls."""
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(formats.decode_error(path)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     try:
@@ -353,7 +355,7 @@ def cmd_validate(args) -> int:
     issues = []
     path = Path(args.input)
     try:
-        if not path.exists():
+        if not path.is_file():
             raise DataFormatError(f"{path}: no such file")
         if path.suffix == ".jsonl":
             with path.open() as f:

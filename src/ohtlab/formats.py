@@ -13,21 +13,20 @@ and bad header or record values with a DataFormatError; a header's
 detector, schedule, pixel grid and seed are read under the rules configs
 follow (`from_dict`, `fit`).
 
-Quadrature datasets are written in bulk: a block of records is formatted
-by one `repr` of the list of its values, which applies `float.__repr__`,
-the number format of `json.dumps`, so the lines are the bytes
-`dumps_canonical` writes for each record.  Array frames hold integer
-counts, and a frame set has few distinct ones: the text of each is
-formatted once into a table (`str`, the digits `repr` writes), and a
-frame's counts are one join of table entries.  A phase column
-holds at most max(d, PHASE_SNAP) distinct values, and a Wigner CSV's axes
-repeat, so each such value is formatted once.  `read_quadrature_dataset`
-reads the body in bounded chunks.  A chunk made only of canonical lines
-(sorted keys, no spaces, JSON numbers with a fraction or exponent, a final
-newline) is checked by one regular expression and its numbers are parsed
-at once; any other chunk (hand-written files, ints, NaN, a missing last
-newline, bad records) goes line by line through `json.loads`, which keeps
-the `path:line` error messages.
+Records are written in bulk: a block's values are formatted by one `repr`
+of their list (`float.__repr__`, the number format of `json.dumps`), and
+`_write_lines` joins them with the template's literal pieces in one list,
+so the lines are the bytes `dumps_canonical` writes for each record.  A
+frame set has few distinct counts, a phase column at most
+max(d, PHASE_SNAP) values, and a Wigner CSV's axes repeat, so each such
+value is formatted once.  `read_quadrature_dataset` reads the body in
+bounded chunks.  A chunk of canonical lines (sorted keys, no spaces, JSON
+numbers with a fraction or exponent, a final newline) is checked by one
+regular expression and parsed by one `str.translate` and one
+`np.fromstring`; any other chunk (hand-written files, ints, NaN, a missing
+last newline, bad records) goes line by line through `json.loads`, which
+keeps the `path:line` error messages.  A path that cannot be opened, or
+bytes that are not text, are a DataFormatError naming the line.
 """
 
 from __future__ import annotations
@@ -115,8 +114,16 @@ def _distinct_json_floats(column) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _write_lines(f, template: str, *fields: list[str]) -> None:
-    """Write one template line per row of the given field texts."""
-    f.write((template * len(fields[0])) % tuple(chain.from_iterable(zip(*fields))))
+    """Write one template line per row of the field texts: one join of the
+    template's literal pieces with the texts slice-assigned between them."""
+    head, *middles, tail = template.split("%s")
+    out = [tail + head, *chain.from_iterable((None, m) for m in middles), None] * len(fields[0])
+    for k, texts in enumerate(fields):
+        out[2 * k + 1::2 * len(fields)] = texts
+    if out:
+        out[0] = head
+        out.append(tail)
+        f.write("".join(out))
 
 
 def write_csv(path, header: str, *columns) -> None:
@@ -159,7 +166,7 @@ def write_quadrature_dataset(path, ds: QuadratureDataset) -> None:
         f.write(dumps_canonical(_dataset_header(ds)) + "\n")
         for start in range(0, len(ds), rows):
             _write_lines(f, template, _json_floats(ds.qs[start:start + rows]),
-                         *(texts[index[start:start + rows]] for texts, index in phases))
+                         *(texts[index[start:start + rows]].tolist() for texts, index in phases))
 
 
 def _parse_lines(text: str, path, first_line: int, keys) -> list[np.ndarray]:
@@ -180,26 +187,27 @@ def _parse_lines(text: str, path, first_line: int, keys) -> list[np.ndarray]:
 
 
 def _read_records(f, path, record) -> list[np.ndarray]:
-    """Fields of the body records, read in chunks of whole lines: a chunk of
-    canonical lines is parsed at once, any other chunk line by line."""
+    """Fields of the body records, read in chunks of whole lines.  A canonical
+    chunk is parsed at once: its template characters become spaces, but ":"
+    and one "e" per gap ("theta", "zeta", q or Q), so each gap reads " e :"."""
     template, keys = record
     canonical = re.compile("(?:%s)*" % re.escape(template).replace("%s", _FLOAT))
-    prefix, *middles, suffix = template.split("%s")
+    gaps = str.maketrans({c: c if c in ":e" else "e" if c in "qQ" else " "
+                          for c in template.replace("%s", "")})
     parts = [[np.empty(0)] for _ in keys]
     first_line = 2
     while chunk := f.read(READ_CHUNK):
         if not chunk.endswith("\n"):
             chunk += f.readline()
         if canonical.fullmatch(chunk):
-            numbers = chunk[len(prefix):-len(suffix)].replace(suffix + prefix, " ")
-            for sep in middles:
-                numbers = numbers.replace(sep, " ")
             # correctly rounded like float() and json.loads; the match above
             # leaves nothing else in the text
-            values = np.fromstring(numbers, sep=" ").reshape(-1, len(keys)).T
+            values = np.fromstring(chunk.translate(gaps)[template.index("%s"):], sep=" e :")
+            values = values.reshape(-1, len(keys)).T
+            first_line += values.shape[1]
         else:
             values = _parse_lines(chunk, path, first_line, keys)
-        first_line += chunk.count("\n")
+            first_line += chunk.count("\n")
         for part, column in zip(parts, values):
             part.append(column)
     return [np.concatenate(part) for part in parts]
@@ -217,18 +225,31 @@ def json_object(path, text: str, what: str) -> dict:
     return doc
 
 
+def decode_error(path) -> str:
+    """Where the first byte of the file at path that does not decode is."""
+    try:
+        Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        return f"{path}: line {line}: byte {exc.object[exc.start]:#04x} is not {exc.encoding} text"
+
+
 def read_quadrature_dataset(path) -> QuadratureDataset:
     """Read an ohtlab-quad-v1 file; a dual-LO header gives the record a ζ
     column and its α and ζ schedule in meta.extra."""
     path = Path(path)
-    with open(path) as f:
-        header = json_object(path, f.readline(), "header line")
-        if header.get("format") != FORMAT_VERSION:
-            raise DataFormatError(
-                f"{path}: format {header.get('format')!r} is not {FORMAT_VERSION!r}"
-            )
-        dual = header.get("mode") == "dual"
-        qs, thetas, *zetas = _read_records(f, path, _DUAL_RECORD if dual else _SINGLE_RECORD)
+    try:
+        with open(path) as f:
+            header = json_object(path, f.readline(), "header line")
+            if header.get("format") != FORMAT_VERSION:
+                raise DataFormatError(f"{path}: format {header.get('format')!r} "
+                                      f"is not {FORMAT_VERSION!r}")
+            dual = header.get("mode") == "dual"
+            qs, thetas, *zetas = _read_records(f, path, _DUAL_RECORD if dual else _SINGLE_RECORD)
+    except OSError as exc:
+        raise DataFormatError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(decode_error(path)) from exc
     try:
         det = DetectorModel.from_dict({k: header[k] for k in DetectorModel().to_dict()
                                        if k in header or k not in _LATER_DETECTOR_KEYS})
@@ -246,13 +267,9 @@ def read_quadrature_dataset(path) -> QuadratureDataset:
 
 
 def write_density_matrix(path, rho: DensityMatrix, errors: np.ndarray | None = None) -> None:
-    doc = {
-        "dim": rho.dim,
-        "re": [[float(x) for x in row] for row in rho.elements.real],
-        "im": [[float(x) for x in row] for row in rho.elements.imag],
-    }
+    doc = {"dim": rho.dim, "re": rho.elements.real.tolist(), "im": rho.elements.imag.tolist()}
     if errors is not None:
-        doc["errors"] = [[float(x) for x in row] for row in np.asarray(errors)]
+        doc["errors"] = np.asarray(errors, float).tolist()
     write_json(path, doc)
 
 
@@ -276,16 +293,13 @@ def read_density_matrix(path):
 
 def write_wigner_csv(path, w: WignerGrid) -> None:
     """The header q,p,w, then one (q, p, W) row per grid point, q outer, as
-    write_csv writes the repeated and tiled axes; each axis value is
-    formatted once."""
-    q_texts, p_texts = _field_texts(w.q_axis), _field_texts(w.p_axis)
-    rows = max(1, WRITE_CHUNK // max(1, len(p_texts)))
+    write_csv writes them: each axis value is formatted once, and each q's
+    rows are one write with its text in the template."""
+    p_texts = _field_texts(w.p_axis)
     with open(path, "w") as f:
         f.write("q,p,w\n")
-        for start in range(0, len(q_texts), rows):
-            block = q_texts[start:start + rows]
-            _write_lines(f, "%s,%s,%s\n", [t for t in block for _ in p_texts],
-                         p_texts * len(block), _field_texts(w.values[start:start + rows].ravel()))
+        for q_text, row in zip(_field_texts(w.q_axis), w.values):
+            _write_lines(f, q_text + ",%s,%s\n", p_texts, _field_texts(row))
 
 
 def write_pn_csv(path, p: np.ndarray, stderr: np.ndarray) -> None:

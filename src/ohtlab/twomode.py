@@ -200,11 +200,10 @@ def two_time_g2(run0: QuadratureDataset, run45: QuadratureDataset, run90: Quadra
             raise ValueError("two-time g² needs phase-randomized records")
     if not (len(run0) == len(run45) == len(run90)):
         raise ValueError("mismatched sample counts between the three runs")
-    resolved_mean_photon(run0.qs)
-    resolved_mean_photon(run90.qs)
-
     a2, a4 = run0.qs**2, run0.qs**4
     b2, b4 = run90.qs**2, run90.qs**4
+    resolved_mean_photon(a2, a4)
+    resolved_mean_photon(b2, b4)
     c4 = run45.qs ** 4
 
     def estimate(m2_1, m4_1, m2_2, m4_2, m4_c):

@@ -146,6 +146,17 @@ SOURCES = st.none() | st.builds(
     st.sampled_from(states.StateSpec.KINDS), st.floats(-2.0, 2.0), st.integers(0, 20))
 DATASET_METAS = st.builds(detection.DatasetMeta, detector=DETECTORS, schedule=_schedules(),
                           seed=st.integers(0, 2**64), source=SOURCES)
+#: JSON numbers the reader's fast path accepts, in spellings repr never
+#: writes: E and unsigned exponents, overflow and underflow, more than 17
+#: mantissa digits, halfway cases, -0.0 and subnormals, and any other text of
+#: its number pattern
+SPELLINGS = st.one_of(st.sampled_from([
+    "1.5e5", "2E+3", "2E3", "-1.5E-5", "1e400", "-1e400", "1e-400", "-0.0", "-0e0", "0.0e-0",
+    "4.9406564584124654e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+    "2.2250738585072011e-308", "1.7976931348623159e308",
+    "0.1000000000000000055511151231257827021181583404541015625",
+    "12345678901234567890.12345678901234567890", "9007199254740993.00000000000000000001",
+]), st.from_regex(formats._FLOAT, fullmatch=True))
 #: chunk sizes: the defaults, and small ones that put many chunk edges in a file
 CHUNKS = [(formats.WRITE_CHUNK, formats.READ_CHUNK), (8, 40)]
 HEADER = ('{"eta_ls":1.0,"eta_q":1.0,"format":"ohtlab-quad-v1","lo_mean_photons":1000000.0,'
@@ -338,6 +349,22 @@ class TestQuadratureFiles:
         with mock.patch.object(formats, "_parse_lines", side_effect=AssertionError):
             back = formats.read_quadrature_dataset(path)
         assert _same_bits(back.qs, small_dataset.qs)
+
+    @given(st.lists(st.tuples(SPELLINGS, SPELLINGS, SPELLINGS), min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_fast_path_reads_spellings_repr_never_writes(self, tmp_path_factory, rows):
+        # canonical lines a hand or another writer may produce: the fast path
+        # parses them, and each value is the one json.loads gives, bit for bit
+        path = tmp_path_factory.mktemp("spellings") / "ds.jsonl"
+        for template, keys in (formats._SINGLE_RECORD, formats._DUAL_RECORD):
+            path.write_text(HEADER + "".join(template % row[:len(keys)] for row in rows))
+            expected = _reference_read_fields(path, keys)
+            for read_chunk in (formats.READ_CHUNK, 40):
+                with open(path) as f, mock.patch.object(formats, "READ_CHUNK", read_chunk), \
+                        mock.patch.object(formats, "_parse_lines", side_effect=AssertionError):
+                    f.readline()
+                    got = formats._read_records(f, path, (template, keys))
+                assert all(_same_bits(g, e) for g, e in zip(got, expected))
 
     @pytest.mark.parametrize("read_chunk", [formats.READ_CHUNK, 40])
     def test_hand_written_lines_load_through_fallback(self, tmp_path, read_chunk):
@@ -723,6 +750,24 @@ class TestConfigReader:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", sorted(CONFIGS))
+    @pytest.mark.parametrize("bad, message", [("byte", "line 2: byte 0xff is not utf-8 text"),
+                                              ("directory", "Is a directory")])
+    def test_unreadable_config_exit_2(self, tmp_path, command, bad, message):
+        # a config that is no file, or whose bytes are no text, is a config
+        # error, not a traceback
+        cfg = tmp_path / "cfg.json"
+        if bad == "byte":
+            cfg.write_bytes(json.dumps(CONFIGS[command], indent=1).encode().replace(
+                b"\n", b"\n\xff", 1))
+        else:
+            cfg.mkdir()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert (code, err.getvalue()) == (2, f"config error: {cfg}: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
     def test_non_object_document_exit_2(self, tmp_path, command):
         code, err, out = _run_text(tmp_path, command, json.dumps([CONFIGS[command]]))
         assert code == 2 and "at <root>: expected an object, got [{" in err
@@ -1050,6 +1095,8 @@ class TestCli:
         ({"schedule": {"kind": "grid", "d": 1, "span": [-1.0, 1.0]}},
          '{"q":0.5,"theta":0.25}', "bad header"),
         ({"schedule": {"kind": "uniform_random", "d": 7}}, '{"q":0.5,"theta":0.25}', "bad header"),
+        # written as the one byte 0xe9, which starts no UTF-8 character
+        ({}, '{"q":0.5,"th\xe9ta":0.25}', "ds.jsonl: line 2: byte 0xe9 is not utf-8 text"),
     ])
     def test_bad_file_value_exit_3(self, tmp_path, capsys, header, record, message):
         # a value a file carries is a data error, even where a config with
@@ -1057,7 +1104,7 @@ class TestCli:
         doc = {**json.loads(HEADER), **header}
         path = tmp_path / "ds.jsonl"
         path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None})
-                        + "\n" + record + "\n")
+                        + "\n" + record + "\n", encoding="latin-1")
         assert run_cli("moments", "--input", str(path), "--out", str(tmp_path / "o")) == 3
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -1136,6 +1183,33 @@ class TestCli:
         assert run_cli("moments", "--input", str(path), "--out", str(tmp_path / "o")) == 3
         assert "header line is not a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "moments", "validate"])
+    @pytest.mark.parametrize("bad, message", [
+        ("byte", "ds.jsonl: line 5: byte 0xe9 is not utf-8 text"),
+        ("directory", "ds.jsonl: Is a directory"),
+    ])
+    def test_unreadable_record_exit_3(self, small_dataset, tmp_path, capsys, command, bad,
+                                      message):
+        # a record that is no file, or whose bytes are no text, is a data
+        # error, not a traceback
+        path = tmp_path / "ds.jsonl"
+        if bad == "byte":
+            formats.write_quadrature_dataset(path, small_dataset)
+            lines = path.read_bytes().split(b"\n")
+            lines[4] = lines[4].replace(b"theta", b"th\xe9ta")
+            path.write_bytes(b"\n".join(lines))
+        else:
+            path.mkdir()
+        argv = [command, "--input", str(path)]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "o")]
+        assert run_cli(*argv) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("data error: ") and "Traceback" not in err
+        if command != "validate":
+            assert err.startswith(f"data error: {tmp_path / message}")
+            assert out == "" and not (tmp_path / "o").exists()
 
     def test_missing_input_exit_3(self):
         assert run_cli("validate", "--input", "/nonexistent/file.jsonl") == 3
