@@ -321,25 +321,3 @@ def unbalanced_spectral_sim(signal_modes, lo_amplitudes, window: int,
     G = np.exp(-2j * np.pi * np.outer(j_axis, l_values) / L)
     K = counts @ G
     return SpectralKRecords(l_values=l_values, K=K, lo_photons=lo_photons)
-
-
-@dataclass
-class JointQHistogram:
-    q_edges: np.ndarray
-    single: np.ndarray
-    pair: np.ndarray
-    low_count_warning: bool
-
-
-def joint_q_histogram(recs: SpectralKRecords, modes: tuple, bins: int = 40,
-                      span: float = 5.0) -> JointQHistogram:
-    """Single-mode Q(q_l, p_l) and pairwise Q'(q_l, q_l') histograms,
-    normalized to unit mass."""
-    l, l2 = modes
-    q1, p1 = recs.quadrature_pairs(l)
-    q2, _ = recs.quadrature_pairs(l2)
-    edges = np.linspace(-span, span, bins + 1)
-    single, _, _ = np.histogram2d(q1, p1, bins=[edges, edges], density=True)
-    pair, _, _ = np.histogram2d(q1, q2, bins=[edges, edges], density=True)
-    warn = q1.size / bins**2 < 10
-    return JointQHistogram(q_edges=edges, single=single, pair=pair, low_count_warning=warn)

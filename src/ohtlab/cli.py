@@ -83,9 +83,8 @@ class TwoModeSource(FromDict):
 
     def state(self) -> twomode.TwoModeState:
         if self.kind == "correlated_thermal":
-            return twomode.TwoModeState("correlated_thermal", nbar=self.nbar,
-                                        corr=self.corr or 0.0)
-        if self.kind == "hbt_split":
+            law = twomode.correlated_thermal_law(self.nbar, self.corr or 0.0)
+        elif self.kind == "hbt_split":
             law = twomode.hbt_split_law(self.nbar)
         elif self.kind == "anticorrelated_thermal":
             law = twomode.anticorrelated_thermal_law(self.nbar)
@@ -387,6 +386,8 @@ def cmd_validate(args) -> int:
                 raise DataFormatError(f"{path}: unrecognized JSON document")
         else:
             raise DataFormatError(f"{path}: unknown artifact type")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(formats.decode_error(path)) from exc
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     report = {"input": str(path), "issues": issues, "ok": not issues}

@@ -418,17 +418,6 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def mode_overlap(lo_mode, sig_mode, dx: float = 1.0) -> float:
-    """Mode-overlap efficiency |Σ v_L* · w_S · Δ| for normalized mode samples."""
-    v = np.asarray(lo_mode, complex)
-    w = np.asarray(sig_mode, complex)
-    for name, m in (("lo_mode", v), ("sig_mode", w)):
-        norm = np.sum(np.abs(m) ** 2) * dx
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"{name} not normalized: Σ|·|²Δ = {norm:.8f}")
-    return float(np.abs(np.sum(np.conj(v) * w) * dx))
-
-
 @dataclass
 class CalibrationResult:
     gain_estimate: float

@@ -1,5 +1,4 @@
-"""Statistical functionals straight from quadrature records, plus
-phase-space functionals of reconstructed states.
+"""Statistical functionals straight from quadrature records.
 
 Photon moments come from phase-averaged powers of the quadrature: the mean
 photon number is ⟨⟨q²⟩⟩ − 1/2, factorial moments follow Richter's
@@ -12,13 +11,12 @@ carry no loss correction.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .detection import QuadratureDataset, require_full_coverage
 from .errors import NearVacuumError
-from .states import DensityMatrix, check_pdf_floor
 
 
 @dataclass
@@ -86,13 +84,8 @@ def _hermite(n: int, x) -> np.ndarray:
     return (x * b1 - b2) * 2.0 ** (n / 2.0)
 
 
-def factorial_moment(ds: QuadratureDataset, r: int):
-    """Richter's formula: ⟨n^(r)⟩ = (r!)²/(2^r (2r)!) ⟨⟨H_2r(q)⟩⟩."""
-    require_full_coverage(ds, 2 * r)
-    return _factorial_moment(ds.qs, r)
-
-
 def _factorial_moment(q, r: int):
+    """Richter's formula: ⟨n^(r)⟩ = (r!)²/(2^r (2r)!) ⟨⟨H_2r(q)⟩⟩."""
     if not 1 <= r <= 4:
         raise ValueError("r must be in 1..4")
     summand = math.factorial(r) ** 2 / (2.0**r * math.factorial(2 * r)) * _hermite(2 * r, q)
@@ -140,92 +133,3 @@ def moment_report(ds: QuadratureDataset, factorial_orders=(1, 2)) -> MomentRepor
     return MomentReport(mean_n=mn, mean_n_stderr=mn_se, g2=g2, g2_stderr=g2_se,
                         factorial_moments=fm, n_samples=len(ds),
                         eta_eff=ds.meta.detector.eta_eff)
-
-
-@dataclass
-class PhaseDistribution:
-    """Truncated London / Pegg-Barnett phase distribution on [−π, π)."""
-
-    phi_axis: np.ndarray
-    values: np.ndarray
-    s: int
-
-    def integral(self) -> float:
-        dphi = self.phi_axis[1] - self.phi_axis[0]
-        return float(np.sum(self.values) * dphi)
-
-    def to_dict(self) -> dict:
-        return {"s": self.s,
-                "phi": [float(x) for x in self.phi_axis],
-                "pr": [float(x) for x in self.values]}
-
-
-def phase_distribution(rho: DensityMatrix, s: int | None = None,
-                       n_points: int = 721) -> PhaseDistribution:
-    """Pr(φ) = (1/2π) Σ_{n,m≤s} e^{i(m−n)φ} ρ_nm.
-
-    Normalized by the truncated trace so the distribution integrates to one
-    even when s clips a little population.
-    """
-    s = rho.dim - 1 if s is None else s
-    if s > rho.dim - 1:
-        raise ValueError("s exceeds the stored truncation")
-    phi = -np.pi + 2 * np.pi * np.arange(n_points) / n_points
-    block = rho.elements[: s + 1, : s + 1]
-    tr = float(np.real(np.trace(block)))
-    e = np.exp(1j * np.outer(np.arange(s + 1), phi))
-    vals = np.real(np.einsum("np,nm,mp->p", e.conj(), block, e, optimize=True)) / (2 * np.pi * tr)
-    check_pdf_floor(vals, "phase distribution")
-    return PhaseDistribution(phi_axis=phi, values=np.clip(vals, 0.0, None), s=s)
-
-
-@dataclass
-class NumberPhaseStats:
-    delta_n: float
-    delta_phi: float
-    product: float
-    commutator_half: float
-    s: int
-    notes: dict = field(default_factory=dict)
-
-
-def pegg_barnett_phase_operator(s: int, phi0: float = -np.pi) -> np.ndarray:
-    """Truncated phase operator Σ_k φ_k |φ_k><φ_k| with φ_k = φ0 + 2πk/(s+1)."""
-    k = np.arange(s + 1)
-    phi_k = phi0 + 2 * np.pi * k / (s + 1)
-    # <n|φ̂|m> = (1/(s+1)) Σ_k φ_k e^{i(n−m)φ_k}
-    n = np.arange(s + 1)
-    e = np.exp(1j * np.outer(n, phi_k))
-    return (e * phi_k[None, :]) @ e.conj().T / (s + 1)
-
-
-def number_phase_stats(rho: DensityMatrix, s: int | None = None,
-                       phi0: float = -np.pi) -> NumberPhaseStats:
-    """Number-phase uncertainties and the commutator expectation, evaluated
-    with the truncated phase operator in the (s+1)-dimensional space.
-
-    The reference phase φ0 defaults to −π (a convention, exposed here).
-    The Robertson bound Δn·Δφ ≥ |⟨[n̂, φ̂]⟩|/2 is asserted.
-    """
-    s = rho.dim - 1 if s is None else s
-    if s > rho.dim - 1:
-        raise ValueError("s exceeds the stored truncation")
-    block = rho.elements[: s + 1, : s + 1]
-    tr = float(np.real(np.trace(block)))
-    block = block / tr
-    phi_op = pegg_barnett_phase_operator(s, phi0)
-    n_op = np.diag(np.arange(s + 1).astype(complex))
-    exp = lambda op: complex(np.trace(block @ op))
-    mean_n = exp(n_op).real
-    var_n = exp(n_op @ n_op).real - mean_n**2
-    mean_phi = exp(phi_op).real
-    var_phi = exp(phi_op @ phi_op).real - mean_phi**2
-    comm = exp(n_op @ phi_op - phi_op @ n_op)
-    dn = float(np.sqrt(max(var_n, 0.0)))
-    dphi = float(np.sqrt(max(var_phi, 0.0)))
-    product = dn * dphi
-    chalf = float(abs(comm) / 2.0)
-    assert product >= chalf - 1e-9, "Robertson inequality violated"
-    notes = {"truncated_trace": tr, "phi0": phi0}
-    return NumberPhaseStats(delta_n=dn, delta_phi=dphi, product=product,
-                            commutator_half=chalf, s=s, notes=notes)

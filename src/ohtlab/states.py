@@ -30,10 +30,10 @@ DEFAULT_GRID_POINTS = 201
 DEFAULT_GRID_SPAN = 6.0
 
 
-def check_pdf_floor(values: np.ndarray, what: str = "quadrature pdf") -> None:
+def check_pdf_floor(values: np.ndarray) -> None:
     """Raise FloatingPointError if a probability lies below PDF_FLOOR."""
     if values.min() < PDF_FLOOR:
-        raise FloatingPointError(f"{what} negative beyond floor: {values.min():.2e}")
+        raise FloatingPointError(f"quadrature pdf negative beyond floor: {values.min():.2e}")
 
 
 def default_grid_axis(points: int = DEFAULT_GRID_POINTS, span: float = DEFAULT_GRID_SPAN):

@@ -1,4 +1,4 @@
-"""Time-domain LO gating: linear optical sampling and time-frequency maps.
+"""Time-domain LO gating: linear optical sampling and band-limited recovery.
 
 Classical-amplitude demonstrations of what a gated balanced detector
 measures: the windowed inner product ∫ f_L*(t − τ) φ_S(t) dt.  A gate whose
@@ -190,25 +190,3 @@ def bandlimited_exact_recovery(sig: TemporalSignal, B: float, nu: float,
     g = gate.sampled(t)
     spec_at_nu = np.sum(g * np.exp(1j * nu * t)) * sig.dt
     return raw / np.conj(spec_at_nu)
-
-
-def time_frequency_map(signals, gate: GateFunction, omega_grid, t_grid) -> np.ndarray:
-    """Ensemble-mean gated spectrogram
-    N̄(ω_L, t_L) = ⟨|∫ e^{iω_L t} h_L(t − t_L) φ(t) dt|²⟩, shape (ω, t)."""
-    signals = list(signals)
-    omega_grid = np.asarray(omega_grid, float)
-    t_grid = np.asarray(t_grid, float)
-    first = signals[0]
-    t = first.t_axis
-    dt = first.dt
-    acc = np.zeros((omega_grid.size, t_grid.size))
-    probe = np.exp(1j * np.outer(omega_grid, t))
-    for sig in signals:
-        if sig.t_axis.shape != t.shape or abs(sig.t_axis[0] - t[0]) > 1e-12:
-            raise ValueError("ensemble members must share one time grid")
-        for j, tl in enumerate(t_grid):
-            h = gate.envelope(t - tl)
-            windowed = h * sig.phi
-            amps = probe @ windowed * dt
-            acc[:, j] += np.abs(amps) ** 2
-    return acc / len(signals)

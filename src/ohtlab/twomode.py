@@ -1,5 +1,5 @@
-"""Two-mode tomography primitives: dual-LO combined quadratures, GRIPS mode
-rotations, the three-angle two-time g² method, and Stokes-operator moments.
+"""Two-mode tomography primitives: dual-LO combined quadratures and the
+three-angle two-time g² method.
 
 The dual-LO measurement returns, per pulse, the combined quadrature
 Q = cos(α) q_1θ + sin(α) q_2β with β = θ − ζ, where θ and ζ follow phase
@@ -23,8 +23,8 @@ from ._rng import stream
 from .detection import (DatasetMeta, DetectorModel, PhaseSchedule, QuadratureDataset,
                         add_detection_noise, check_sampling, draw_fock_quadratures,
                         draw_state_quadratures)
-from .errors import ConfigError, UnsupportedStateError
-from .moments import g2_single, mean_photon, resolved_mean_photon
+from .errors import ConfigError
+from .moments import resolved_mean_photon
 from .states import DensityMatrix
 
 
@@ -33,46 +33,22 @@ class TwoModeState:
     """Two-mode source description.
 
     kinds:
-      product:            independent modes with given single-mode density matrices
-      correlated_thermal: equal thermal marginals; with probability `corr`
-                           the two photon numbers coincide shot-to-shot
-      planted:            arbitrary joint number law (callable(rng, n) -> (n1, n2))
-      joint:              full joint Fock density matrix (moments only;
-                           sampling is not implemented for entangled states)
+      product: independent modes with given single-mode density matrices
+      planted: joint number law (callable(rng, n) -> (n1, n2))
     """
 
     kind: str
     rho1: DensityMatrix | None = None
     rho2: DensityMatrix | None = None
-    nbar: float | None = None
-    corr: float | None = None
     law: object = None
-    rho_joint: np.ndarray | None = None
-    dims: tuple | None = None
 
     def __post_init__(self):
-        if self.kind == "correlated_thermal":
-            if self.nbar is None or self.nbar < 0:
-                raise ConfigError("correlated_thermal needs nbar >= 0")
-            if self.corr is None or not 0.0 <= self.corr <= 1.0:
-                raise ConfigError("number correlation coefficient must be in [0, 1]")
-        elif self.kind == "product":
+        if self.kind == "product":
             if self.rho1 is None or self.rho2 is None:
                 raise ValueError("product state needs rho1 and rho2")
         elif self.kind == "planted":
             if not callable(self.law):
                 raise ValueError("planted state needs a callable joint number law")
-        elif self.kind == "joint":
-            if self.rho_joint is None or self.dims is None:
-                raise ValueError("joint state needs rho_joint and dims")
-            d = self.dims[0] * self.dims[1]
-            if self.rho_joint.shape != (d, d):
-                raise ValueError("rho_joint must be (D1·D2) x (D1·D2)")
-            herm = np.max(np.abs(self.rho_joint - self.rho_joint.conj().T))
-            if herm > 1e-9:
-                raise ValueError("joint density matrix not Hermitian")
-            if abs(np.real(np.trace(self.rho_joint)) - 1) > 1e-9:
-                raise ValueError("joint density matrix trace must be 1")
         else:
             raise ValueError(f"unknown two-mode kind {self.kind!r}")
 
@@ -86,6 +62,11 @@ def thermal_pmf(nbar: float, cutoff: int) -> np.ndarray:
 def correlated_thermal_law(nbar: float, corr: float):
     """Joint number law: equal thermal marginals, Pearson correlation `corr`
     realized as a mixture of perfectly-correlated and independent draws."""
+    if nbar < 0:
+        raise ConfigError("correlated_thermal needs nbar >= 0")
+    if not 0.0 <= corr <= 1.0:
+        raise ConfigError("number correlation coefficient must be in [0, 1]")
+
     def law(rng: np.random.Generator, n: int):
         cutoff = max(30, int(20 * (1 + nbar)))
         p = thermal_pmf(nbar, cutoff)
@@ -132,54 +113,32 @@ def independent_poisson_law(nbar1: float, nbar2: float):
 
 def combined_quadrature_samples(st: TwoModeState, alpha: float, det: DetectorModel,
                                 n_samples: int, seed: int, theta_schedule: PhaseSchedule,
-                                zeta_schedule: PhaseSchedule,
-                                keep_joint: bool = False) -> QuadratureDataset:
+                                zeta_schedule: PhaseSchedule) -> QuadratureDataset:
     """Dual-LO record Q = cos(α) q_1θ + sin(α) q_2β, β = θ − ζ, α ∈ [0, π/2].
 
     A fixed phase φ is the schedule PhaseSchedule("grid", d=1, span=(φ, φ + 0.1)).
+    A planted state draws (n₁, n₂) from stream "numbers" and each mode's
+    quadrature from streams "quadrature-1" and "quadrature-2".
     """
     if not 0.0 <= alpha <= np.pi / 2:
         raise ValueError("alpha must lie in [0, π/2]")
-    if st.kind == "joint":
-        raise UnsupportedStateError(
-            "sampling from a general entangled joint Fock state is not implemented; "
-            "use product / correlated_thermal / planted representations"
-        )
     check_sampling(det, n_samples)
     thetas = theta_schedule.phases(n_samples, stream(seed, "theta"))
     zetas = zeta_schedule.phases(n_samples, stream(seed, "zeta"))
     betas = np.mod(thetas - zetas, 2.0 * np.pi)
     rng1 = stream(seed, "quadrature-1")
     rng2 = stream(seed, "quadrature-2")
-    joint = {}
     if st.kind == "product":
         q1 = draw_state_quadratures(st.rho1, thetas, rng1)
         q2 = draw_state_quadratures(st.rho2, betas, rng2)
     else:
-        law = st.law if st.kind == "planted" else correlated_thermal_law(st.nbar, st.corr)
-        n1, n2 = law(stream(seed, "numbers"), n_samples)
-        n1 = np.asarray(n1, int)
-        n2 = np.asarray(n2, int)
-        q1 = draw_fock_quadratures(n1, rng1)
-        q2 = draw_fock_quadratures(n2, rng2)
-        if keep_joint:
-            joint.update(n1=n1, n2=n2)
-    if keep_joint:
-        joint.update(q1=q1, q2=q2)
+        n1, n2 = st.law(stream(seed, "numbers"), n_samples)
+        q1 = draw_fock_quadratures(np.asarray(n1, int), rng1)
+        q2 = draw_fock_quadratures(np.asarray(n2, int), rng2)
     qs = add_detection_noise(np.cos(alpha) * q1 + np.sin(alpha) * q2, det, seed)
     meta = DatasetMeta(detector=det, schedule=theta_schedule, seed=seed,
-                       extra={"alpha": alpha, "zeta_schedule": zeta_schedule.to_dict(),
-                              **({"joint_record": joint} if keep_joint else {})})
+                       extra={"alpha": alpha, "zeta_schedule": zeta_schedule.to_dict()})
     return QuadratureDataset(thetas=thetas, qs=qs, meta=meta, zetas=zetas)
-
-
-def grips_transform(gamma: float, zeta: float) -> np.ndarray:
-    """SU(2) mode map (â₁, â₂) → (â₃, â₄):
-    â₃ = cos(γ/2) â₁ + e^{iζ} sin(γ/2) â₂,
-    â₄ = −sin(γ/2) â₁ + e^{iζ} cos(γ/2) â₂."""
-    c, s = np.cos(gamma / 2.0), np.sin(gamma / 2.0)
-    e = np.exp(1j * zeta)
-    return np.array([[c, e * s], [-s, e * c]], dtype=complex)
 
 
 def two_time_g2(run0: QuadratureDataset, run45: QuadratureDataset, run90: QuadratureDataset):
@@ -229,91 +188,3 @@ def two_time_g2(run0: QuadratureDataset, run45: QuadratureDataset, run90: Quadra
     )
     var = sum((n - 1) / n * np.sum((loo - loo.mean()) ** 2) for loo in loo_sets)
     return value, float(np.sqrt(var))
-
-
-#: Jones matrices (H/V basis) of the fixed waveplates used for basis changes:
-#: a quarter-wave plate at 45° sends R → V, L → H (up to phase); a half-wave
-#: plate at 67.5° sends +45° → V, −45° → H.
-QWP_RL_TO_VH = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
-HWP_DIAG_TO_VH = np.array([[-1.0, 1.0], [1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
-
-POLARIZATION_BASES = ("R/L", "H/V", "+45/-45")
-
-
-def polarization_g2(runs: dict):
-    """Polarization-resolved g² table over the three standard bases.
-
-    `runs` maps each basis name to its (α = 0, π/4, π/2) record triple,
-    generated after the fixed waveplate transformation for that basis.
-    Returns per-basis mean photon numbers, the self coherences g_11/g_22
-    (single-mode formula on the α = 0 / π/2 runs), and the cross coherence
-    g_12 from the three-α method.
-    """
-    missing = [b for b in POLARIZATION_BASES if b not in runs]
-    if missing:
-        raise ValueError(f"incomplete basis set; missing {missing}")
-    table = {}
-    for basis in POLARIZATION_BASES:
-        ds0, ds45, ds90 = runs[basis]
-        table[basis] = {"g_12": two_time_g2(ds0, ds45, ds90),
-                        "g_11": g2_single(ds0), "g_22": g2_single(ds90),
-                        "n_1": mean_photon(ds0), "n_2": mean_photon(ds90)}
-    return table
-
-
-@dataclass
-class StokesMoments:
-    means: np.ndarray
-    second_moments: np.ndarray
-
-    def __post_init__(self):
-        sym_dev = np.max(np.abs(self.second_moments - self.second_moments.T))
-        if sym_dev > 1e-9:
-            raise ValueError("second-moment matrix must be symmetric")
-        evals = np.linalg.eigvalsh(self.second_moments)
-        if evals.min() < -1e-9:
-            raise ValueError("second-moment matrix must be positive semidefinite")
-
-
-def joint_density(st: TwoModeState, dim: int = 10) -> tuple[np.ndarray, int]:
-    """Joint Fock density matrix of a representable two-mode state."""
-    if st.kind == "joint":
-        return st.rho_joint, st.dims[0]
-    if st.kind == "product":
-        if st.rho1.dim != st.rho2.dim:
-            raise ValueError("product Stokes moments need equal mode dimensions")
-        return np.kron(st.rho1.elements, st.rho2.elements), st.rho1.dim
-    if st.kind == "correlated_thermal":
-        p = thermal_pmf(st.nbar, dim)
-        pm = st.corr * np.diag(p) + (1 - st.corr) * np.outer(p, p)
-        pm /= pm.sum()
-        return np.diag(pm.ravel()).astype(complex), dim
-    raise UnsupportedStateError(f"no joint density matrix for kind {st.kind!r}")
-
-
-def stokes_operators(dim: int):
-    """Truncated Ĵ₁, Ĵ₂, Ĵ₃ on the D² joint space."""
-    a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-    eye = np.eye(dim, dtype=complex)
-    a1 = np.kron(a, eye)
-    a2 = np.kron(eye, a)
-    j1 = (a1.conj().T @ a1 - a2.conj().T @ a2) / 2.0
-    j2 = (a1.conj().T @ a2 + a2.conj().T @ a1) / 2.0
-    j3 = (a1.conj().T @ a2 - a2.conj().T @ a1) / 2.0j
-    return j1, j2, j3
-
-
-def stokes_moments(st: TwoModeState, dim: int = 10) -> StokesMoments:
-    """First and symmetrized second moments of the Stokes operators."""
-    if dim > 10:
-        raise ValueError("joint Fock space capped at 10 x 10")
-    rho, d = joint_density(st, dim)
-    ops = stokes_operators(d)
-    means = np.array([float(np.real(np.trace(rho @ op))) for op in ops])
-    second = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            sym = 0.5 * (ops[i] @ ops[j] + ops[j] @ ops[i])
-            second[i, j] = float(np.real(np.trace(rho @ sym)))
-    second = 0.5 * (second + second.T)
-    return StokesMoments(means=means, second_moments=second)

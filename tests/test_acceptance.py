@@ -13,6 +13,7 @@ import pytest
 from conftest import variance_stderr
 from oracles import skellam_difference_pdf
 from ohtlab import arrays, detection, moments, patterns, radon, states, temporal, twomode
+from ohtlab._rng import stream
 from ohtlab.errors import AliasingError
 
 DET_IDEAL = detection.DetectorModel()
@@ -251,22 +252,21 @@ def test_acceptance_12_bandlimited_sampling():
 def test_acceptance_13_two_time_g2():
     rand = detection.PhaseSchedule("uniform_random")
 
-    def runs(st_, seed, keep=False):
+    def runs(law, seed):
+        st_ = twomode.TwoModeState("planted", law=law)
         return [twomode.combined_quadrature_samples(
             st_, a, DET_IDEAL, 400_000,
-            seed + 31 * i, theta_schedule=rand, zeta_schedule=rand, keep_joint=keep)
+            seed + 31 * i, theta_schedule=rand, zeta_schedule=rand)
             for i, a in enumerate((0.0, np.pi / 4, np.pi / 2))]
 
-    st_cor = twomode.TwoModeState("correlated_thermal", nbar=1.0, corr=1.0)
-    cor_runs = runs(st_cor, 1017, keep=True)
-    g2_cor, se_cor = twomode.two_time_g2(*cor_runs)
-    rec = cor_runs[1].meta.extra["joint_record"]
-    n1, n2 = rec["n1"].astype(float), rec["n2"].astype(float)
+    law_cor = twomode.correlated_thermal_law(1.0, 1.0)
+    g2_cor, se_cor = twomode.two_time_g2(*runs(law_cor, 1017))
+    # the photon numbers the α = π/4 run planted, drawn again from its stream
+    n1, n2 = (n.astype(float) for n in law_cor(stream(1017 + 31, "numbers"), 400_000))
     oracle = np.mean(n1 * n2) / (np.mean(n1) * np.mean(n2))
     assert abs(g2_cor - oracle) <= 3 * se_cor
 
-    st_ind = twomode.TwoModeState("correlated_thermal", nbar=1.0, corr=0.0)
-    g2_ind, _ = twomode.two_time_g2(*runs(st_ind, 3018))
+    g2_ind, _ = twomode.two_time_g2(*runs(twomode.correlated_thermal_law(1.0, 0.0), 3018))
     assert abs(g2_ind - 1.0) <= 0.05
     _report(13, f"correlated pair g2 = {g2_cor:.3f} vs planted oracle {oracle:.3f} "
                 f"(within 3 sigma); independent pair g2 = {g2_ind:.3f} (1 ± 0.05)")

@@ -306,14 +306,3 @@ class TestSpectral:
         # annular single-mode Q: isotropic second moments, zero means
         assert abs(q.mean()) < 0.05 and abs(p.mean()) < 0.05
         assert q.var() == pytest.approx(p.var(), rel=0.05)
-
-    def test_joint_histogram_output(self):
-        recs = arrays.unbalanced_spectral_sim([], np.array([1000.0 + 0j]), 16,
-                                              5_000, seed=817)
-        hist = arrays.joint_q_histogram(recs, (1, 2), bins=20, span=4.0)
-        dq = hist.q_edges[1] - hist.q_edges[0]
-        assert np.sum(hist.single) * dq * dq == pytest.approx(1.0, abs=0.02)
-        assert np.sum(hist.pair) * dq * dq == pytest.approx(1.0, abs=0.02)
-        small = arrays.unbalanced_spectral_sim([], np.array([1000.0 + 0j]), 16,
-                                               500, seed=818)
-        assert arrays.joint_q_histogram(small, (1, 2), bins=20).low_count_warning

@@ -439,35 +439,6 @@ class TestSkellam:
         assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-class TestModeOverlap:
-    def setup_method(self):
-        self.x = np.linspace(-10, 10, 2001)
-        self.dx = self.x[1] - self.x[0]
-
-    def _normalize(self, f):
-        return f / np.sqrt(np.sum(np.abs(f) ** 2) * self.dx)
-
-    def test_identical(self):
-        g = self._normalize(np.exp(-self.x**2 / 2))
-        assert detection.mode_overlap(g, g, self.dx) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_parity(self):
-        even = self._normalize(np.exp(-self.x**2 / 2))
-        odd = self._normalize(self.x * np.exp(-self.x**2 / 2))
-        assert detection.mode_overlap(even, odd, self.dx) == pytest.approx(0.0, abs=1e-12)
-
-    def test_offset_gaussians(self):
-        # analytic Gaussian-overlap oracle: <g_0 | g_d> = e^{−d²/4}
-        a = self._normalize(np.exp(-self.x**2 / 2))
-        b = self._normalize(np.exp(-((self.x - 1.0) ** 2) / 2))
-        assert detection.mode_overlap(a, b, self.dx) == pytest.approx(np.exp(-0.25), abs=1e-9)
-
-    def test_unnormalized_rejected(self):
-        g = np.exp(-self.x**2 / 2)
-        with pytest.raises(ValueError):
-            detection.mode_overlap(g, g, self.dx)
-
-
 class TestCalibration:
     LEVELS = [1e5, 3e5, 6e5, 1e6, 2e6]
 

@@ -187,7 +187,7 @@ class TestQuadratureFiles:
         assert back.meta.source == small_dataset.meta.source
 
     def test_dual_round_trip(self, thermal1, tmp_path):
-        st_ = twomode.TwoModeState("correlated_thermal", nbar=0.5, corr=0.3)
+        st_ = twomode.TwoModeState("planted", law=twomode.correlated_thermal_law(0.5, 0.3))
         rand = detection.PhaseSchedule("uniform_random")
         ds = twomode.combined_quadrature_samples(
             st_, np.pi / 4, DET, 2_000, seed=902,
@@ -203,7 +203,7 @@ class TestQuadratureFiles:
     def test_dual_record_moments_are_its_single_mode_moments(self, tmp_path):
         # moments read a dual record read back from file as they read the
         # single-mode record of its θ and Q, bit for bit
-        st_ = twomode.TwoModeState("correlated_thermal", nbar=1.0, corr=0.5)
+        st_ = twomode.TwoModeState("planted", law=twomode.correlated_thermal_law(1.0, 0.5))
         rand = detection.PhaseSchedule("uniform_random")
         ds = twomode.combined_quadrature_samples(st_, 0.0, DET, 5_000, seed=907,
                                                  theta_schedule=rand, zeta_schedule=rand)
@@ -219,7 +219,7 @@ class TestQuadratureFiles:
 
     def test_fixed_phase_dual_round_trip(self, tmp_path):
         # fixed LO phases are one-phase grids, and the header records them
-        st_ = twomode.TwoModeState("correlated_thermal", nbar=0.5, corr=0.3)
+        st_ = twomode.TwoModeState("planted", law=twomode.correlated_thermal_law(0.5, 0.3))
         theta, zeta = (detection.PhaseSchedule("grid", d=1, span=(p, p + 0.1))
                        for p in (0.3, 1.0))
         ds = twomode.combined_quadrature_samples(st_, 0.0, DET, 500, seed=906,
@@ -1187,28 +1187,31 @@ class TestCli:
     @pytest.mark.parametrize("command", ["reconstruct", "moments", "validate"])
     @pytest.mark.parametrize("bad, message", [
         ("byte", "ds.jsonl: line 5: byte 0xe9 is not utf-8 text"),
+        ("header byte", "ds.jsonl: line 1: byte 0xe9 is not utf-8 text"),
         ("directory", "ds.jsonl: Is a directory"),
     ])
     def test_unreadable_record_exit_3(self, small_dataset, tmp_path, capsys, command, bad,
                                       message):
         # a record that is no file, or whose bytes are no text, is a data
-        # error, not a traceback
+        # error, not a traceback; every command names the line of the byte
         path = tmp_path / "ds.jsonl"
-        if bad == "byte":
+        if bad == "directory":
+            path.mkdir()
+        else:
             formats.write_quadrature_dataset(path, small_dataset)
             lines = path.read_bytes().split(b"\n")
-            lines[4] = lines[4].replace(b"theta", b"th\xe9ta")
+            line, word = (4, b"theta") if bad == "byte" else (0, b"schedule")
+            lines[line] = lines[line].replace(word, word[:2] + b"\xe9" + word[3:])
             path.write_bytes(b"\n".join(lines))
-        else:
-            path.mkdir()
         argv = [command, "--input", str(path)]
         if command != "validate":
             argv += ["--out", str(tmp_path / "o")]
         assert run_cli(*argv) == 3
         out, err = capsys.readouterr()
         assert err.startswith("data error: ") and "Traceback" not in err
+        if command != "validate" or bad != "directory":
+            assert err == f"data error: {tmp_path / message}\n"
         if command != "validate":
-            assert err.startswith(f"data error: {tmp_path / message}")
             assert out == "" and not (tmp_path / "o").exists()
 
     def test_missing_input_exit_3(self):

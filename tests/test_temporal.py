@@ -115,86 +115,6 @@ class TestBandlimitedRecovery:
             temporal.bandlimited_exact_recovery(sig, 2.0, 12.0, np.array([0.0]))
 
 
-class TestTimeFrequencyMap:
-    def _chirped_pulse(self, a=6.0, c=0.3, w0=10.0, span=40.0, n=4096):
-        t = np.linspace(-span, span, n, endpoint=False)
-        phi = np.exp(-(t**2) / (2 * a**2)) * np.exp(-1j * (w0 * t + 0.5 * c * t**2))
-        phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * (t[1] - t[0]))
-        return temporal.TemporalSignal(t, phi, w0, 6.0 * c * a)
-
-    def test_monochromatic_ridge(self):
-        n = 4096
-        t = np.linspace(-40, 40, n, endpoint=False)
-        w0 = 9.0
-        phi = np.exp(-1j * w0 * t)
-        sig = temporal.TemporalSignal(t, phi / np.sqrt(np.sum(np.abs(phi) ** 2) * (t[1] - t[0])),
-                                      w0, 0.5)
-        gate = temporal.GateFunction("gaussian", sigma=3.0)
-        om = np.linspace(6, 12, 61)
-        tg = np.linspace(-5, 5, 5)
-        m = temporal.time_frequency_map([sig], gate, om, tg)
-        for j in range(tg.size):
-            assert om[np.argmax(m[:, j])] == pytest.approx(w0, abs=0.1)
-        assert np.all(m >= 0)
-
-    def test_chirp_ridge_slope(self):
-        # instantaneous-frequency oracle: for Gaussian envelope a and gate g,
-        # the windowed centroid sits at t* = t_L a²/(a²+g²), so the measured
-        # ridge slope is c·a²/(a²+g²)
-        a, c, g = 6.0, 0.3, 2.0
-        sig = self._chirped_pulse(a=a, c=c)
-        gate = temporal.GateFunction("gaussian", sigma=g)
-        om = np.linspace(6, 14, 161)
-        tg = np.linspace(-6, 6, 13)
-        m = temporal.time_frequency_map([sig], gate, om, tg)
-        centroids = (om[:, None] * m).sum(axis=0) / m.sum(axis=0)
-        slope = np.polyfit(tg, centroids, 1)[0]
-        assert slope == pytest.approx(c * a**2 / (a**2 + g**2), abs=0.02)
-
-    def test_parseval_column_sums(self):
-        # Σ_ω N̄ Δω at fixed t equals 2π ∫ |h(t−t_L)|² |φ(t)|² dt exactly
-        sig = self._chirped_pulse()
-        gate = temporal.GateFunction("gaussian", sigma=2.0)
-        t = sig.t_axis
-        dt = sig.dt
-        n = t.size
-        om = 2 * np.pi * np.fft.fftfreq(n, d=dt)
-        tg = np.array([-3.0, 0.0, 2.5])
-        m = temporal.time_frequency_map([sig], gate, om, tg)
-        dw = 2 * np.pi / (n * dt)
-        for j, tl in enumerate(tg):
-            lhs = m[:, j].sum() * dw
-            rhs = 2 * np.pi * np.sum(gate.envelope(t - tl) ** 2 * np.abs(sig.phi) ** 2) * dt
-            assert lhs == pytest.approx(rhs, rel=1e-10)
-
-    def test_time_frequency_uncertainty(self):
-        # matched transform-limited pulse and gate: measured widths obey
-        # Δt·Δω >= 1/2 within 5%
-        a = 3.0
-        sig = self._chirped_pulse(a=a, c=0.0, w0=10.0)
-        gate = temporal.GateFunction("gaussian", sigma=a)
-        om = np.linspace(8, 12, 201)
-        tg = np.linspace(-10, 10, 81)
-        m = temporal.time_frequency_map([sig], gate, om, tg)
-        pt = m.sum(axis=0)
-        pw = m.sum(axis=1)
-        t_mean = (tg * pt).sum() / pt.sum()
-        w_mean = (om * pw).sum() / pw.sum()
-        dt_w = np.sqrt(((tg - t_mean) ** 2 * pt).sum() / pt.sum())
-        dw_w = np.sqrt(((om - w_mean) ** 2 * pw).sum() / pw.sum())
-        assert dt_w * dw_w >= 0.5 * 0.95
-
-    def test_ensemble_averaging(self):
-        sigs = [self._chirped_pulse(c=0.0), self._chirped_pulse(c=0.1)]
-        gate = temporal.GateFunction("one_sided_exponential", gamma=0.8)
-        om = np.linspace(8, 12, 21)
-        tg = np.linspace(-4, 4, 5)
-        m = temporal.time_frequency_map(sigs, gate, om, tg)
-        m0 = temporal.time_frequency_map([sigs[0]], gate, om, tg)
-        m1 = temporal.time_frequency_map([sigs[1]], gate, om, tg)
-        assert np.allclose(m, 0.5 * (m0 + m1))
-
-
 class TestTypes:
     def test_uniform_grid_required(self):
         t = np.array([0.0, 1.0, 2.5])
