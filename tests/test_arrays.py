@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,15 @@ class TestFrames:
         with pytest.warns(UserWarning, match="not orthogonal"):
             arrays.simulate_array_frames(
                 [(a, states.StateSpec("vacuum")), (tilted, states.StateSpec("vacuum"))],
+                DET, GRID, RAND, 10, seed=1)
+
+    def test_orthogonal_modes_do_not_warn(self):
+        # the even uniform mode and the odd ramp mode overlap by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arrays.simulate_array_frames(
+                [(arrays.uniform_mode(GRID), states.StateSpec("vacuum")),
+                 (arrays.ramp_mode(GRID), states.StateSpec("vacuum"))],
                 DET, GRID, RAND, 10, seed=1)
 
     def test_frame_sums_match_point_detector(self):

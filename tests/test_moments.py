@@ -113,6 +113,24 @@ class TestFactorialMoments:
         f2, se = _factorial_moment(ds, 2)
         assert abs(f2 - 2.0) < 3 * se
 
+    def test_r3_coherent(self, coherent1):
+        # Poisson oracle: <n(n−1)(n−2)> = nbar³
+        ds = _sample(coherent1, 200_000, seed=521)
+        f3, se = _factorial_moment(ds, 3)
+        assert abs(f3 - 1.0) < 3 * se
+
+    def test_r3_thermal(self, thermal1):
+        # Bose-Einstein oracle: <n(n−1)(n−2)> = 3! nbar³
+        ds = _sample(thermal1, 200_000, seed=522)
+        f3, se = _factorial_moment(ds, 3)
+        assert abs(f3 - 6.0) < 3 * se
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_vacuum_all_orders_zero(self, vacuum, r):
+        ds = _sample(vacuum, 50_000, seed=523 + r)
+        fr, se = _factorial_moment(ds, r)
+        assert abs(fr) < 3 * se
+
     def test_r_range(self, coherent1):
         ds = _sample(coherent1, 1_000, seed=509)
         for r in (0, 5):

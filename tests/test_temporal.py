@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ohtlab import temporal
+from ohtlab.errors import ConfigError
 
 
 def bandlimited_signal(nu=12.0, B=2.0, fill=0.9, span=160.0, n=16384, chirp=8.0):
@@ -113,6 +114,61 @@ class TestBandlimitedRecovery:
         sig = bandlimited_signal(span=60.0, n=8192)
         with pytest.raises(ValueError):
             temporal.bandlimited_exact_recovery(sig, 2.0, 12.0, np.array([0.0]))
+
+
+class TestSpectrum:
+    def test_parseval(self, chirp_signal):
+        # ∫|φ|² dt = (1/2π) ∫|φ̃|² dω on the grid, for the unit-norm chirp
+        omega, spec = chirp_signal.spectrum()
+        dw = omega[1] - omega[0]
+        assert np.sum(np.abs(spec) ** 2) * dw / (2 * np.pi) == pytest.approx(1.0, rel=1e-12)
+
+    def test_tone_peaks_at_its_frequency(self):
+        # φ̃(ω) = ∫ φ(t) e^{iωt} dt puts e^{−iνt} at ω = +ν
+        t = np.linspace(-40, 40, 4096, endpoint=False)
+        nu = 2 * np.pi * 117 / (t.size * (t[1] - t[0]))     # a grid frequency
+        omega, spec = temporal.TemporalSignal(t, np.exp(-1j * nu * t), nu, 0.5).spectrum()
+        assert omega[np.argmax(np.abs(spec))] == pytest.approx(nu, rel=1e-12)
+
+    def test_chirp_spectrum_is_gaussian_with_quadratic_phase(self, chirp_signal):
+        # bandlimited_chirp's tones: amplitude exp(−((ω−ν)/(0.3B))²), phase chirp·(ω−ν)²
+        omega, spec = chirp_signal.spectrum()
+        inside = np.abs(omega - 12.0) <= 0.9 * 2.0 / 2.0
+        x = omega[inside] - 12.0
+        amp, gauss = np.abs(spec[inside]), np.exp(-((x / 0.6) ** 2))
+        assert np.allclose(amp / amp.max(), gauss / gauss.max(), rtol=0.0, atol=1e-9)
+        coef = np.polyfit(x, np.unwrap(np.angle(spec[inside])), 2)
+        assert coef[0] == pytest.approx(8.0, rel=1e-9)
+        assert coef[1] == pytest.approx(0.0, abs=1e-7)
+
+    def test_out_of_band_share_is_reported_exactly(self):
+        # equal-power tones inside and 3B outside the band: half the energy is out
+        t = np.linspace(-40, 40, 4096, endpoint=False)
+        dw = 2 * np.pi / (t.size * (t[1] - t[0]))
+        nu = 100 * dw
+        phi = np.exp(-1j * nu * t) + np.exp(-1j * (nu + 3 * 2.0) * t)
+        sig = temporal.TemporalSignal(t, phi, nu, 2.0)
+        assert sig.band_energy_fraction_outside() == pytest.approx(0.5, abs=0.02)
+        assert bandlimited_signal().band_energy_fraction_outside() < 1e-20
+
+    def test_gaussian_gate_is_transform_limited(self):
+        # a Gaussian gate meets Δt·Δω = 1/2, the time-frequency uncertainty floor
+        t = np.linspace(-40, 40, 8192, endpoint=False)
+        g = temporal.GateFunction("gaussian", sigma=2.0).sampled(t)
+        omega, spec = temporal.TemporalSignal(t, g, 0.0, 1.0).spectrum()
+        pt, pw = np.abs(g) ** 2, np.abs(spec) ** 2
+        width_t = np.sqrt(np.sum(t**2 * pt) / pt.sum())
+        width_w = np.sqrt(np.sum(omega**2 * pw) / pw.sum())
+        assert width_t == pytest.approx(2.0 / np.sqrt(2), rel=1e-9)
+        assert width_t * width_w == pytest.approx(0.5, rel=1e-9)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"bandwidth": 0.0}, {"span": -1.0}, {"points": 1}, {"band_fill": 1e-6},
+    ])
+    def test_chirp_parameters_validated(self, kwargs):
+        args = dict(nu=12.0, bandwidth=2.0, band_fill=0.9, span=160.0, points=1024, chirp=8.0)
+        with pytest.raises(ConfigError):
+            temporal.bandlimited_chirp(**{**args, **kwargs})
 
 
 class TestTypes:

@@ -84,6 +84,40 @@ class TestCombinedSamples:
         assert runs[0].qs.mean() - runs[1].qs.mean() == pytest.approx(offset, rel=1e-9)
         assert runs[0].meta.detector.balance_imbalance == 3e-4
 
+    @pytest.mark.parametrize("alpha", [0.0, np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2])
+    def test_record_is_the_cos_sin_mix_of_the_planted_modes(self, alpha):
+        # with an ideal detector Q = cos α q₁ + sin α q₂ exactly, pulse by pulse
+        law = twomode.correlated_thermal_law(1.0, 0.5)
+        ds = twomode.combined_quadrature_samples(
+            twomode.TwoModeState("planted", law=law), alpha, DET, 5_000, seed=707,
+            theta_schedule=RAND, zeta_schedule=RAND)
+        _, _, q1, q2 = _planted_record(law, 5_000, 707)
+        assert np.array_equal(ds.qs, np.cos(alpha) * q1 + np.sin(alpha) * q2)
+
+    @pytest.mark.parametrize("alpha, swapped", [(0.0, "rho2"), (np.pi / 2, "rho1")])
+    def test_end_angles_ignore_the_other_mode(self, coherent1, thermal1, vacuum, alpha, swapped):
+        # α = 0 measures mode 1 alone and α = π/2 mode 2 alone: the unread
+        # mode's state moves no sample beyond cos(π/2) ≈ 6e-17 of its quadrature
+        base = dict(rho1=coherent1, rho2=coherent1)
+        runs = [twomode.combined_quadrature_samples(
+            twomode.TwoModeState("product", **{**base, swapped: rho}), alpha, DET, 5_000,
+            seed=708, theta_schedule=RAND, zeta_schedule=RAND) for rho in (vacuum, thermal1)]
+        assert np.allclose(runs[0].qs, runs[1].qs, rtol=0.0, atol=1e-12)
+
+    def test_alpha_half_pi_reads_mode_two_at_theta_minus_zeta(self, vacuum):
+        # mode 2 is read at β = θ − ζ: a coherent amplitude there has the
+        # quadrature distribution of the single-mode record at phase β
+        theta, zeta = 1.4, 0.5
+        rho2 = states.make_state(states.StateSpec("coherent", alpha=1.5 * np.exp(0.3j)))
+        st_ = twomode.TwoModeState("product", rho1=vacuum, rho2=rho2)
+        ds = twomode.combined_quadrature_samples(st_, np.pi / 2, DET, 50_000, seed=709,
+                                                 theta_schedule=fixed(theta),
+                                                 zeta_schedule=fixed(zeta))
+        ref = detection.sample_quadratures(rho2, fixed(theta - zeta), DET, 50_000, seed=711)
+        assert ks_2samp(ds.qs, ref.qs).pvalue > 0.01
+        assert ds.qs.mean() == pytest.approx(np.sqrt(2) * 1.5 * np.cos(0.3 - (theta - zeta)),
+                                             abs=0.02)
+
     def test_alpha_range(self, vacuum):
         st_ = twomode.TwoModeState("product", rho1=vacuum, rho2=vacuum)
         with pytest.raises(ValueError):
@@ -235,3 +269,29 @@ class TestCorrelatedThermalLaw:
                 twomode.correlated_thermal_law(1.0, corr)
         with pytest.raises(ConfigError, match=r"^correlated_thermal needs nbar >= 0$"):
             twomode.correlated_thermal_law(-1.0, 0.5)
+
+    @pytest.mark.parametrize("corr", [0.0, 0.3, 0.7, 1.0])
+    def test_thermal_marginals_and_pearson_correlation(self, corr):
+        n1, n2 = twomode.correlated_thermal_law(1.0, corr)(stream(740, "numbers"), 200_000)
+        pmf = 0.5 ** np.arange(1, 7)      # Bose-Einstein P(n) = n̄ⁿ/(1 + n̄)ⁿ⁺¹ at n̄ = 1
+        for n in (n1, n2):
+            assert n.mean() == pytest.approx(1.0, abs=0.02)
+            counts = np.bincount(n, minlength=6)[:6] / n.size
+            assert np.max(np.abs(counts - pmf)) < 0.005
+        assert np.corrcoef(n1, n2)[0, 1] == pytest.approx(corr, abs=0.01)
+
+    def test_zero_nbar_is_the_vacuum_pair(self):
+        n1, n2 = twomode.correlated_thermal_law(0.0, 0.5)(stream(741, "numbers"), 1_000)
+        assert not n1.any() and not n2.any()
+
+
+class TestTwoModeStateKinds:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"kind": "joint"}, "unknown two-mode kind 'joint'"),
+        ({"kind": "correlated_thermal"}, "unknown two-mode kind 'correlated_thermal'"),
+        ({"kind": "product"}, "product state needs rho1 and rho2"),
+        ({"kind": "planted", "law": 1.0}, "planted state needs a callable joint number law"),
+    ], ids=["joint", "correlated_thermal", "product-without-rho", "planted-without-law"])
+    def test_kind_validated(self, kwargs, match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            twomode.TwoModeState(**kwargs)
