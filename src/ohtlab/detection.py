@@ -9,22 +9,19 @@ balance imbalance b adds the offset b·η_q·√N_LO/(√2·η_eff): the steps o
 count-space route (`detector_counts`) models the two photodiodes
 explicitly for classical (coherent mean-field) signals, where independent
 Poisson statistics are exact; `photodiode_counts` draws them in blocks of
-rows, each block from its own stream and the blocks spread over the
-process's CPUs, so memory is flat in the pulses and the counts do not
-depend on the number of CPUs.
+rows, each block from its own stream, so memory is flat in the pulses.
 
 Single-mode sampling, dual-LO two-mode records, array frames and both
 reconstructions share one implementation of each step: `fold_phases`,
 `phase_keys` (which phases count as one), `distinct` (how distinct values
 are counted), `draw_state_quadratures`/`draw_fock_quadratures` (one
-inverse-CDF draw, tabulated PHASE_BLOCK phases at a time, so memory is
-flat in the phases), `add_detection_noise` and `photodiode_counts`.
+inverse-CDF draw, tabulated PHASE_BLOCK phases at a time: whatever the
+number of phases, its pdf and CDF tables stay under 3 MB),
+`add_detection_noise` and `photodiode_counts`.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
@@ -46,9 +43,13 @@ PDF_SPAN = 8.0
 #: this order are exact, and the recorded theta is the actual sampling phase
 PHASE_SNAP = 1024
 
-#: distinct phases the sampler tabulates and integrates at a time; its pdf
-#: and CDF tables never exceed (PHASE_BLOCK + 1) × PDF_POINTS
-PHASE_BLOCK = 64
+#: distinct phases the sampler tabulates and integrates at a time.  A block
+#: has at most PHASE_BLOCK + 1 rows of PDF_POINTS: its float pdf table and
+#: the CDF table its trapezoid areas are summed into in place (0.56 MB
+#: each), and while pdf_table builds the next block's table, one complex
+#: product (1.1 MB) beside it and the last block's two tables: under 3 MB
+#: whatever the number of phases
+PHASE_BLOCK = 16
 
 #: counts photodiode_counts evaluates rates for and draws at a time, in
 #: whole rows: 256 pulses of a 64-pixel array, 16384 of a single diode pair
@@ -227,8 +228,14 @@ def _inverse_cdf_draw(pdf_rows, q_grid: np.ndarray, group_idx: np.ndarray,
     edges = [*range(0, max(counts.size - 1, 1), PHASE_BLOCK), counts.size]
     for lo, hi in zip(edges[:-1], edges[1:]):
         rows = rows_of(lo, hi)
+        # the trapezoid areas (rows[:, 1:] + rows[:, :-1]) * 0.5 * dq and their
+        # running sum, each step written in place into the CDF table
         cdf = np.zeros((hi - lo, q_grid.size))
-        np.cumsum((rows[:, 1:] + rows[:, :-1]) * 0.5 * dq, axis=1, out=cdf[:, 1:])
+        area = cdf[:, 1:]
+        np.add(rows[:, 1:], rows[:, :-1], out=area)
+        np.multiply(area, 0.5, out=area)
+        np.multiply(area, dq, out=area)
+        np.cumsum(area, axis=1, out=area)
         cdf /= cdf[:, -1:]
         for g in range(lo, hi):
             sel = slices[g]
@@ -359,11 +366,10 @@ def photodiode_counts(rates, shape: tuple, sigma_e: float, rng: np.random.Genera
     overwrite. Block k draws from its own stream,
     `Philox(key).jumped(k)`, where key is one draw of two uint64 from rng:
     diode-1 Poisson, diode-2 Poisson, then rounded Gaussian electronic noise
-    of std sigma_e on diode 1, then on diode 2. The blocks are spread over
-    one thread per CPU the process may run on, so beyond the count arrays
-    only one block of temporaries per worker lives, and the counts do not
-    depend on the number of workers. An exception raised while drawing is
-    raised here once every worker has finished.
+    of std sigma_e on diode 1, then on diode 2. The blocks are drawn in
+    order on the calling thread (numpy's Poisson and normal draws hold the
+    GIL, so threads gain nothing), and beyond the count arrays only one
+    block of temporaries lives.
     """
     rows = max(1, COUNT_BLOCK // int(np.prod(shape[1:])))
     blocks = [(lo, min(lo + rows, shape[0])) for lo in range(0, shape[0], rows)]
@@ -378,44 +384,18 @@ def photodiode_counts(rates, shape: tuple, sigma_e: float, rng: np.random.Genera
         staged[0][lo:hi], staged[1][lo:hi] = mu
     counts = [s.view(np.int64) for s in staged]
     key = rng.integers(0, 2**64, size=2, dtype=np.uint64)
-    n_workers = max(1, min(_worker_count(), len(blocks)))
-
-    errors = []
-
-    def draw(first: int) -> None:
-        try:
-            noise = np.empty((rows, *shape[1:])) if sigma_e > 0 else None
-            for k in range(first, len(blocks), n_workers):
-                lo, hi = blocks[k]
-                # Philox(key).jumped(k), built directly: jumped() would first
-                # seed a throwaway generator from OS entropy
-                gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, k, 0]))
-                for s, n in zip(staged, counts):
-                    n[lo:hi] = gen.poisson(s[lo:hi])
-                for n in counts if sigma_e > 0 else []:
-                    e = gen.standard_normal(out=noise[:hi - lo])
-                    np.rint(np.multiply(e, sigma_e, out=e), out=e)
-                    np.add(n[lo:hi], e, out=n[lo:hi], casting="unsafe")
-        except Exception as exc:    # raised in the caller once every worker ends
-            errors.append(exc)
-
-    threads = [threading.Thread(target=draw, args=(w,)) for w in range(1, n_workers)]
-    for t in threads:
-        t.start()
-    draw(0)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+    noise = np.empty((rows, *shape[1:])) if sigma_e > 0 else None
+    for k, (lo, hi) in enumerate(blocks):
+        # Philox(key).jumped(k), built directly: jumped() would first seed a
+        # throwaway generator from OS entropy
+        gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, k, 0]))
+        for s, n in zip(staged, counts):
+            n[lo:hi] = gen.poisson(s[lo:hi])
+        for n in counts if sigma_e > 0 else []:
+            e = gen.standard_normal(out=noise[:hi - lo])
+            np.rint(np.multiply(e, sigma_e, out=e), out=e)
+            np.add(n[lo:hi], e, out=n[lo:hi], casting="unsafe")
     return tuple(counts)
-
-
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity on this platform
-        return os.cpu_count() or 1
 
 
 @dataclass

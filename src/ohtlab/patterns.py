@@ -21,11 +21,13 @@ record's distinct folded phases θ_k.  A grid weighs its K phases equally
 record weighs each phase by its share of the samples (c_k = N_k/N), which
 is the plain sample mean of e^{iDθ} M(q) (D'Ariano, Macchiavello & Paris,
 PRA 50, 4298 (1994); Leonhardt et al., Opt. Commun. 127, 144 (1996)).
-The estimator reads each sample once: it deposits the sample's linear
-interpolation weights on the pattern grid (cloud in cell), in the row of
-its phase for ⟨M⟩, and for ⟨M²⟩ in the row of its phase on a grid or in
-one row otherwise; every mean follows from matrix products of those
-deposits with the tabulated bands.
+The estimator deposits each sample's linear interpolation weights on the
+pattern grid (cloud in cell).  A grid deposits them in the row of the
+sample's phase, for ⟨M⟩ and for ⟨M²⟩.  Any other record deposits them in
+one row for ⟨M²⟩ and, for each band D, times e^{iDθ} in one complex row
+for ⟨M⟩, so its tables keep their size whatever the number of phases.
+Every mean follows from matrix products of those deposits with the
+tabulated bands.
 """
 
 from __future__ import annotations
@@ -120,34 +122,32 @@ def build_pattern_functions(dim: int) -> PatternFunctionTable:
                                 condition_numbers=conds, biorth_residuals=residuals)
 
 
-def _cloud_in_cell(q: np.ndarray, bins: np.ndarray, n_bins: int, q_axis: np.ndarray,
-                   pooled: bool = False):
-    """Per-bin linear-interpolation deposits of samples on the pattern grid.
+def _cloud_in_cell(q: np.ndarray, q_axis: np.ndarray):
+    """Linear-interpolation (cloud in cell) weights of samples on the pattern grid.
 
-    A sample at q = (1 − f) q_j + f q_{j+1} deposits (1 − f) at j and f at
-    j + 1 in w1, (1 − f)² and f² in w2, and (1 − f) f at j in w11, each in
-    the row of its bin; pooled puts every sample's w2 and w11 deposits in
-    one row.  For a table row M sampled on q_axis, the row sums of the
-    interpolant M(q) (0 outside the axis, as np.interp) are
+    Returns the mask of the samples inside the axis and, for each of those
+    at q = (1 − f) q_j + f q_{j+1}, its cell j and fraction f.  Deposits of
+    (1 − f) at j and f at j + 1 (w1), of (1 − f)² and f² (w2), and of
+    (1 − f) f at j (w11), give the sums over the samples of the interpolant
+    M(q) of a table row M sampled on q_axis (0 outside the axis, as
+    np.interp):
 
-        Σ M(q) = w1 @ M,   Σ M(q)² = w2 @ M² + 2 w11[:, :-1] @ (M[:-1] M[1:]).
+        Σ M(q) = w1 @ M,   Σ M(q)² = w2 @ M² + 2 w11[:-1] @ (M[:-1] M[1:]).
     """
-    g = q_axis.size
     inside = (q >= q_axis[0]) & (q <= q_axis[-1])
-    q, bins = q[inside], bins[inside]
-    j = np.clip(np.searchsorted(q_axis, q, side="right") - 1, 0, g - 2)
-    f = (q - q_axis[j]) / (q_axis[j + 1] - q_axis[j])
-    lo = 1.0 - f
+    q = q[inside]
+    j = np.clip(np.searchsorted(q_axis, q, side="right") - 1, 0, q_axis.size - 2)
+    return inside, j, (q - q_axis[j]) / (q_axis[j + 1] - q_axis[j])
 
-    def deposit(cell, rows, at_j, at_next=None):
-        acc = np.bincount(cell, weights=at_j, minlength=rows * g)
-        if at_next is not None:
-            acc += np.bincount(cell + 1, weights=at_next, minlength=rows * g)
-        return acc.reshape(rows, g)
 
-    cell = bins * g + j
-    sq = (j, 1) if pooled else (cell, n_bins)
-    return deposit(cell, n_bins, lo, f), deposit(*sq, lo * lo, f * f), deposit(*sq, lo * f)
+def _deposit(cell: np.ndarray, rows: int, g: int, at_j: np.ndarray,
+             at_next: np.ndarray | None = None) -> np.ndarray:
+    """(rows, g) table of the weights at_j summed in flat cells cell and
+    at_next in cell + 1, row r holding cells r·g … r·g + g − 1."""
+    acc = np.bincount(cell, weights=at_j, minlength=rows * g)
+    if at_next is not None:
+        acc += np.bincount(cell + 1, weights=at_next, minlength=rows * g)
+    return acc.reshape(rows, g)
 
 
 def rho_from_quadratures(ds: QuadratureDataset, pf: PatternFunctionTable):
@@ -189,24 +189,36 @@ def rho_from_quadratures(ds: QuadratureDataset, pf: PatternFunctionTable):
                 f"with at most ñ photons needs ñ + 1 = {dim} equally spaced phases on [0, π)"
             )
 
-    w1, w2, w11 = _cloud_in_cell(q_f, bins, d, pf.q_axis, pooled=not grid)
     n_s = len(ds)
+    inv_cnt = 1.0 / np.bincount(bins, minlength=d)[:, None]
+    g = pf.q_axis.size
+    inside, j, f = _cloud_in_cell(q_f, pf.q_axis)
+    bins, lo = bins[inside], 1.0 - f
+    # a grid deposits each phase in its own row, any other record in one row
+    cell, rows = (bins * g + j, d) if grid else (j, 1)
+    w2, w11 = _deposit(cell, rows, g, lo * lo, f * f), _deposit(cell, rows, g, lo * f)
+    if grid:
+        w1 = _deposit(cell, d, g, lo, f)
     rho = np.zeros((dim, dim), complex)
     err = np.zeros((dim, dim))
-    inv_cnt = 1.0 / np.bincount(bins, minlength=d)[:, None]
     for band in range(dim):
         M = pf.band_values[band]                      # row n holds M_{n+band, n}
-        sums = w1 @ M.T                               # (d, dim − band)
         sums2 = w2 @ (M**2).T + 2.0 * (w11[:, :-1] @ (M[:, :-1] * M[:, 1:]).T)
         if grid:
-            mean_k = sums * inv_cnt
+            mean_k = (w1 @ M.T) * inv_cnt             # (d, dim − band)
             var_k = np.clip(sums2 * inv_cnt - mean_k**2, 0.0, None)
             est = np.exp(1j * band * thetas) @ mean_k / d
             # per-bin phase factors are unit modulus, so Re/Im variances add
             # to (1/d²) Σ_k Var_k(M)/N_k regardless of the phases
             sigma = np.sqrt(np.sum(var_k * inv_cnt, axis=0) / d**2)
         else:
-            est = np.exp(1j * band * thetas) @ sums / n_s
+            # one deposit of e^{iDθ}(1 − f) at j and e^{iDθ} f at j + 1 over the
+            # whole record, whatever its number of phases, real and imaginary
+            # parts in turn
+            turn = np.exp(1j * band * thetas)[bins]
+            re = _deposit(j, 1, g, turn.real * lo, turn.real * f)[0] @ M.T
+            im = _deposit(j, 1, g, turn.imag * lo, turn.imag * f)[0] @ M.T
+            est = (re + 1j * im) / n_s
             sigma = np.sqrt(np.clip(sums2[0] / n_s - np.abs(est) ** 2, 0.0, None) / n_s)
         n = np.arange(dim - band)
         rho[n + band, n] = est

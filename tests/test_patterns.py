@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,22 @@ class TestRhoFromQuadratures:
         assert np.max(diff / np.sqrt(err_p**2 + err_r**2 + 1e-6)) < 3.0
 
 
+def _per_phase_row_rho(ds, pf):
+    """ρ of a random or swept record from one first-moment deposit row per
+    folded phase: ρ_{n+D,n} = Σ_k e^{iDθ_k} (w1[k] @ M_{n+D,n}) / N."""
+    theta_f, q_f = detection.fold_phases(ds.thetas, ds.qs)
+    thetas, bins = np.unique(np.round(theta_f, 10), return_inverse=True)
+    g = pf.q_axis.size
+    inside, j, f = patterns._cloud_in_cell(q_f, pf.q_axis)
+    w1 = patterns._deposit(bins[inside] * g + j, thetas.size, g, 1.0 - f, f)
+    rho = np.zeros((pf.dim, pf.dim), complex)
+    for band in range(pf.dim):
+        n = np.arange(pf.dim - band)
+        rho[n + band, n] = np.exp(1j * band * thetas) @ (w1 @ pf.band_values[band].T) / len(ds)
+        rho[n, n + band] = np.conj(rho[n + band, n])
+    return rho
+
+
 def _reference_rho(ds, pf):
     """Per-element estimator: np.interp of every M_mn at every sample.  A grid
     averages its phases' means, with each phase a stratum of the error; any
@@ -261,14 +279,52 @@ class TestCloudInCell:
         rng = np.random.default_rng(331)
         q = np.concatenate([rng.uniform(-9.0, 9.0, 2_000), [8.0, -8.0]])
         bins = rng.integers(0, 3, q.size)
-        w1, w2, w11 = patterns._cloud_in_cell(q, bins, 3, pf8.q_axis)
-        M = rng.normal(size=pf8.q_axis.size)
+        g = pf8.q_axis.size
+        inside, j, f = patterns._cloud_in_cell(q, pf8.q_axis)
+        cell, lo = bins[inside] * g + j, 1.0 - f
+        w1 = patterns._deposit(cell, 3, g, lo, f)
+        w2 = patterns._deposit(cell, 3, g, lo * lo, f * f)
+        w11 = patterns._deposit(cell, 3, g, lo * f)
+        M = rng.normal(size=g)
         vals = np.interp(q, pf8.q_axis, M, left=0.0, right=0.0)
         for k in range(3):
             sel = bins == k
             assert w1[k] @ M == pytest.approx(vals[sel].sum(), abs=1e-12)
             sq = w2[k] @ M**2 + 2.0 * w11[k, :-1] @ (M[:-1] * M[1:])
             assert sq == pytest.approx((vals[sel] ** 2).sum(), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["uniform_random", "swept_linear"])
+    def test_one_deposit_matches_per_phase_rows(self, pf12, kind):
+        # the record-wide complex deposit against Σ_k e^{iDθ_k} (w1[k] @ M) / N
+        # over one deposit row per folded phase, on a benchmark-sized record
+        rho = states.make_state(states.StateSpec("coherent", alpha=1.5 + 0.5j))
+        ds = detection.sample_quadratures(rho, detection.PhaseSchedule(kind),
+                                          detection.DetectorModel(eta_q=0.8), 100_000, 334)
+        got, _ = patterns.rho_from_quadratures(ds, pf12)
+        assert got.meta["d_phases"] == detection.PHASE_SNAP // 2
+        assert np.max(np.abs(got.elements - _per_phase_row_rho(ds, pf12))) < 1e-12
+
+    def test_peak_flat_in_distinct_phases(self, pf12):
+        # the same 100k samples on 64 and on all 1,024 snapped phases; one
+        # deposit row per folded phase held 512 × 4,097 doubles (16.8 MB)
+        rng = np.random.default_rng(335)
+        thetas = detection.PhaseSchedule("uniform_random").phases(100_000, rng)
+        qs = rng.normal(0.0, 1.5, thetas.size)
+        peaks = {}
+        for n_phases in (64, detection.PHASE_SNAP):
+            step = 2.0 * np.pi / n_phases
+            ds = detection.QuadratureDataset(thetas=np.floor(thetas / step) * step, qs=qs,
+                                             meta=_meta(detection.PhaseSchedule("uniform_random")))
+            patterns.rho_from_quadratures(ds, pf12)   # warm caches
+            tracemalloc.start()
+            try:
+                rho, _ = patterns.rho_from_quadratures(ds, pf12)
+                peaks[n_phases] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rho.meta["d_phases"] == n_phases // 2
+        assert peaks[detection.PHASE_SNAP] <= 1.2 * peaks[64]
+        assert peaks[detection.PHASE_SNAP] <= 15e6
 
 
 def _populations(ds, pf):
