@@ -3,12 +3,9 @@
 One master seed drives a whole pipeline.  Every logical noise source
 (phase draws, quadrature draws, per-diode shot noise, electronic noise, ...)
 gets its own counter-based Philox stream keyed by ``(master_seed, label)``,
-consumed in pulse order.  Work that is split into blocks gives each block
-a stream of its own, a fixed function of one draw from its source's stream
-and the block's index (`detection.photodiode_counts`), so blocks may be
-drawn in any order and on any number of workers.  Worker count or
-evaluation order can never change any stream's output, so results are
-reproducible bit-for-bit.
+consumed in pulse order; work split into blocks draws them in order from
+its source's stream.  No stream depends on another's consumption or on the
+machine, so results are reproducible bit-for-bit.
 """
 
 import hashlib

@@ -279,7 +279,7 @@ def unbalanced_spectral_sim(signal_modes, lo_amplitudes, window: int,
     counts N_j are Poisson draws of the transformed intensities; the records
     K_l = Σ_j e^{−2πi l j/(2M+1)} N_j are kept for l ∈ (2J, M], where LO
     self-terms (the part balanced detection would subtract) cannot reach.
-    """
+    `detection.photodiode_counts` draws N_j (one array, σ_e = 0)."""
     M = int(window)
     beta = np.asarray(lo_amplitudes, complex)
     if beta.size % 2 != 1:
@@ -314,8 +314,8 @@ def unbalanced_spectral_sim(signal_modes, lo_amplitudes, window: int,
     j_axis = np.arange(-M, M + 1)
     F = np.exp(2j * np.pi * np.outer(j_axis, k_axis) / L) / np.sqrt(L)
     A = b @ F.T
-    rng = stream(seed, "spectral-counts")
-    counts = rng.poisson(np.abs(A) ** 2).astype(float)
+    counts, = photodiode_counts(lambda lo, hi: (np.abs(A[lo:hi]) ** 2,), A.shape, 0.0,
+                                stream(seed, "spectral-counts"))
 
     l_values = np.arange(2 * J + 1, M + 1)
     G = np.exp(-2j * np.pi * np.outer(j_axis, l_values) / L)

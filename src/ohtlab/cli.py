@@ -70,28 +70,22 @@ class TwoModeSource(FromDict):
     nbar2: float | None = None      # independent_poisson only; default: nbar
     corr: float | None = None       # correlated_thermal only; default: 0
 
-    KINDS = ("correlated_thermal", "independent_poisson", "hbt_split", "anticorrelated_thermal")
+    #: each kind's joint number law, built from the source's numbers
+    LAWS = {"correlated_thermal": lambda s: twomode.correlated_thermal_law(s.nbar, s.corr or 0.0),
+            "independent_poisson": lambda s: twomode.independent_poisson_law(
+                s.nbar, s.nbar if s.nbar2 is None else s.nbar2),
+            "hbt_split": lambda s: twomode.hbt_split_law(s.nbar),
+            "anticorrelated_thermal": lambda s: twomode.anticorrelated_thermal_law(s.nbar)}
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in self.LAWS:
             raise ConfigError(f"unknown source kind {self.kind!r}")
-        if self.nbar < 0 or (self.nbar2 or 0.0) < 0:
-            raise ConfigError("nbar and nbar2 must be >= 0")
         for key, kind in (("corr", "correlated_thermal"), ("nbar2", "independent_poisson")):
             if getattr(self, key) is not None and self.kind != kind:
                 raise ConfigError(f"{key} applies to {kind} sources only, not {self.kind}")
-
-    def state(self) -> twomode.TwoModeState:
-        if self.kind == "correlated_thermal":
-            law = twomode.correlated_thermal_law(self.nbar, self.corr or 0.0)
-        elif self.kind == "hbt_split":
-            law = twomode.hbt_split_law(self.nbar)
-        elif self.kind == "anticorrelated_thermal":
-            law = twomode.anticorrelated_thermal_law(self.nbar)
-        else:
-            law = twomode.independent_poisson_law(
-                self.nbar, self.nbar if self.nbar2 is None else self.nbar2)
-        return twomode.TwoModeState("planted", law=law)
+        # the law checks its own numbers as it is built, before any draw
+        law = self.LAWS[self.kind](self)
+        object.__setattr__(self, "state", twomode.TwoModeState("planted", law=law))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -209,8 +203,7 @@ def cmd_reconstruct(args) -> int:
     radon.check_cutoff(args.k_c)
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise ConfigError("--bootstrap takes 0 (off) or at least 2 replicates")
-    if not 1 <= args.dim <= patterns.MAX_DIM:
-        raise ConfigError(f"--dim must be in 1..{patterns.MAX_DIM}")
+    patterns.check_dim(args.dim)
     ds = _read_record(args.input)
     if ds.zetas is not None:
         raise DataFormatError("reconstruction expects a single-mode dataset")
@@ -275,7 +268,7 @@ def cmd_moments(args) -> int:
 
 def cmd_twomode(args) -> int:
     doc, cfg = load_config(args.config, TwoModeConfig)
-    st = cfg.source.state()
+    st = cfg.source.state
     rand = detection.PhaseSchedule("uniform_random")
     runs = [twomode.combined_quadrature_samples(st, alpha, cfg.detector, cfg.n_samples,
                                                 cfg.seed + i, rand, rand)

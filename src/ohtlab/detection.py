@@ -9,7 +9,7 @@ balance imbalance b adds the offset b·η_q·√N_LO/(√2·η_eff): the steps o
 count-space route (`detector_counts`) models the two photodiodes
 explicitly for classical (coherent mean-field) signals, where independent
 Poisson statistics are exact; `photodiode_counts` draws them in blocks of
-rows, each block from its own stream, so memory is flat in the pulses.
+rows, in order from one stream, so memory is flat in the pulses.
 
 Single-mode sampling, dual-LO two-mode records, array frames and both
 reconstructions share one implementation of each step: `fold_phases`,
@@ -51,8 +51,8 @@ PHASE_SNAP = 1024
 #: whatever the number of phases
 PHASE_BLOCK = 16
 
-#: counts photodiode_counts evaluates rates for and draws at a time, in
-#: whole rows: 256 pulses of a 64-pixel array, 16384 of a single diode pair
+#: counts photodiode_counts checks rates for and draws at a time, in whole rows:
+#: 256 pulses of a 64-pixel array, 252 of a 65-bin spectrum, 16384 of a diode pair
 COUNT_BLOCK = 16384
 
 #: the largest mean numpy's Poisson draw accepts, as numpy computes it
@@ -357,44 +357,33 @@ def detector_counts(q_ideal, det: DetectorModel, rng: np.random.Generator):
 
 
 def photodiode_counts(rates, shape: tuple, sigma_e: float, rng: np.random.Generator):
-    """Photoelectron counts of two diodes, arrays of the given shape, where
-    rates(lo, hi) gives their mean rates (mu1, mu2) for rows lo … hi − 1.
+    """Photoelectron counts of photodiodes, one int64 array of the given
+    shape for each mean-rate array that rates(lo, hi) gives for rows
+    lo … hi − 1.
 
-    Rows go a block of about COUNT_BLOCK counts at a time. Every block's
-    rates are checked before any draw (ConfigError if one is negative or
-    above POISSON_MAX) and staged in the memory their counts then
-    overwrite. Block k draws from its own stream,
-    `Philox(key).jumped(k)`, where key is one draw of two uint64 from rng:
-    diode-1 Poisson, diode-2 Poisson, then rounded Gaussian electronic noise
-    of std sigma_e on diode 1, then on diode 2. The blocks are drawn in
-    order on the calling thread (numpy's Poisson and normal draws hold the
-    GIL, so threads gain nothing), and beyond the count arrays only one
-    block of temporaries lives.
+    Rows go a block of about COUNT_BLOCK counts at a time, in order, all
+    drawn from rng: the block's rates are refused if one is negative or
+    above POISSON_MAX (ConfigError), then each array's Poisson counts are
+    drawn, then each array's Gaussian electronic noise of std sigma_e,
+    rounded to whole counts.  A bad rate in a later block is refused after
+    the earlier blocks have drawn.  Beyond the count arrays only one block
+    of temporaries lives.
     """
     rows = max(1, COUNT_BLOCK // int(np.prod(shape[1:])))
-    blocks = [(lo, min(lo + rows, shape[0])) for lo in range(0, shape[0], rows)]
-    staged = [np.empty(shape), np.empty(shape)]
-    for lo, hi in blocks:
+    counts = None
+    for lo in range(0, max(shape[0], 1), rows):    # an empty record still asks once
+        hi = min(lo + rows, shape[0])
         mu = rates(lo, hi)
-        if np.any(mu[0] < 0) or np.any(mu[1] < 0):
+        if any(np.any(m < 0) for m in mu):
             raise ConfigError("negative mean photoelectron rate; LO too weak for this signal")
-        if max(np.max(mu[0]), np.max(mu[1])) > POISSON_MAX:
+        if max(np.max(m, initial=0.0) for m in mu) > POISSON_MAX:
             raise ConfigError(f"mean photoelectron rate above {POISSON_MAX:.4g}, the largest "
                               "a Poisson draw takes")
-        staged[0][lo:hi], staged[1][lo:hi] = mu
-    counts = [s.view(np.int64) for s in staged]
-    key = rng.integers(0, 2**64, size=2, dtype=np.uint64)
-    noise = np.empty((rows, *shape[1:])) if sigma_e > 0 else None
-    for k, (lo, hi) in enumerate(blocks):
-        # Philox(key).jumped(k), built directly: jumped() would first seed a
-        # throwaway generator from OS entropy
-        gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, k, 0]))
-        for s, n in zip(staged, counts):
-            n[lo:hi] = gen.poisson(s[lo:hi])
+        counts = counts or [np.empty(shape, np.int64) for _ in mu]
+        for m, n in zip(mu, counts):
+            n[lo:hi] = rng.poisson(m)
         for n in counts if sigma_e > 0 else []:
-            e = gen.standard_normal(out=noise[:hi - lo])
-            np.rint(np.multiply(e, sigma_e, out=e), out=e)
-            np.add(n[lo:hi], e, out=n[lo:hi], casting="unsafe")
+            n[lo:hi] += np.rint(rng.standard_normal(n[lo:hi].shape) * sigma_e).astype(np.int64)
     return tuple(counts)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import QuadratureDataset, fold_phases, phase_keys
-from .errors import AliasingError, CoverageError, GramConditionError
+from .errors import AliasingError, ConfigError, CoverageError, GramConditionError
 from .states import DensityMatrix, hermite_psi_all
 
 GRID_POINTS = 4097
@@ -76,6 +76,12 @@ class PatternFunctionTable:
         return self.band_values[band][min(m, n)]
 
 
+def check_dim(dim: int) -> None:
+    """ConfigError unless the reconstruction size dim is in 1..MAX_DIM."""
+    if not 1 <= dim <= MAX_DIM:
+        raise ConfigError(f"dim must be in 1..{MAX_DIM} (Gram conditioning bound), got {dim}")
+
+
 def build_pattern_functions(dim: int) -> PatternFunctionTable:
     """Construct the dual-basis table for indices < dim on GRID_POINTS points
     over ±GRID_SPAN.
@@ -83,8 +89,7 @@ def build_pattern_functions(dim: int) -> PatternFunctionTable:
     dim is capped at MAX_DIM, and construction refuses bands whose
     condition number exceeds 1e12.
     """
-    if not 1 <= dim <= MAX_DIM:
-        raise ValueError(f"dim must be in 1..{MAX_DIM} (Gram conditioning bound)")
+    check_dim(dim)
     q_axis = np.linspace(-GRID_SPAN, GRID_SPAN, GRID_POINTS)
     ql = q_axis.astype(np.longdouble)
     wts = _simpson_weights(q_axis.size, float(q_axis[1] - q_axis[0]))

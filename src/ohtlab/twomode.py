@@ -59,11 +59,17 @@ def thermal_pmf(nbar: float, cutoff: int) -> np.ndarray:
     return p / p.sum()
 
 
+def _check_nbar(*nbars: float) -> None:
+    """ConfigError unless every mean photon number of a law is >= 0."""
+    for nbar in nbars:
+        if not nbar >= 0:
+            raise ConfigError(f"mean photon numbers must be >= 0, got {nbar}")
+
+
 def correlated_thermal_law(nbar: float, corr: float):
     """Joint number law: equal thermal marginals, Pearson correlation `corr`
     realized as a mixture of perfectly-correlated and independent draws."""
-    if nbar < 0:
-        raise ConfigError("correlated_thermal needs nbar >= 0")
+    _check_nbar(nbar)
     if not 0.0 <= corr <= 1.0:
         raise ConfigError("number correlation coefficient must be in [0, 1]")
 
@@ -83,6 +89,8 @@ def correlated_thermal_law(nbar: float, corr: float):
 def hbt_split_law(nbar: float):
     """One thermal mode split 50/50 onto the two measured modes (the
     Hanbury Brown-Twiss arrangement): n ~ BE(nbar), n1 ~ Binom(n, 1/2)."""
+    _check_nbar(nbar)
+
     def law(rng: np.random.Generator, n: int):
         cutoff = max(30, int(20 * (1 + nbar)))
         p = thermal_pmf(nbar, cutoff)
@@ -95,6 +103,8 @@ def hbt_split_law(nbar: float):
 def anticorrelated_thermal_law(nbar: float, cutoff: int = 60):
     """Antithetically coupled thermal pair: thermal marginals with strongly
     negative number correlation."""
+    _check_nbar(nbar)
+
     def law(rng: np.random.Generator, n: int):
         p = thermal_pmf(nbar, cutoff)
         cdf = np.cumsum(p)
@@ -106,6 +116,8 @@ def anticorrelated_thermal_law(nbar: float, cutoff: int = 60):
 
 
 def independent_poisson_law(nbar1: float, nbar2: float):
+    _check_nbar(nbar1, nbar2)
+
     def law(rng: np.random.Generator, n: int):
         return rng.poisson(nbar1, size=n), rng.poisson(nbar2, size=n)
     return law

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import variance_stderr
 from ohtlab import arrays, detection, states
-from ohtlab.errors import UnsupportedStateError
+from ohtlab._rng import stream
+from ohtlab.errors import ConfigError, UnsupportedStateError
 
 GRID = arrays.PixelGrid()
 RAND = detection.PhaseSchedule("uniform_random")
@@ -29,9 +30,8 @@ class TestFrames:
     def test_vacuum_corrected_mean_zero(self, vacuum_frames):
         c = vacuum_frames.corrected()
         n = c.shape[0]
-        n_cal = 4000
         # offset calibration noise adds to the frame-mean scatter
-        se = c.std(axis=0) * np.sqrt(1.0 / n + 1.0 / n_cal)
+        se = c.std(axis=0) * np.sqrt(1.0 / n + 1.0 / arrays.N_CALIBRATION)
         assert np.max(np.abs(c.mean(axis=0)) / se) < 3.5
 
     def test_offsets_capture_planted_imbalance(self, vacuum_frames):
@@ -152,7 +152,10 @@ class TestProjection:
         ds = arrays.project_mode_quadrature(ramp_coherent_frames, arrays.uniform_mode(GRID))
         expect = 1.0 / (2 * DET.eta_q)
         assert abs(ds.qs.var() - expect) < 3 * variance_stderr(expect, len(ds))
-        assert abs(ds.qs.mean()) < 3 * ds.qs.std() / np.sqrt(len(ds))
+        # the vacuum offsets, from N_CALIBRATION shot-noise pulses, shift
+        # every corrected frame alike
+        se = ds.qs.std() * np.sqrt(1.0 / len(ds) + 1.0 / arrays.N_CALIBRATION)
+        assert abs(ds.qs.mean()) < 3 * se
 
     def test_complex_mode_rejected(self, vacuum_frames):
         with pytest.raises(ValueError):
@@ -257,7 +260,39 @@ class TestOptimalMode:
             arrays.optimal_mode(M, DET, GRID)
 
 
+def _whole_array_spectral_records(signal_modes, lo_amplitudes, window, n_pulses, seed):
+    """unbalanced_spectral_sim as it drew before its counts went through
+    detection.photodiode_counts: one whole-array Poisson draw of float
+    counts (no common random phase)."""
+    M, beta = window, np.asarray(lo_amplitudes, complex)
+    J, L, k_axis = beta.size // 2, 2 * window + 1, np.arange(-window, window + 1)
+    b = np.zeros((n_pulses, L), complex)
+    b[:, (k_axis >= -J) & (k_axis <= J)] = beta[None, :]
+    for k, spec in signal_modes:
+        b[:, k + M] = arrays._amplitude_draws(spec, n_pulses, stream(seed, f"spectral-amp-{k}"))
+    F = np.exp(2j * np.pi * np.outer(k_axis, k_axis) / L) / np.sqrt(L)
+    counts = stream(seed, "spectral-counts").poisson(np.abs(b @ F.T) ** 2).astype(float)
+    l_values = np.arange(2 * J + 1, M + 1)
+    return counts @ np.exp(-2j * np.pi * np.outer(k_axis, l_values) / L)
+
+
 class TestSpectral:
+    def test_counts_keep_the_whole_array_draw(self):
+        # 1,000 pulses of a 65-bin window are 4 count blocks; the thermal
+        # signal's rates reach below numpy's Poisson switch at a mean of 10
+        signal = [(3, states.StateSpec("coherent", alpha=2.0 + 1.0j)),
+                  (6, states.StateSpec("thermal", nbar=2.0))]
+        lo = np.array([5.0, 3000.0, 5.0])
+        recs = arrays.unbalanced_spectral_sim(signal, lo, 32, 1_000, seed=817)
+        ref = _whole_array_spectral_records(signal, lo, 32, 1_000, seed=817)
+        assert recs.K.shape == ref.shape and np.array_equal(recs.K, ref)
+
+    def test_rate_beyond_a_poisson_draw_refused(self):
+        # the shared photodiode model's rate check, not numpy's Poisson error
+        with pytest.raises(ConfigError, match="mean photoelectron rate above") as exc:
+            arrays.unbalanced_spectral_sim([], np.array([1e11 + 0j]), 32, 10, seed=818)
+        assert exc.traceback[-1].name == "photodiode_counts"
+
     def test_vacuum_unit_quadrature_variance(self):
         recs = arrays.unbalanced_spectral_sim([], np.array([1000.0 + 0j]), 32,
                                               30_000, seed=810)

@@ -295,63 +295,77 @@ class TestDetectorCounts:
             detection.detector_counts(np.array([200.0]), det, stream(16, "c"))
 
 
-def _per_block_counts(mu1, mu2, sigma_e, rng):
-    """The serial oracle of photodiode_counts, built from the same streams:
-    block k of whole rows, about COUNT_BLOCK counts, draws from
-    Philox(key).jumped(k), where key is rng's one draw of two uint64."""
-    rows = max(1, detection.COUNT_BLOCK // int(np.prod(mu1.shape[1:])))
-    root = np.random.Philox(key=rng.integers(0, 2**64, size=2, dtype=np.uint64))
-    n1, n2 = np.empty(mu1.shape, np.int64), np.empty(mu2.shape, np.int64)
-    for k, lo in enumerate(range(0, mu1.shape[0], rows)):
-        gen, b = np.random.Generator(root.jumped(k)), slice(lo, lo + rows)
-        n1[b] = gen.poisson(mu1[b])
-        n2[b] = gen.poisson(mu2[b])
-        if sigma_e > 0:
-            n1[b] += np.rint(gen.normal(0.0, sigma_e, size=n1[b].shape)).astype(np.int64)
-            n2[b] += np.rint(gen.normal(0.0, sigma_e, size=n2[b].shape)).astype(np.int64)
-    return n1, n2
+def _per_block_counts(mus, sigma_e, rng):
+    """The serial oracle of photodiode_counts: block by block of whole rows,
+    about COUNT_BLOCK counts, rng draws each array's Poisson counts, then
+    each array's rounded Gaussian noise."""
+    rows = max(1, detection.COUNT_BLOCK // int(np.prod(mus[0].shape[1:])))
+    counts = [np.empty(mu.shape, np.int64) for mu in mus]
+    for lo in range(0, mus[0].shape[0], rows):
+        b = slice(lo, lo + rows)
+        for mu, n in zip(mus, counts):
+            n[b] = rng.poisson(mu[b])
+        for n in counts if sigma_e > 0 else []:
+            n[b] += np.rint(rng.normal(0.0, sigma_e, size=n[b].shape)).astype(np.int64)
+    return counts
 
 
 class TestPhotodiodeCounts:
     @given(width=st.sampled_from([None, 1, 3, 64]),
            extra=st.sampled_from([("rows", 1), ("block", -1), ("block", 0), ("block", 1),
                                   ("two_blocks", 3)]),
+           n_arrays=st.sampled_from([1, 2, 3]),
            sigma_e=st.sampled_from([0.0, 0.7, 300.0]),
            scale=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_equals_serial_per_block_draws(self, width, extra, sigma_e, scale, seed):
+    def test_equals_serial_per_block_draws(self, width, extra, n_arrays, sigma_e, scale, seed):
         row = 1 if width is None else width
         block = detection.COUNT_BLOCK // row
         kind, k = extra
         n_rows = {"rows": k, "block": block + k, "two_blocks": 2 * block + k}[kind]
         shape = (n_rows,) if width is None else (n_rows, width)
         gen = np.random.default_rng(seed)
-        mu1 = gen.uniform(0.0, 10.0**scale, shape)
-        mu2 = gen.uniform(0.0, 10.0**scale, shape)
-        mu1.flat[0] = 0.0
-        o1, o2 = _per_block_counts(mu1, mu2, sigma_e, stream(seed, "counts"))
+        mus = [gen.uniform(0.0, 10.0**scale, shape) for _ in range(n_arrays)]
+        mus[0].flat[0] = 0.0
+        oracle_rng = stream(seed, "counts")
+        expected = _per_block_counts(mus, sigma_e, oracle_rng)
         calls = []
 
         def rates(lo, hi):
             calls.append((lo, hi))
-            return mu1[lo:hi], mu2[lo:hi]
+            return tuple(mu[lo:hi] for mu in mus)
 
         rng = stream(seed, "counts")
-        n1, n2 = detection.photodiode_counts(rates, shape, sigma_e, rng)
-        assert n1.dtype == n2.dtype == np.int64
-        assert np.array_equal(n1, o1) and np.array_equal(n2, o2)
-        # the caller's generator gives up the key draw and nothing else
-        after_key = stream(seed, "counts")
-        after_key.integers(0, 2**64, size=2, dtype=np.uint64)
-        assert rng.random() == after_key.random()
+        counts = detection.photodiode_counts(rates, shape, sigma_e, rng)
+        assert len(counts) == n_arrays
+        assert all(n.dtype == np.int64 and n.shape == shape for n in counts)
+        assert all(np.array_equal(n, o) for n, o in zip(counts, expected))
+        # the caller's generator advanced by exactly the serial draws
+        assert rng.random() == oracle_rng.random()
         # each row's rates asked for once, in order, at most a block at a time
         assert calls[0][0] == 0 and calls[-1][1] == n_rows
         assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
         assert max(hi - lo for lo, hi in calls) <= block
 
+    @pytest.mark.parametrize("shape", [(3 * detection.COUNT_BLOCK + 5,), (1_000, 65)])
+    def test_one_array_without_noise_is_one_whole_array_draw(self, shape):
+        # Poisson draws from one generator taken block by block are the
+        # draws of the whole array at once, so a single noiseless array of
+        # counts does not depend on COUNT_BLOCK; rates span both of numpy's
+        # Poisson algorithms (below and above a mean of 10)
+        mu = np.random.default_rng(20).uniform(0.0, 40.0, shape)
+        n, = detection.photodiode_counts(lambda lo, hi: (mu[lo:hi],), shape, 0.0,
+                                         stream(20, "c"))
+        assert np.array_equal(n, stream(20, "c").poisson(mu))
+
+    def test_empty_record_gives_empty_counts(self):
+        n1, n2 = detection.detector_counts(np.zeros(0), detection.DetectorModel(sigma_e=1.0),
+                                           stream(21, "c"))
+        assert n1.shape == n2.shape == (0,) and n1.dtype == np.int64
+
     def test_poisson_error_in_a_later_block_reaches_the_caller(self, monkeypatch):
         # of three blocks, only blocks 1 and 2 hold a rate too large for
-        # numpy's Poisson draw, which the staging pass is made to let through
+        # numpy's Poisson draw, which the rate check is made to let through
         monkeypatch.setattr(detection, "POISSON_MAX", np.inf)
         mu = np.full(2 * detection.COUNT_BLOCK + 3, 50.0)
         mu[detection.COUNT_BLOCK:] = 1e20
@@ -361,14 +375,13 @@ class TestPhotodiodeCounts:
 
     def test_negative_rate_refused_before_any_draw(self):
         # the bad rate sits in the last block, after blocks with valid rates
+        # that have drawn: the block is refused before its own draw
         n_rows = 2 * detection.COUNT_BLOCK + 3
         mu = np.full(n_rows, 50.0)
         mu[-1] = -1.0
-        rng = stream(17, "c")
-        with pytest.raises(ValueError, match="negative mean photoelectron rate"):
+        with pytest.raises(ConfigError, match="negative mean photoelectron rate"):
             detection.photodiode_counts(lambda lo, hi: (mu[lo:hi], mu[lo:hi]),
-                                        mu.shape, 1.0, rng)
-        assert rng.random() == stream(17, "c").random()
+                                        mu.shape, 1.0, stream(17, "c"))
 
 
 class TestPdfFloor:

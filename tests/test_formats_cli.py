@@ -927,6 +927,23 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source", [
+        {"kind": "correlated_thermal", "nbar": -0.5},
+        {"kind": "correlated_thermal", "nbar": -0.5, "corr": 0.5},
+        {"kind": "hbt_split", "nbar": -0.5},
+        {"kind": "anticorrelated_thermal", "nbar": -0.5},
+        {"kind": "independent_poisson", "nbar": -0.5},
+        {"kind": "independent_poisson", "nbar": 1.0, "nbar2": -0.5},
+    ])
+    def test_negative_nbar_refused_by_the_law(self, tmp_path, capsys, source):
+        # the law's own message, built from the config before any draw
+        doc = {"source": source, "n_samples": 10, "seed": 1,
+               "outputs": {"dir": str(tmp_path / "o")}}
+        assert run_cli("twomode", "--config", write_config(tmp_path, "bad.json", doc)) == 2
+        assert ("bad.json: at source: mean photon numbers must be >= 0, got -0.5"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("override", [
         {"detector": {"eta_q": 2.0}},
         {"source": {"kind": "correlated_thermal", "nbar": 1.0, "corr": 1.5}},
@@ -1064,7 +1081,8 @@ class TestCli:
         ds = str(tmp_path / "v" / "dataset.jsonl")
         assert run_cli("reconstruct", "--input", ds, "--method", "pattern", "--dim", "28",
                        "--out", str(tmp_path / "r28")) == 2
-        assert "config error" in capsys.readouterr().err
+        assert ("config error: dim must be in 1..27 (Gram conditioning bound), got 28"
+                in capsys.readouterr().err)
         assert run_cli("reconstruct", "--input", ds, "--method", "pattern", "--dim", "27",
                        "--out", str(tmp_path / "r27")) == 0
         assert json.loads((tmp_path / "r27" / "rho.json").read_text())["dim"] == 27

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ohtlab import detection, patterns, radon, states
-from ohtlab.errors import AliasingError, CoverageError
+from ohtlab.errors import AliasingError, ConfigError, CoverageError
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +65,12 @@ class TestConstruction:
         assert max(pf8.condition_numbers.values()) < 1e12
         assert max(pf8.biorth_residuals.values()) < 1e-9
 
-    def test_dim_cap(self):
-        with pytest.raises(ValueError):
-            patterns.build_pattern_functions(31)
+    @pytest.mark.parametrize("dim", [0, 28, 31])
+    def test_dim_cap(self, dim):
+        # one check and one message for the library and the --dim flag
+        with pytest.raises(ConfigError, match=rf"^dim must be in 1\.\.27 \(Gram conditioning "
+                                              rf"bound\), got {dim}$"):
+            patterns.build_pattern_functions(dim)
 
 
 class TestRhoFromQuadratures:

@@ -261,14 +261,27 @@ class TestThreeAlphaLaws:
             assert val == pytest.approx(1.0, abs=3 * se + 0.03), key
 
 
+class TestLawsRefuseNegativeNbar:
+    @pytest.mark.parametrize("build", [
+        lambda: twomode.correlated_thermal_law(-1.0, 0.5),
+        lambda: twomode.hbt_split_law(-1.0),
+        lambda: twomode.anticorrelated_thermal_law(-1.0),
+        lambda: twomode.independent_poisson_law(-1.0, 1.0),
+        lambda: twomode.independent_poisson_law(1.0, -1.0),
+    ], ids=["correlated_thermal", "hbt_split", "anticorrelated_thermal",
+            "independent_poisson-nbar1", "independent_poisson-nbar2"])
+    def test_refused_when_built(self, build):
+        # one rule and one message for every law, before anything is drawn
+        with pytest.raises(ConfigError, match=r"^mean photon numbers must be >= 0, got -1\.0$"):
+            build()
+
+
 class TestCorrelatedThermalLaw:
     def test_correlation_coefficient_validated(self):
         for corr in (1.5, -0.2):
             with pytest.raises(ConfigError, match=r"^number correlation coefficient "
                                                    r"must be in \[0, 1\]$"):
                 twomode.correlated_thermal_law(1.0, corr)
-        with pytest.raises(ConfigError, match=r"^correlated_thermal needs nbar >= 0$"):
-            twomode.correlated_thermal_law(-1.0, 0.5)
 
     @pytest.mark.parametrize("corr", [0.0, 0.3, 0.7, 1.0])
     def test_thermal_marginals_and_pearson_correlation(self, corr):
