@@ -39,8 +39,7 @@ def main():
     w_opt, n_opt = arrays.optimal_mode(M, det, grid)
     overlap = abs(grid.pixel_area * np.dot(w_opt.w, planted.w))
 
-    ds_arr = arrays.project_mode_quadrature(frames, planted)
-    n_array = float(np.mean(ds_arr.qs**2) - 0.5)
+    n_array, _ = moments.mean_photon(arrays.project_mode_quadrature(frames, planted))
 
     # same physics through a single detector whose LO overlaps the signal
     # mode by eta_ls only; the analysis can rescale by eta_q but not by the
@@ -53,11 +52,8 @@ def main():
         thetas=single.thetas, qs=single.qs * args.eta_ls, meta=single.meta)
     n_single, _ = moments.mean_photon(penalized)
 
-    with open(out / "optimal_mode.csv", "w") as f:
-        f.write("pixel,x,w_opt,w_planted\n")
-        for j in range(grid.n_pixels):
-            f.write(f"{j},{float(grid.coordinates[j])!r},"
-                    f"{float(w_opt.w[j])!r},{float(planted.w[j])!r}\n")
+    formats.write_csv(out / "optimal_mode.csv", "pixel,x,w_opt,w_planted", range(grid.n_pixels),
+                      grid.coordinates, w_opt.w, planted.w)
     report = {
         "mode_overlap_recovered": overlap,
         "photons_array": n_array,
@@ -66,7 +62,7 @@ def main():
         "advantage_ratio": n_array / n_single,
         "planted_photons": args.nbar,
     }
-    (out / "report.json").write_text(formats.dumps_canonical(report) + "\n")
+    formats.write_json(out / "report.json", report)
     print(f"recovered mode overlap: {overlap:.4f}")
     print(f"array photons: {n_array:.2f}  (eigenmode estimate {n_opt:.2f})")
     print(f"single-detector photons at eta_ls={args.eta_ls}: {n_single:.2f}")

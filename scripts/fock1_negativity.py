@@ -44,7 +44,7 @@ def main():
         formats.write_wigner_csv(out / f"wigner_eta{eta:.2f}.csv", w)
         print(f"eta={eta:.2f}: W(0,0) = {origin:+.5f} ± {err:.5f} "
               f"(analytic {analytic:+.5f})")
-    (out / "summary.json").write_text(formats.dumps_canonical({"runs": rows}) + "\n")
+    formats.write_json(out / "summary.json", {"runs": rows})
     print(f"artifacts in {out}/")
 
 

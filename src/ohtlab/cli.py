@@ -63,34 +63,9 @@ class SimulateConfig(SeededConfig):
     n_samples: int
 
 
-@dataclass(frozen=True)
-class TwoModeSource(FromDict):
-    kind: str
-    nbar: float
-    nbar2: float | None = None      # independent_poisson only; default: nbar
-    corr: float | None = None       # correlated_thermal only; default: 0
-
-    #: each kind's joint number law, built from the source's numbers
-    LAWS = {"correlated_thermal": lambda s: twomode.correlated_thermal_law(s.nbar, s.corr or 0.0),
-            "independent_poisson": lambda s: twomode.independent_poisson_law(
-                s.nbar, s.nbar if s.nbar2 is None else s.nbar2),
-            "hbt_split": lambda s: twomode.hbt_split_law(s.nbar),
-            "anticorrelated_thermal": lambda s: twomode.anticorrelated_thermal_law(s.nbar)}
-
-    def __post_init__(self):
-        if self.kind not in self.LAWS:
-            raise ConfigError(f"unknown source kind {self.kind!r}")
-        for key, kind in (("corr", "correlated_thermal"), ("nbar2", "independent_poisson")):
-            if getattr(self, key) is not None and self.kind != kind:
-                raise ConfigError(f"{key} applies to {kind} sources only, not {self.kind}")
-        # the law checks its own numbers as it is built, before any draw
-        law = self.LAWS[self.kind](self)
-        object.__setattr__(self, "state", twomode.TwoModeState("planted", law=law))
-
-
 @dataclass(frozen=True, kw_only=True)
 class TwoModeConfig(SeededConfig):
-    source: TwoModeSource
+    source: twomode.NumberLaw
     n_samples: int
 
 
@@ -268,10 +243,10 @@ def cmd_moments(args) -> int:
 
 def cmd_twomode(args) -> int:
     doc, cfg = load_config(args.config, TwoModeConfig)
-    st = cfg.source.state
     rand = detection.PhaseSchedule("uniform_random")
-    runs = [twomode.combined_quadrature_samples(st, alpha, cfg.detector, cfg.n_samples,
-                                                cfg.seed + i, rand, rand)
+    # run i draws at seed 3·seed + i, so no two configs' seeds share a run
+    runs = [twomode.combined_quadrature_samples(cfg.source, alpha, cfg.detector, cfg.n_samples,
+                                                3 * cfg.seed + i, rand, rand)
             for i, alpha in enumerate((0.0, np.pi / 4, np.pi / 2))]
     g2, se = twomode.two_time_g2(*runs)
     report = {"g2": g2, "g2_stderr": se, "source": doc["source"], "n_samples": cfg.n_samples}

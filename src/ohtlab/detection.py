@@ -30,13 +30,18 @@ import numpy as np
 from ._config import FromDict
 from ._rng import stream
 from .errors import ConfigError, CoverageError
-from .states import DensityMatrix, check_pdf_floor, hermite_psi_all
+from .states import HERMITE_N_MAX, LEAK_TOL, DensityMatrix, check_pdf_floor, hermite_psi_all
 
 FORMAT_VERSION = "ohtlab-quad-v1"
 
 #: tabulation grid for inverse-CDF sampling
 PDF_POINTS = 4096
 PDF_SPAN = 8.0
+
+#: a record is refused (ConfigError) when more than states.LEAK_TOL of its
+#: probability lies beyond the tabulation span
+SPAN_REFUSAL = (f"more than {LEAK_TOL:g} of the record's probability lies beyond "
+                f"|q| = {PDF_SPAN:g}, the sampling span")
 
 #: continuous phase schedules are snapped to this many equispaced values so
 #: per-phase pdf tables stay affordable; phase averages of harmonics below
@@ -215,7 +220,9 @@ def _inverse_cdf_draw(pdf_rows, q_grid: np.ndarray, group_idx: np.ndarray,
     are alive at once. One stable sort lines the samples up group by group,
     so each group is a contiguous slice of the order; the group indices are
     sorted in the smallest type that holds them, where numpy's stable sort
-    is a radix sort up to 65,536 groups.
+    is a radix sort up to 65,536 groups.  Each row's integral over the span
+    is divided away; ConfigError(SPAN_REFUSAL) when the record's share of
+    what lies beyond it exceeds LEAK_TOL.
     """
     rows_of = pdf_rows if callable(pdf_rows) else lambda lo, hi: pdf_rows[lo:hi]
     dq = q_grid[1] - q_grid[0]
@@ -226,6 +233,7 @@ def _inverse_cdf_draw(pdf_rows, q_grid: np.ndarray, group_idx: np.ndarray,
     # a lone last row joins the block before it: a one-row table goes through
     # BLAS matrix-vector code, which rounds differently from the full product
     edges = [*range(0, max(counts.size - 1, 1), PHASE_BLOCK), counts.size]
+    beyond = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         rows = rows_of(lo, hi)
         # the trapezoid areas (rows[:, 1:] + rows[:, :-1]) * 0.5 * dq and their
@@ -236,6 +244,9 @@ def _inverse_cdf_draw(pdf_rows, q_grid: np.ndarray, group_idx: np.ndarray,
         np.multiply(area, 0.5, out=area)
         np.multiply(area, dq, out=area)
         np.cumsum(area, axis=1, out=area)
+        beyond += counts[lo:hi] @ (1.0 - cdf[:, -1])
+        if beyond > LEAK_TOL * u.size:
+            raise ConfigError(SPAN_REFUSAL)
         cdf /= cdf[:, -1:]
         for g in range(lo, hi):
             sel = slices[g]
@@ -260,8 +271,12 @@ def draw_state_quadratures(rho: DensityMatrix, thetas: np.ndarray,
 
 
 def draw_fock_quadratures(ns: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Quadratures of Fock states |n_i⟩: q_i ~ ψ_{n_i}(q)² (phase independent)."""
+    """Quadratures of Fock states |n_i⟩: q_i ~ ψ_{n_i}(q)² (phase independent).
+    Levels up to 20 fit the span; a level above HERMITE_N_MAX is refused
+    before anything is tabulated."""
     levels, group = np.unique(ns, return_inverse=True)
+    if levels.max(initial=0) > HERMITE_N_MAX:
+        raise ConfigError(SPAN_REFUSAL)
     q_grid = np.linspace(-PDF_SPAN, PDF_SPAN, PDF_POINTS)
     psi = hermite_psi_all(int(levels.max(initial=0)), q_grid)
     return _inverse_cdf_draw(psi[levels] ** 2, q_grid, group, rng.random(ns.size))

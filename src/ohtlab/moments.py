@@ -101,7 +101,7 @@ def _g2_from_means(m2, m4):
 def g2_single(ds: QuadratureDataset):
     """Second-order coherence g²(t,t) from phase-averaged q² and q⁴ moments.
 
-    Standard error by delete-1 jackknife on the moment pair.  Refuses
+    Standard error by `jackknife` on the moment pair.  Refuses
     near-vacuum records whose ⟨n⟩ is not resolved at 5 standard errors
     (the normalization diverges).
     """
@@ -111,12 +111,22 @@ def g2_single(ds: QuadratureDataset):
 
 def _g2_single(q2, q4):
     resolved_mean_photon(q2, q4)
-    n = q2.size
-    value = float(_g2_from_means(q2.mean(), q4.mean()))
-    sa, sb = q2.sum(), q4.sum()
-    loo = _g2_from_means((sa - q2) / (n - 1), (sb - q4) / (n - 1))
-    stderr = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
-    return value, stderr
+    return jackknife(_g2_from_means, (q2, q4))
+
+
+def jackknife(f, *runs):
+    """(f of the column means, delete-1 jackknife std err) over independent
+    runs, each a tuple of equally long sample columns; f takes every run's
+    column means in order.  Each run's samples are left out in turn while
+    the other runs' means are held, and the runs' variances add."""
+    means = [[c.mean() for c in run] for run in runs]
+    var = 0.0
+    for i, run in enumerate(runs):
+        n = run[0].size
+        held = [*means[:i], [(c.sum() - c) / (n - 1) for c in run], *means[i + 1:]]
+        loo = f(*(m for ms in held for m in ms))
+        var += (n - 1) / n * np.sum((loo - loo.mean()) ** 2)
+    return float(f(*(m for ms in means for m in ms))), float(np.sqrt(var))
 
 
 def moment_report(ds: QuadratureDataset, factorial_orders=(1, 2)) -> MomentReport:

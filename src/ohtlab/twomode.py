@@ -7,10 +7,11 @@ schedules (a fixed phase is a one-phase grid) and Q goes through the
 single-mode detection chain, `detection.add_detection_noise`.  Its record
 is a `detection.QuadratureDataset` with a ζ column and α in
 meta.extra["alpha"], so the single-mode moments read it as it is.
-Correlated photon-number sources are synthesized by planting per-pulse
-number pairs (n₁, n₂) from a joint law and sampling each quadrature from
-the matching Fock distribution, which gives exact ground-truth ⟨n₁n₂⟩ for
-validation.
+A source is a pair of independent single-mode states or a `NumberLaw`,
+the joint photon-number law that the `twomode` config's `source` block
+reads into: per-pulse number pairs (n₁, n₂) are planted from it and each
+quadrature is sampled from the matching Fock distribution, which gives
+exact ground-truth ⟨n₁n₂⟩ for validation.
 """
 
 from __future__ import annotations
@@ -19,38 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._config import FromDict
 from ._rng import stream
 from .detection import (DatasetMeta, DetectorModel, PhaseSchedule, QuadratureDataset,
                         add_detection_noise, check_sampling, draw_fock_quadratures,
                         draw_state_quadratures)
 from .errors import ConfigError
-from .moments import resolved_mean_photon
+from .moments import jackknife, resolved_mean_photon
 from .states import DensityMatrix
-
-
-@dataclass
-class TwoModeState:
-    """Two-mode source description.
-
-    kinds:
-      product: independent modes with given single-mode density matrices
-      planted: joint number law (callable(rng, n) -> (n1, n2))
-    """
-
-    kind: str
-    rho1: DensityMatrix | None = None
-    rho2: DensityMatrix | None = None
-    law: object = None
-
-    def __post_init__(self):
-        if self.kind == "product":
-            if self.rho1 is None or self.rho2 is None:
-                raise ValueError("product state needs rho1 and rho2")
-        elif self.kind == "planted":
-            if not callable(self.law):
-                raise ValueError("planted state needs a callable joint number law")
-        else:
-            raise ValueError(f"unknown two-mode kind {self.kind!r}")
 
 
 def thermal_pmf(nbar: float, cutoff: int) -> np.ndarray:
@@ -59,78 +36,72 @@ def thermal_pmf(nbar: float, cutoff: int) -> np.ndarray:
     return p / p.sum()
 
 
-def _check_nbar(*nbars: float) -> None:
-    """ConfigError unless every mean photon number of a law is >= 0."""
-    for nbar in nbars:
-        if not nbar >= 0:
-            raise ConfigError(f"mean photon numbers must be >= 0, got {nbar}")
+@dataclass(frozen=True)
+class NumberLaw(FromDict):
+    """Joint photon-number law of a planted two-mode source.
+
+    kinds:
+      correlated_thermal: equal thermal marginals, Pearson correlation corr
+        (default 0) realized as a mixture of perfectly-correlated and
+        independent draws
+      hbt_split: one thermal mode split 50/50 onto the two measured modes
+        (the Hanbury Brown-Twiss arrangement): n ~ BE(nbar), n₁ ~ Binom(n, 1/2)
+      anticorrelated_thermal: an antithetically coupled thermal pair on
+        ANTI_CUTOFF levels, thermal marginals with strongly negative number
+        correlation
+      independent_poisson: Poisson modes of means nbar and nbar2 (default nbar)
+    """
+
+    kind: str
+    nbar: float
+    nbar2: float | None = None      # independent_poisson only
+    corr: float | None = None       # correlated_thermal only
+
+    KINDS = ("correlated_thermal", "hbt_split", "anticorrelated_thermal", "independent_poisson")
+    ANTI_CUTOFF = 60
+
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ConfigError(f"unknown source kind {self.kind!r}")
+        for key, kind in (("corr", "correlated_thermal"), ("nbar2", "independent_poisson")):
+            if getattr(self, key) is not None and self.kind != kind:
+                raise ConfigError(f"{key} applies to {kind} sources only, not {self.kind}")
+        for nbar in (self.nbar, self.nbar2 or 0.0):
+            if not nbar >= 0:
+                raise ConfigError(f"mean photon numbers must be >= 0, got {nbar}")
+        if not 0.0 <= (self.corr or 0.0) <= 1.0:
+            raise ConfigError("number correlation coefficient must be in [0, 1]")
+
+    def draw(self, rng: np.random.Generator, n: int):
+        """n number pairs (n₁, n₂) drawn from rng."""
+        if self.kind == "independent_poisson":
+            nbar2 = self.nbar if self.nbar2 is None else self.nbar2
+            return rng.poisson(self.nbar, size=n), rng.poisson(nbar2, size=n)
+        if self.kind == "anticorrelated_thermal":
+            cdf = np.cumsum(thermal_pmf(self.nbar, self.ANTI_CUTOFF))
+            u = rng.random(n)
+            return np.searchsorted(cdf, u), np.searchsorted(cdf, 1.0 - u)
+        cutoff = max(30, int(20 * (1 + self.nbar)))
+        p = thermal_pmf(self.nbar, cutoff)
+        if self.kind == "hbt_split":
+            total = rng.choice(cutoff, size=n, p=p)
+            n1 = rng.binomial(total, 0.5)
+            return n1, total - n1
+        common, ind1, ind2 = (rng.choice(cutoff, size=n, p=p) for _ in range(3))
+        use_common = rng.random(n) < (self.corr or 0.0)
+        return np.where(use_common, common, ind1), np.where(use_common, common, ind2)
 
 
-def correlated_thermal_law(nbar: float, corr: float):
-    """Joint number law: equal thermal marginals, Pearson correlation `corr`
-    realized as a mixture of perfectly-correlated and independent draws."""
-    _check_nbar(nbar)
-    if not 0.0 <= corr <= 1.0:
-        raise ConfigError("number correlation coefficient must be in [0, 1]")
-
-    def law(rng: np.random.Generator, n: int):
-        cutoff = max(30, int(20 * (1 + nbar)))
-        p = thermal_pmf(nbar, cutoff)
-        common = rng.choice(cutoff, size=n, p=p)
-        ind1 = rng.choice(cutoff, size=n, p=p)
-        ind2 = rng.choice(cutoff, size=n, p=p)
-        use_common = rng.random(n) < corr
-        n1 = np.where(use_common, common, ind1)
-        n2 = np.where(use_common, common, ind2)
-        return n1, n2
-    return law
-
-
-def hbt_split_law(nbar: float):
-    """One thermal mode split 50/50 onto the two measured modes (the
-    Hanbury Brown-Twiss arrangement): n ~ BE(nbar), n1 ~ Binom(n, 1/2)."""
-    _check_nbar(nbar)
-
-    def law(rng: np.random.Generator, n: int):
-        cutoff = max(30, int(20 * (1 + nbar)))
-        p = thermal_pmf(nbar, cutoff)
-        total = rng.choice(cutoff, size=n, p=p)
-        n1 = rng.binomial(total, 0.5)
-        return n1, total - n1
-    return law
-
-
-def anticorrelated_thermal_law(nbar: float, cutoff: int = 60):
-    """Antithetically coupled thermal pair: thermal marginals with strongly
-    negative number correlation."""
-    _check_nbar(nbar)
-
-    def law(rng: np.random.Generator, n: int):
-        p = thermal_pmf(nbar, cutoff)
-        cdf = np.cumsum(p)
-        u = rng.random(n)
-        n1 = np.searchsorted(cdf, u)
-        n2 = np.searchsorted(cdf, 1.0 - u)
-        return n1, n2
-    return law
-
-
-def independent_poisson_law(nbar1: float, nbar2: float):
-    _check_nbar(nbar1, nbar2)
-
-    def law(rng: np.random.Generator, n: int):
-        return rng.poisson(nbar1, size=n), rng.poisson(nbar2, size=n)
-    return law
-
-
-def combined_quadrature_samples(st: TwoModeState, alpha: float, det: DetectorModel,
-                                n_samples: int, seed: int, theta_schedule: PhaseSchedule,
+def combined_quadrature_samples(source: NumberLaw | tuple[DensityMatrix, DensityMatrix],
+                                alpha: float, det: DetectorModel, n_samples: int, seed: int,
+                                theta_schedule: PhaseSchedule,
                                 zeta_schedule: PhaseSchedule) -> QuadratureDataset:
-    """Dual-LO record Q = cos(α) q_1θ + sin(α) q_2β, β = θ − ζ, α ∈ [0, π/2].
+    """Dual-LO record Q = cos(α) q_1θ + sin(α) q_2β, β = θ − ζ, α ∈ [0, π/2],
+    of a planted NumberLaw or a pair (ρ₁, ρ₂) of independent modes.
 
     A fixed phase φ is the schedule PhaseSchedule("grid", d=1, span=(φ, φ + 0.1)).
-    A planted state draws (n₁, n₂) from stream "numbers" and each mode's
-    quadrature from streams "quadrature-1" and "quadrature-2".
+    A NumberLaw draws (n₁, n₂) from stream "numbers"; each mode's
+    quadrature comes from streams "quadrature-1" and "quadrature-2".
     """
     if not 0.0 <= alpha <= np.pi / 2:
         raise ValueError("alpha must lie in [0, π/2]")
@@ -140,13 +111,14 @@ def combined_quadrature_samples(st: TwoModeState, alpha: float, det: DetectorMod
     betas = np.mod(thetas - zetas, 2.0 * np.pi)
     rng1 = stream(seed, "quadrature-1")
     rng2 = stream(seed, "quadrature-2")
-    if st.kind == "product":
-        q1 = draw_state_quadratures(st.rho1, thetas, rng1)
-        q2 = draw_state_quadratures(st.rho2, betas, rng2)
-    else:
-        n1, n2 = st.law(stream(seed, "numbers"), n_samples)
+    if isinstance(source, NumberLaw):
+        n1, n2 = source.draw(stream(seed, "numbers"), n_samples)
         q1 = draw_fock_quadratures(np.asarray(n1, int), rng1)
         q2 = draw_fock_quadratures(np.asarray(n2, int), rng2)
+    else:
+        rho1, rho2 = source
+        q1 = draw_state_quadratures(rho1, thetas, rng1)
+        q2 = draw_state_quadratures(rho2, betas, rng2)
     qs = add_detection_noise(np.cos(alpha) * q1 + np.sin(alpha) * q2, det, seed)
     meta = DatasetMeta(detector=det, schedule=theta_schedule, seed=seed,
                        extra={"alpha": alpha, "zeta_schedule": zeta_schedule.to_dict()})
@@ -160,8 +132,9 @@ def two_time_g2(run0: QuadratureDataset, run45: QuadratureDataset, run90: Quadra
     mode quadratures vanish, so the α = π/4 run isolates the cross moment:
     ⟨q₁²q₂²⟩ = (4⟨⟨Q⁴⟩⟩_{π/4} − ⟨⟨q₁⁴⟩⟩ − ⟨⟨q₂⁴⟩⟩)/6, and
     ⟨q₁²q₂²⟩ = ⟨n₁n₂⟩ + ⟨n₁⟩/2 + ⟨n₂⟩/2 + 1/4 converts to photon numbers.
-    Returns (g², jackknife std err); NearVacuumError when the α = 0 or
-    α = π/2 run does not resolve its mode's ⟨n⟩, which g² divides by.
+    Returns (g², std err), the error by `moments.jackknife` over the three
+    independent runs; NearVacuumError when the α = 0 or α = π/2 run does
+    not resolve its mode's ⟨n⟩, which g² divides by.
     """
     for ds, want in ((run0, 0.0), (run45, np.pi / 4), (run90, np.pi / 2)):
         alpha = ds.meta.extra.get("alpha")
@@ -175,7 +148,6 @@ def two_time_g2(run0: QuadratureDataset, run45: QuadratureDataset, run90: Quadra
     b2, b4 = run90.qs**2, run90.qs**4
     resolved_mean_photon(a2, a4)
     resolved_mean_photon(b2, b4)
-    c4 = run45.qs ** 4
 
     def estimate(m2_1, m4_1, m2_2, m4_2, m4_c):
         cross = (4.0 * m4_c - m4_1 - m4_2) / 6.0
@@ -184,19 +156,4 @@ def two_time_g2(run0: QuadratureDataset, run45: QuadratureDataset, run90: Quadra
         n1n2 = cross - 0.5 * n1 - 0.5 * n2 - 0.25
         return n1n2 / (n1 * n2)
 
-    means = [a2.mean(), a4.mean(), b2.mean(), b4.mean(), c4.mean()]
-    value = float(estimate(*means))
-
-    # delete-1 jackknife per run; the three runs are independent, so their
-    # jackknife variances add
-    n = len(run0)
-    loo_sets = (
-        estimate((a2.sum() - a2) / (n - 1), (a4.sum() - a4) / (n - 1),
-                 means[2], means[3], means[4]),
-        estimate(means[0], means[1], (b2.sum() - b2) / (n - 1),
-                 (b4.sum() - b4) / (n - 1), means[4]),
-        estimate(means[0], means[1], means[2], means[3],
-                 (c4.sum() - c4) / (n - 1)),
-    )
-    var = sum((n - 1) / n * np.sum((loo - loo.mean()) ** 2) for loo in loo_sets)
-    return value, float(np.sqrt(var))
+    return jackknife(estimate, (a2, a4), (b2, b4), (run45.qs ** 4,))

@@ -253,20 +253,19 @@ def test_acceptance_13_two_time_g2():
     rand = detection.PhaseSchedule("uniform_random")
 
     def runs(law, seed):
-        st_ = twomode.TwoModeState("planted", law=law)
         return [twomode.combined_quadrature_samples(
-            st_, a, DET_IDEAL, 400_000,
+            law, a, DET_IDEAL, 400_000,
             seed + 31 * i, theta_schedule=rand, zeta_schedule=rand)
             for i, a in enumerate((0.0, np.pi / 4, np.pi / 2))]
 
-    law_cor = twomode.correlated_thermal_law(1.0, 1.0)
+    law_cor = twomode.NumberLaw("correlated_thermal", 1.0, corr=1.0)
     g2_cor, se_cor = twomode.two_time_g2(*runs(law_cor, 1017))
     # the photon numbers the α = π/4 run planted, drawn again from its stream
-    n1, n2 = (n.astype(float) for n in law_cor(stream(1017 + 31, "numbers"), 400_000))
+    n1, n2 = (n.astype(float) for n in law_cor.draw(stream(1017 + 31, "numbers"), 400_000))
     oracle = np.mean(n1 * n2) / (np.mean(n1) * np.mean(n2))
     assert abs(g2_cor - oracle) <= 3 * se_cor
 
-    g2_ind, _ = twomode.two_time_g2(*runs(twomode.correlated_thermal_law(1.0, 0.0), 3018))
+    g2_ind, _ = twomode.two_time_g2(*runs(twomode.NumberLaw("correlated_thermal", 1.0), 3018))
     assert abs(g2_ind - 1.0) <= 0.05
     _report(13, f"correlated pair g2 = {g2_cor:.3f} vs planted oracle {oracle:.3f} "
                 f"(within 3 sigma); independent pair g2 = {g2_ind:.3f} (1 ± 0.05)")

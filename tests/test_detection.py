@@ -203,7 +203,10 @@ class TestBlockedDraw:
         u = stream(seed, "q").random(thetas.size)
         assert np.array_equal(got, _reference_inverse_cdf_draw(rows, q_grid, group, u))
 
-    @given(n_levels=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]),
+    # a Fock record holds levels up to 20 (the sampling span): B + 1 levels
+    # are one block (a lone last row joins the block before it), B + 2 and
+    # 21 levels cross one block edge; the state draw above crosses two
+    @given(n_levels=st.sampled_from([1, B - 1, B, B + 1, B + 2, 21]),
            n=st.integers(0, 1_500), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_fock_draw_matches_reference(self, n_levels, n, seed):
@@ -215,6 +218,18 @@ class TestBlockedDraw:
         got = detection.draw_fock_quadratures(ns, stream(seed, "q"))
         u = stream(seed, "q").random(ns.size)
         assert np.array_equal(got, _reference_inverse_cdf_draw(rows, q_grid, group, u))
+
+    @pytest.mark.parametrize("alpha, fits", [(3.0, True), (3.5, False)])
+    def test_record_beyond_the_span_refused(self, alpha, fits):
+        # coherent α at θ = 0: q ~ N(√2 α, 1/2) puts 5.4e-8 (α = 3) and 8.0e-6
+        # (α = 3.5) of its probability beyond q = 8, where LEAK_TOL is 1e-6
+        rho = states.make_state(states.StateSpec("coherent", alpha=alpha))
+        thetas = np.zeros(2_000)
+        if fits:
+            assert detection.draw_state_quadratures(rho, thetas, stream(4, "q")).max() < 8.0
+        else:
+            with pytest.raises(ConfigError, match="beyond [|]q[|] = 8, the sampling span"):
+                detection.draw_state_quadratures(rho, thetas, stream(4, "q"))
 
     def test_memory_flat_in_distinct_phases(self, coherent1):
         # phases go in fixed blocks, so 8× the distinct phases may not need

@@ -187,7 +187,7 @@ class TestQuadratureFiles:
         assert back.meta.source == small_dataset.meta.source
 
     def test_dual_round_trip(self, thermal1, tmp_path):
-        st_ = twomode.TwoModeState("planted", law=twomode.correlated_thermal_law(0.5, 0.3))
+        st_ = twomode.NumberLaw("correlated_thermal", 0.5, corr=0.3)
         rand = detection.PhaseSchedule("uniform_random")
         ds = twomode.combined_quadrature_samples(
             st_, np.pi / 4, DET, 2_000, seed=902,
@@ -203,7 +203,7 @@ class TestQuadratureFiles:
     def test_dual_record_moments_are_its_single_mode_moments(self, tmp_path):
         # moments read a dual record read back from file as they read the
         # single-mode record of its θ and Q, bit for bit
-        st_ = twomode.TwoModeState("planted", law=twomode.correlated_thermal_law(1.0, 0.5))
+        st_ = twomode.NumberLaw("correlated_thermal", 1.0, corr=0.5)
         rand = detection.PhaseSchedule("uniform_random")
         ds = twomode.combined_quadrature_samples(st_, 0.0, DET, 5_000, seed=907,
                                                  theta_schedule=rand, zeta_schedule=rand)
@@ -219,7 +219,7 @@ class TestQuadratureFiles:
 
     def test_fixed_phase_dual_round_trip(self, tmp_path):
         # fixed LO phases are one-phase grids, and the header records them
-        st_ = twomode.TwoModeState("planted", law=twomode.correlated_thermal_law(0.5, 0.3))
+        st_ = twomode.NumberLaw("correlated_thermal", 0.5, corr=0.3)
         theta, zeta = (detection.PhaseSchedule("grid", d=1, span=(p, p + 0.1))
                        for p in (0.3, 1.0))
         ds = twomode.combined_quadrature_samples(st_, 0.0, DET, 500, seed=906,
@@ -1385,6 +1385,59 @@ class TestCli:
         rep = json.loads((tmp_path / "two" / "twomode_report.json").read_text())
         assert rep["g2"] == pytest.approx(3.0, abs=0.6)
         assert (tmp_path / "two" / "dual_alpha1.jsonl").exists()
+
+    @pytest.mark.parametrize("command, doc", [
+        ("twomode", {"source": {"kind": "correlated_thermal", "nbar": 40.0},
+                     "n_samples": 2_000, "seed": 1}),
+        ("twomode", {"source": {"kind": "independent_poisson", "nbar": 30.0},
+                     "n_samples": 40_000, "seed": 1}),
+        ("simulate", {"state": {"kind": "coherent", "alpha": 4.5},
+                      "schedule": {"kind": "uniform_random"}, "n_samples": 2_000, "seed": 1}),
+    ], ids=["correlated_thermal-nbar40", "independent_poisson-nbar30", "coherent-4.5"])
+    def test_record_beyond_the_sampling_span_exit_2(self, tmp_path, capsys, command, doc):
+        # the n̄ = 40 law draws levels above 200 (a traceback before), the
+        # Poisson law puts 7 % and the coherent state 0.16 % of its
+        # probability beyond |q| = 8 (each exited 0 before); nothing is written
+        cfg = write_config(tmp_path, "c.json", doc)
+        assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"config error: {detection.SPAN_REFUSAL}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", [
+        {"kind": "correlated_thermal", "nbar": 1.0, "corr": 0.5},
+        {"kind": "hbt_split", "nbar": 1.0},
+        {"kind": "anticorrelated_thermal", "nbar": 1.0},
+        {"kind": "independent_poisson", "nbar": 1.0, "nbar2": 0.5},
+    ], ids=lambda source: source["kind"])
+    def test_twomode_records_are_the_source_law(self, tmp_path, source):
+        # the source block is read into twomode.NumberLaw, and run i of the
+        # three draws at seed 3·seed + i
+        det = {"eta_q": 0.9, "sigma_e": 5.0}
+        cfg = write_config(tmp_path, "two.json", {"source": source, "detector": det,
+                                                  "n_samples": 2_000, "seed": 5})
+        assert run_cli("twomode", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+        law = twomode.NumberLaw.from_dict(source)
+        rand = detection.PhaseSchedule("uniform_random")
+        for i, alpha in enumerate((0.0, np.pi / 4, np.pi / 2)):
+            ds = twomode.combined_quadrature_samples(law, alpha, detection.DetectorModel(**det),
+                                                     2_000, 15 + i, rand, rand)
+            formats.write_quadrature_dataset(tmp_path / "lib.jsonl", ds)
+            assert ((tmp_path / "lib.jsonl").read_bytes()
+                    == (tmp_path / "o" / f"dual_alpha{i}.jsonl").read_bytes())
+
+    def test_twomode_consecutive_seeds_share_no_run(self, tmp_path):
+        # each of the three runs draws its own θ stream, which no run of the
+        # config at the next seed draws again
+        thetas = {}
+        for seed in (17, 18):
+            cfg = write_config(tmp_path, f"two{seed}.json", {
+                "source": {"kind": "hbt_split", "nbar": 1.0}, "n_samples": 1_000, "seed": seed})
+            assert run_cli("twomode", "--config", cfg, "--out", str(tmp_path / str(seed))) == 0
+            thetas[seed] = [formats.read_quadrature_dataset(
+                tmp_path / str(seed) / f"dual_alpha{i}.jsonl").thetas for i in range(3)]
+        for a in thetas[17]:
+            for b in thetas[18]:
+                assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("source", [
         {"kind": "correlated_thermal", "nbar": 0.0},

@@ -186,6 +186,18 @@ class TestG2:
         assert 0.6 < ratio < 1.6
 
 
+class TestJackknife:
+    def test_linear_functional_gives_the_sample_mean_errors(self):
+        # for a difference of means the delete-1 jackknife variance of each
+        # run is its sample variance over its size, and the runs' variances add
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(1.0, 2.0, 500), rng.exponential(3.0, 800)
+        value, err = moments.jackknife(lambda a, b: a - b, (x,), (y,))
+        assert value == pytest.approx(x.mean() - y.mean(), rel=1e-12)
+        assert err == pytest.approx(np.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size),
+                                    rel=1e-9)
+
+
 class TestMomentReport:
     def test_roundtrip_dict(self, coherent1):
         ds = _sample(coherent1, 50_000, seed=515)

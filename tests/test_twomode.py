@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,13 +20,13 @@ def fixed(phase):
 
 
 def _correlated_thermal(nbar, corr):
-    return twomode.TwoModeState("planted", law=twomode.correlated_thermal_law(nbar, corr))
+    return twomode.NumberLaw("correlated_thermal", nbar, corr=corr)
 
 
 def _planted_record(law, n, seed):
     """The photon numbers (n₁, n₂) and mode quadratures (q₁, q₂) that
     combined_quadrature_samples draws for the planted law at seed."""
-    n1, n2 = law(stream(seed, "numbers"), n)
+    n1, n2 = law.draw(stream(seed, "numbers"), n)
     return (n1, n2, detection.draw_fock_quadratures(n1, stream(seed, "quadrature-1")),
             detection.draw_fock_quadratures(n2, stream(seed, "quadrature-2")))
 
@@ -40,7 +42,7 @@ def _three_alpha_runs(st_, n, seed, det=DET):
 
 class TestCombinedSamples:
     def test_alpha_zero_is_mode_one(self, coherent1, vacuum):
-        st_ = twomode.TwoModeState("product", rho1=coherent1, rho2=vacuum)
+        st_ = (coherent1, vacuum)
         ds = twomode.combined_quadrature_samples(st_, 0.0, DET, 50_000, seed=700,
                                                  theta_schedule=fixed(0.3),
                                                  zeta_schedule=fixed(1.0))
@@ -50,7 +52,7 @@ class TestCombinedSamples:
         assert ks_2samp(ds.qs, ref.qs).pvalue > 0.01
 
     def test_alpha_half_pi_is_mode_two(self, thermal1, vacuum):
-        st_ = twomode.TwoModeState("product", rho1=vacuum, rho2=thermal1)
+        st_ = (vacuum, thermal1)
         ds = twomode.combined_quadrature_samples(st_, np.pi / 2, DET, 50_000, seed=702,
                                                  theta_schedule=fixed(0.9),
                                                  zeta_schedule=fixed(0.2))
@@ -61,7 +63,7 @@ class TestCombinedSamples:
         assert ks_2samp(ds.qs, ref.qs).pvalue > 0.01
 
     def test_vacuum_pair_unit_mode(self, vacuum):
-        st_ = twomode.TwoModeState("product", rho1=vacuum, rho2=vacuum)
+        st_ = (vacuum, vacuum)
         for alpha in (0.3, 0.7, 1.2):
             ds = twomode.combined_quadrature_samples(
                 st_, alpha, DET, 60_000, seed=704,
@@ -74,7 +76,7 @@ class TestCombinedSamples:
 
     def test_balance_imbalance_shifts_the_mean(self, vacuum):
         # the single-detector offset b·η_q·√N_LO/(√2·η_eff), added after the noise
-        st_ = twomode.TwoModeState("product", rho1=vacuum, rho2=vacuum)
+        st_ = (vacuum, vacuum)
         det = detection.DetectorModel(eta_q=0.8, eta_ls=0.9, sigma_e=20.0,
                                       balance_imbalance=3e-4)
         runs = [twomode.combined_quadrature_samples(st_, np.pi / 4, d, 5_000, seed=706,
@@ -87,9 +89,9 @@ class TestCombinedSamples:
     @pytest.mark.parametrize("alpha", [0.0, np.pi / 6, np.pi / 4, np.pi / 3, np.pi / 2])
     def test_record_is_the_cos_sin_mix_of_the_planted_modes(self, alpha):
         # with an ideal detector Q = cos α q₁ + sin α q₂ exactly, pulse by pulse
-        law = twomode.correlated_thermal_law(1.0, 0.5)
+        law = _correlated_thermal(1.0, 0.5)
         ds = twomode.combined_quadrature_samples(
-            twomode.TwoModeState("planted", law=law), alpha, DET, 5_000, seed=707,
+            law, alpha, DET, 5_000, seed=707,
             theta_schedule=RAND, zeta_schedule=RAND)
         _, _, q1, q2 = _planted_record(law, 5_000, 707)
         assert np.array_equal(ds.qs, np.cos(alpha) * q1 + np.sin(alpha) * q2)
@@ -98,9 +100,8 @@ class TestCombinedSamples:
     def test_end_angles_ignore_the_other_mode(self, coherent1, thermal1, vacuum, alpha, swapped):
         # α = 0 measures mode 1 alone and α = π/2 mode 2 alone: the unread
         # mode's state moves no sample beyond cos(π/2) ≈ 6e-17 of its quadrature
-        base = dict(rho1=coherent1, rho2=coherent1)
         runs = [twomode.combined_quadrature_samples(
-            twomode.TwoModeState("product", **{**base, swapped: rho}), alpha, DET, 5_000,
+            (coherent1, rho) if swapped == "rho2" else (rho, coherent1), alpha, DET, 5_000,
             seed=708, theta_schedule=RAND, zeta_schedule=RAND) for rho in (vacuum, thermal1)]
         assert np.allclose(runs[0].qs, runs[1].qs, rtol=0.0, atol=1e-12)
 
@@ -109,7 +110,7 @@ class TestCombinedSamples:
         # quadrature distribution of the single-mode record at phase β
         theta, zeta = 1.4, 0.5
         rho2 = states.make_state(states.StateSpec("coherent", alpha=1.5 * np.exp(0.3j)))
-        st_ = twomode.TwoModeState("product", rho1=vacuum, rho2=rho2)
+        st_ = (vacuum, rho2)
         ds = twomode.combined_quadrature_samples(st_, np.pi / 2, DET, 50_000, seed=709,
                                                  theta_schedule=fixed(theta),
                                                  zeta_schedule=fixed(zeta))
@@ -119,7 +120,7 @@ class TestCombinedSamples:
                                              abs=0.02)
 
     def test_alpha_range(self, vacuum):
-        st_ = twomode.TwoModeState("product", rho1=vacuum, rho2=vacuum)
+        st_ = (vacuum, vacuum)
         with pytest.raises(ValueError):
             twomode.combined_quadrature_samples(st_, 2.0, DET, 100, seed=1,
                                                 theta_schedule=RAND, zeta_schedule=RAND)
@@ -143,7 +144,8 @@ def _reference_fock_draw(ns, u):
 
 
 class TestFockDraw:
-    @given(st.lists(st.integers(0, 25), min_size=1, max_size=300),
+    # levels up to 20 fit the ±8 sampling span; level 21 loses 1.2e-6 beyond it
+    @given(st.lists(st.integers(0, 20), min_size=1, max_size=300),
            st.integers(0, 2**32 - 1))
     @example(ns=[0] * 1_000, seed=3)
     @settings(max_examples=30, deadline=None)
@@ -151,6 +153,19 @@ class TestFockDraw:
         ns = np.array(ns)
         got = detection.draw_fock_quadratures(ns, stream(seed, "q"))
         assert np.array_equal(got, _reference_fock_draw(ns, stream(seed, "q").random(ns.size)))
+
+    @pytest.mark.parametrize("levels", [[21], [25], [0] * 10 + [35], [201], [400]])
+    def test_levels_beyond_the_span_refused(self, levels):
+        # levels 21 to 35 put more than 1e-6 beyond the span; a level above
+        # states.HERMITE_N_MAX is refused before it is tabulated
+        with pytest.raises(ConfigError, match=f"^{re.escape(detection.SPAN_REFUSAL)}$"):
+            detection.draw_fock_quadratures(np.array(levels), stream(3, "q"))
+
+    def test_a_few_levels_beyond_the_span_pass_in_a_large_record(self):
+        # the refusal bounds the record's share beyond the span, not each level's
+        ns = np.zeros(10_000, int)
+        ns[:5] = 21
+        assert np.isfinite(detection.draw_fock_quadratures(ns, stream(3, "q"))).all()
 
 
 class TestGrips:
@@ -160,10 +175,7 @@ class TestGrips:
         # same observable
         a1, a2 = 0.9 + 0.2j, -0.4 + 0.7j
         alpha, theta, zeta = 0.55, 0.8, 2.1
-        st_ = twomode.TwoModeState(
-            "product",
-            rho1=states.make_state(states.StateSpec("coherent", alpha=a1)),
-            rho2=states.make_state(states.StateSpec("coherent", alpha=a2)))
+        st_ = tuple(states.make_state(states.StateSpec("coherent", alpha=a)) for a in (a1, a2))
         ds = twomode.combined_quadrature_samples(st_, alpha, DET, 60_000, seed=710,
                                                  theta_schedule=fixed(theta),
                                                  zeta_schedule=fixed(zeta))
@@ -183,8 +195,8 @@ class TestTwoTimeG2:
 
     def test_perfectly_correlated_pair_vs_planted_oracle(self):
         # brute-force oracle: compute <n1 n2> from the planted photon numbers
-        law = twomode.correlated_thermal_law(1.0, 1.0)
-        runs = _three_alpha_runs(twomode.TwoModeState("planted", law=law), 200_000, seed=720)
+        law = _correlated_thermal(1.0, 1.0)
+        runs = _three_alpha_runs(law, 200_000, seed=720)
         g2, se = twomode.two_time_g2(*runs)
         n1, n2, _, _ = _planted_record(law, 200_000, 720 + 17)
         n1, n2 = n1.astype(float), n2.astype(float)
@@ -194,9 +206,9 @@ class TestTwoTimeG2:
 
     def test_cross_moment_extraction_vs_joint_record(self):
         # (4<<Q⁴>> − <<q1⁴>> − <<q2⁴>>)/6 equals the direct <q1² q2²>
-        law = twomode.correlated_thermal_law(1.0, 0.7)
+        law = _correlated_thermal(1.0, 0.7)
         ds = twomode.combined_quadrature_samples(
-            twomode.TwoModeState("planted", law=law), np.pi / 4, DET, 200_000, seed=730,
+            law, np.pi / 4, DET, 200_000, seed=730,
             theta_schedule=RAND, zeta_schedule=RAND)
         _, _, q1, q2 = _planted_record(law, 200_000, 730)
         direct = np.mean(q1**2 * q2**2)
@@ -211,7 +223,7 @@ class TestTwoTimeG2:
         # one thermal mode split onto both arms at zero delay: the three-α
         # method must reproduce Eq.-(3.22)-style g² of the source
         nbar = 1.0
-        st_ = twomode.TwoModeState("planted", law=twomode.hbt_split_law(nbar))
+        st_ = twomode.NumberLaw("hbt_split", nbar)
         g2, se = twomode.two_time_g2(*_three_alpha_runs(st_, 200_000, seed=740))
         src = states.make_state(states.StateSpec("thermal", nbar=nbar))
         ds = detection.sample_quadratures(src, RAND, DET, 200_000, seed=741)
@@ -248,12 +260,12 @@ class TestThreeAlphaLaws:
         assert g12 == pytest.approx(1.0, abs=3 * se + 0.05)
 
     def test_anticorrelated_pair(self):
-        st_ = twomode.TwoModeState("planted", law=twomode.anticorrelated_thermal_law(1.0))
+        st_ = twomode.NumberLaw("anticorrelated_thermal", 1.0)
         g12, se = twomode.two_time_g2(*_three_alpha_runs(st_, 120_000, seed=770))
         assert g12 < 1.0 - 3 * se
 
     def test_poissonian_planted_all_unity(self):
-        st_ = twomode.TwoModeState("planted", law=twomode.independent_poisson_law(2.0, 2.0))
+        st_ = twomode.NumberLaw("independent_poisson", 2.0, nbar2=2.0)
         runs = _three_alpha_runs(st_, 120_000, seed=780)
         for key, (val, se) in (("g_11", moments.g2_single(runs[0])),
                                ("g_22", moments.g2_single(runs[2])),
@@ -263,11 +275,11 @@ class TestThreeAlphaLaws:
 
 class TestLawsRefuseNegativeNbar:
     @pytest.mark.parametrize("build", [
-        lambda: twomode.correlated_thermal_law(-1.0, 0.5),
-        lambda: twomode.hbt_split_law(-1.0),
-        lambda: twomode.anticorrelated_thermal_law(-1.0),
-        lambda: twomode.independent_poisson_law(-1.0, 1.0),
-        lambda: twomode.independent_poisson_law(1.0, -1.0),
+        lambda: twomode.NumberLaw("correlated_thermal", -1.0, corr=0.5),
+        lambda: twomode.NumberLaw("hbt_split", -1.0),
+        lambda: twomode.NumberLaw("anticorrelated_thermal", -1.0),
+        lambda: twomode.NumberLaw("independent_poisson", -1.0, nbar2=1.0),
+        lambda: twomode.NumberLaw("independent_poisson", 1.0, nbar2=-1.0),
     ], ids=["correlated_thermal", "hbt_split", "anticorrelated_thermal",
             "independent_poisson-nbar1", "independent_poisson-nbar2"])
     def test_refused_when_built(self, build):
@@ -281,11 +293,11 @@ class TestCorrelatedThermalLaw:
         for corr in (1.5, -0.2):
             with pytest.raises(ConfigError, match=r"^number correlation coefficient "
                                                    r"must be in \[0, 1\]$"):
-                twomode.correlated_thermal_law(1.0, corr)
+                _correlated_thermal(1.0, corr)
 
     @pytest.mark.parametrize("corr", [0.0, 0.3, 0.7, 1.0])
     def test_thermal_marginals_and_pearson_correlation(self, corr):
-        n1, n2 = twomode.correlated_thermal_law(1.0, corr)(stream(740, "numbers"), 200_000)
+        n1, n2 = _correlated_thermal(1.0, corr).draw(stream(740, "numbers"), 200_000)
         pmf = 0.5 ** np.arange(1, 7)      # Bose-Einstein P(n) = n̄ⁿ/(1 + n̄)ⁿ⁺¹ at n̄ = 1
         for n in (n1, n2):
             assert n.mean() == pytest.approx(1.0, abs=0.02)
@@ -294,17 +306,63 @@ class TestCorrelatedThermalLaw:
         assert np.corrcoef(n1, n2)[0, 1] == pytest.approx(corr, abs=0.01)
 
     def test_zero_nbar_is_the_vacuum_pair(self):
-        n1, n2 = twomode.correlated_thermal_law(0.0, 0.5)(stream(741, "numbers"), 1_000)
+        n1, n2 = _correlated_thermal(0.0, 0.5).draw(stream(741, "numbers"), 1_000)
         assert not n1.any() and not n2.any()
 
 
-class TestTwoModeStateKinds:
+class TestNumberLawFields:
     @pytest.mark.parametrize("kwargs, match", [
-        ({"kind": "joint"}, "unknown two-mode kind 'joint'"),
-        ({"kind": "correlated_thermal"}, "unknown two-mode kind 'correlated_thermal'"),
-        ({"kind": "product"}, "product state needs rho1 and rho2"),
-        ({"kind": "planted", "law": 1.0}, "planted state needs a callable joint number law"),
-    ], ids=["joint", "correlated_thermal", "product-without-rho", "planted-without-law"])
-    def test_kind_validated(self, kwargs, match):
-        with pytest.raises(ValueError, match=f"^{match}$"):
-            twomode.TwoModeState(**kwargs)
+        ({"kind": "joint", "nbar": 1.0}, "unknown source kind 'joint'"),
+        ({"kind": "product", "nbar": 1.0}, "unknown source kind 'product'"),
+        ({"kind": "hbt_split", "nbar": 1.0, "corr": 0.5},
+         "corr applies to correlated_thermal sources only, not hbt_split"),
+        ({"kind": "correlated_thermal", "nbar": 1.0, "nbar2": 1.0},
+         "nbar2 applies to independent_poisson sources only, not correlated_thermal"),
+        ({"kind": "independent_poisson", "nbar": 1.0, "nbar2": -0.5},
+         "mean photon numbers must be >= 0, got -0.5"),
+    ], ids=["joint", "product", "corr-on-hbt_split", "nbar2-on-correlated_thermal",
+            "negative-nbar2"])
+    def test_fields_validated(self, kwargs, match):
+        # one message per rule, whether built in code or read from a config
+        with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
+            twomode.NumberLaw(**kwargs)
+        with pytest.raises(ConfigError, match=f"^at <root>: {re.escape(match)}$"):
+            twomode.NumberLaw.from_dict(kwargs)
+
+    def test_unknown_kind_refused_before_its_fields(self):
+        # the kind is checked first, so a bad kind is named even with stray fields
+        with pytest.raises(ConfigError, match="^unknown source kind 'joint'$"):
+            twomode.NumberLaw("joint", -1.0, corr=2.0)
+
+    @pytest.mark.parametrize("kind, nbar, extra", [
+        ("correlated_thermal", 1.0, {}), ("correlated_thermal", 2.5, {"corr": 0.4}),
+        ("hbt_split", 1.5, {}), ("anticorrelated_thermal", 0.8, {}),
+        ("independent_poisson", 2.0, {}), ("independent_poisson", 2.0, {"nbar2": 0.5}),
+    ])
+    def test_draw_matches_reference(self, kind, nbar, extra):
+        law = twomode.NumberLaw(kind, nbar, **extra)
+        got = law.draw(stream(742, "numbers"), 3_000)
+        want = _reference_number_draw(kind, nbar, extra, stream(742, "numbers"), 3_000)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _reference_number_draw(kind, nbar, extra, rng, n):
+    """Kept copy of the per-kind joint number laws that two-mode sources drew
+    from before they became NumberLaw.draw, call for call."""
+    if kind == "independent_poisson":
+        return rng.poisson(nbar, size=n), rng.poisson(extra.get("nbar2", nbar), size=n)
+    if kind == "anticorrelated_thermal":
+        cdf = np.cumsum(twomode.thermal_pmf(nbar, 60))
+        u = rng.random(n)
+        return np.searchsorted(cdf, u), np.searchsorted(cdf, 1.0 - u)
+    cutoff = max(30, int(20 * (1 + nbar)))
+    p = twomode.thermal_pmf(nbar, cutoff)
+    if kind == "hbt_split":
+        total = rng.choice(cutoff, size=n, p=p)
+        n1 = rng.binomial(total, 0.5)
+        return n1, total - n1
+    common = rng.choice(cutoff, size=n, p=p)
+    ind1 = rng.choice(cutoff, size=n, p=p)
+    ind2 = rng.choice(cutoff, size=n, p=p)
+    use_common = rng.random(n) < extra.get("corr", 0.0)
+    return np.where(use_common, common, ind1), np.where(use_common, common, ind2)
